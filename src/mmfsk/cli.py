@@ -74,15 +74,25 @@ DEFAULT_CONFIG = {
 
 def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then the config file, then CLI flags. Sections replace
-    wholesale so that selector keys (e.g. pair vs triple) never mix."""
+    wholesale so that selector keys (e.g. pair vs triple) never mix. Unknown
+    top-level keys are rejected; the ``_meta`` block of a resolved-config
+    snapshot is dropped, so a snapshot can be fed back."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
         try:
-            cfg.update(mio.load_json(path))
+            loaded = mio.load_json(path)
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
         except ValueError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config {path} must be a JSON object")
+        loaded.pop("_meta", None)
+        unknown = sorted(set(loaded) - set(DEFAULT_CONFIG))
+        if unknown:
+            raise ConfigurationError(f"config {path}: unknown key(s) {unknown}; "
+                                     f"allowed: {sorted(DEFAULT_CONFIG)}")
+        cfg.update(loaded)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 

@@ -3,11 +3,15 @@ points.
 
 For every candidate point and carrier the engine forms the mean residual
 phasor over all TX-RX pairs: measurement times conjugated hypothesis,
-averaged. Per-point work factorizes into one-way distance tables (T + R
-norms instead of T*R), and the pair reduction follows a fixed order --
-contiguous chunks of 4096 pairs in (tx-major, rx-minor) order, adjacent-pair
-tree summation inside each chunk, chunks accumulated sequentially -- so the
-result is bit-identical no matter how candidates are split across workers.
+averaged. The hypothesis of a pair factorizes into a TX phasor and an RX
+phasor, so per carrier the pair sum is a row dot of (E_tx @ D) with E_rx:
+one (points x T) by (T x R) complex GEMM over one-way distance tables (T + R
+norms per point instead of T*R). Points go through the GEMM in blocks of a
+fixed 256 rows, zero-padded at the end, with block boundaries at multiples
+of 256 of the global point index; each worker takes a contiguous run of
+whole blocks. BLAS therefore sees the same block shape for every point, and
+the result is bit-identical no matter how candidates are split across
+workers or BLAS threads.
 """
 
 from __future__ import annotations
@@ -21,14 +25,7 @@ import numpy as np
 from .errors import InsufficientDataError, StructuralError
 from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet
 
-_PAIR_CHUNK = 4096
-_BLOCK_BUDGET = 24_000_000  # bytes of phasor workspace per worker
-
-
-def _block_points(n_pairs: int) -> int:
-    """Points processed per workspace fill: large enough to amortize call
-    overhead on small arrays, capped so the buffer stays cache-friendly."""
-    return max(64, min(4096, _BLOCK_BUDGET // (n_pairs * 16)))
+_BLOCK_ROWS = 256  # GEMM block height: fixed, so every point rounds the same way
 
 
 @dataclass(frozen=True)
@@ -120,63 +117,26 @@ class CorrelationField:
 
 def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     """One-way distances from every TX element to ``p`` and from ``p`` to
-    every RX element; their broadcast sum reproduces all T*R round trips."""
-    p = np.asarray(p, dtype=np.float64)
-    tx_dists = np.linalg.norm(array.tx_positions - p, axis=1)
-    rx_dists = np.linalg.norm(p - array.rx_positions, axis=1)
+    every RX element; their broadcast sum reproduces all T*R round trips.
+
+    ``p`` is one point ``(3,)`` or a batch ``(N, 3)``; the tables have shape
+    ``(T,)``, ``(R,)`` or ``(N, T)``, ``(N, R)``.
+    """
+    p = np.expand_dims(np.asarray(p, dtype=np.float64), -2)
+    tx_dists = np.linalg.norm(array.tx_positions - p, axis=-1)
+    rx_dists = np.linalg.norm(p - array.rx_positions, axis=-1)
     return tx_dists, rx_dists
 
 
-def _fold_pairs(a: np.ndarray) -> np.ndarray:
-    """Adjacent-pair tree summation along the last axis; widths that are not
-    a power of two are zero-padded, which leaves the partial sums exact."""
-    n = a.shape[-1]
-    if n == 1:
-        return a[..., 0]
-    m = 1 << (n - 1).bit_length()
-    if m != n:
-        padded = np.zeros(a.shape[:-1] + (m,), dtype=a.dtype)
-        padded[..., :n] = a
-        a = padded
-    while a.shape[-1] > 1:
-        a = a.reshape(a.shape[:-1] + (a.shape[-1] // 2, 2)).sum(axis=-1)
-    return a[..., 0]
-
-
-def _chunked_pair_sum(values: np.ndarray) -> np.ndarray:
-    """Fixed-order reduction over the pair axis (last): 4096-pair chunks,
-    tree-summed internally, accumulated sequentially."""
-    n = values.shape[-1]
-    if n <= _PAIR_CHUNK:
-        return _fold_pairs(values)
-    acc = np.zeros(values.shape[:-1], dtype=values.dtype)
-    for start in range(0, n, _PAIR_CHUNK):
-        acc = acc + _fold_pairs(values[..., start : start + _PAIR_CHUNK])
-    return acc
-
-
-def _phasor_block(
-    points: np.ndarray,
-    data: np.ndarray,
-    array: AntennaArray,
-    carriers,
-    buf: np.ndarray | None = None,
-) -> np.ndarray:
-    n_t, n_r, n_f = data.shape
-    n_pts = points.shape[0]
-    dtx = np.linalg.norm(points[:, None, :] - array.tx_positions[None, :, :], axis=-1)
-    drx = np.linalg.norm(points[:, None, :] - array.rx_positions[None, :, :], axis=-1)
-    out = np.empty((n_pts, n_f), dtype=np.complex128)
-    if buf is None or buf.shape[0] < n_pts:
-        buf = np.empty((n_pts, n_t, n_r), dtype=np.complex128)
-    work = buf[:n_pts]
+def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, carriers) -> np.ndarray:
+    """Mean pair phasors of one block of points; ``cube`` is the baseband
+    as contiguous (F, T, R) slices so each GEMM reads one carrier."""
+    n_f, n_t, n_r = cube.shape
+    dtx, drx = precompute_distance_tables(points, array)
+    out = np.empty((points.shape[0], n_f), dtype=np.complex128)
     for k, f in enumerate(carriers):
         w = 2j * np.pi * f / SPEED_OF_LIGHT  # conjugated hypothesis: exp(+j 2 pi f rho / c)
-        et = np.exp(w * dtx)
-        er = np.exp(w * drx)
-        np.multiply(et[:, :, None], er[:, None, :], out=work)
-        np.multiply(work, data[None, :, :, k], out=work)
-        out[:, k] = _chunked_pair_sum(work.reshape(n_pts, n_t * n_r))
+        out[:, k] = ((np.exp(w * dtx) @ cube[k]) * np.exp(w * drx)).sum(axis=1)
     return out / (n_t * n_r)
 
 
@@ -189,38 +149,36 @@ def mean_pair_phasors(
 ) -> np.ndarray:
     """Mean residual phasor of every candidate point at every carrier.
 
-    Candidates are split into contiguous ranges across a worker pool (one
-    point never straddles two workers); the output is independent of the
-    pool size.
+    Candidates are split into contiguous runs of whole 256-point blocks
+    across a worker pool; the output is independent of the pool size.
     """
     baseband.check_consistent(array, freqs)
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise StructuralError("points must be a (N, 3) array")
     n = pts.shape[0]
-    out = np.empty((n, len(freqs)), dtype=np.complex128)
-
-    block = _block_points(array.n_pairs)
+    n_blocks = -(-n // _BLOCK_ROWS)
+    padded = np.zeros((n_blocks * _BLOCK_ROWS, 3))
+    padded[:n] = pts
+    cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
+    out = np.empty((padded.shape[0], len(freqs)), dtype=np.complex128)
 
     def run(lo: int, hi: int) -> None:
-        buf = np.empty((min(block, max(hi - lo, 1)), array.n_tx, array.n_rx), dtype=np.complex128)
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            out[start:stop] = _phasor_block(
-                pts[start:stop], baseband.data, array, freqs.frequencies, buf
-            )
+        for start in range(lo * _BLOCK_ROWS, hi * _BLOCK_ROWS, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            out[rows] = _phasor_block(padded[rows], cube, array, freqs.frequencies)
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(int(n_workers), n))
-    if n_workers == 1 or n == 0:
-        run(0, n)
-        return out
-    bounds = np.linspace(0, n, n_workers + 1).astype(int)
+    n_workers = max(1, min(int(n_workers), n_blocks))
+    if n_workers == 1:
+        run(0, n_blocks)
+        return out[:n]
+    bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [pool.submit(run, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         for fut in futures:
             fut.result()
-    return out
+    return out[:n]
 
 
 def correlate_grid(

@@ -170,11 +170,11 @@ def fsk3_reconstruct(
 ) -> RadarImage:
     """Three-frequency, two-stage depth correction.
 
-    Stage one corrects the (typically scalar) prior with the most closely
-    spaced carrier pair, whose wide window tolerates a coarse prior. Stage
-    two re-correlates at the corrected per-pixel depths and refines them
-    with the two remaining, much larger frequency differences combined
-    coherently.
+    Stage one correlates only the most closely spaced carrier pair and
+    corrects the (typically scalar) prior with it; its wide window tolerates
+    a coarse prior. Stage two re-correlates all three carriers at the
+    corrected per-pixel depths and refines them with the two remaining, much
+    larger frequency differences combined coherently.
     """
     if len(freqs) != 3:
         raise ConfigurationError("three-frequency imaging needs exactly 3 carriers")
@@ -184,9 +184,10 @@ def fsk3_reconstruct(
     fine_pairs = [p for n, p in enumerate(pairs) if n != coarse]
     fine_deltas = [d for n, d in enumerate(deltas) if n != coarse]
 
-    field1 = correlate_grid(baseband, grid, array, freqs, workers=workers)
     i, j = pairs[coarse]
-    diff = differential_phasor(field1.data[..., i], field1.data[..., j])
+    coarse_band = BasebandTensor(baseband.data[..., [i, j]])
+    field1 = correlate_grid(coarse_band, grid, array, FrequencySet((freqs[i], freqs[j])), workers=workers)
+    diff = differential_phasor(field1.data[..., 0], field1.data[..., 1])
     with np.errstate(invalid="ignore"):
         coarse_fix = phase_to_depth_correction(residual_phase(diff), deltas[coarse])
     refined = grid.with_prior(

@@ -52,6 +52,25 @@ class TestSimulate:
     def test_missing_config_path_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "-c", str(tmp_path / "nope.json")]) == 2
 
+    def test_misspelled_top_level_key_exits_1(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "cfg.json", methds=["2fsk"])
+        assert main(["simulate", "-c", str(cfg)]) == 1
+        assert "methds" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_config_exits_1(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "-c", str(path)]) == 1
+
+    def test_resolved_snapshot_feeds_back(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "-c", str(cfg)]) == 0
+        snapshot = tmp_path / "out" / "simulate_config.json"
+        first = json.loads(snapshot.read_text())
+        assert main(["simulate", "-c", str(snapshot)]) == 0
+        assert json.loads(snapshot.read_text()) == first
+
     def test_bad_scene_kind_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scene={"kind": "torus", "params": {}})
         assert main(["simulate", "-c", str(cfg)]) == 1

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,15 @@ class TestDistanceTables:
                 )
                 assert rho[t, r] == pytest.approx(direct, rel=0, abs=0)
 
+    def test_batch_rows_equal_single_points(self, desk_array):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-0.05, 0.05, (7, 3)) + [0, 0, 0.3]
+        tx_d, rx_d = precompute_distance_tables(points, desk_array)
+        assert tx_d.shape == (7, desk_array.n_tx) and rx_d.shape == (7, desk_array.n_rx)
+        for p, tx_row, rx_row in zip(points, tx_d, rx_d):
+            one_tx, one_rx = precompute_distance_tables(p, desk_array)
+            assert np.array_equal(one_tx, tx_row) and np.array_equal(one_rx, rx_row)
+
     def test_caching_speedup(self):
         # One-way tables replace T*R per-pair norms with T+R norms; the
         # correlation kernel consumes the tables directly, so the benchmark
@@ -224,14 +237,18 @@ class TestDistanceTables:
             dr = np.linalg.norm(points[:, None, :] - rx[None], axis=-1)
         cached_time = time.perf_counter() - t0
 
+        # Without the cache every (tx, rx) pair recomputes both of its norms.
+        pair_tx = np.repeat(tx, array.n_rx, axis=0)  # (T*R, 3), tx-major
+        pair_rx = np.tile(rx, (array.n_tx, 1))
         t0 = time.perf_counter()
         for _ in range(3):
-            full = np.linalg.norm(points[:, None, None, :] - tx[None, :, None, :], axis=-1) + np.linalg.norm(
-                points[:, None, None, :] - rx[None, None, :, :], axis=-1
+            full = np.linalg.norm(points[:, None, :] - pair_tx[None], axis=-1) + np.linalg.norm(
+                points[:, None, :] - pair_rx[None], axis=-1
             )
         naive_time = time.perf_counter() - t0
 
-        assert np.abs((dt[:, :, None] + dr[:, None, :]) - full).max() < 1e-12
+        cached = (dt[:, :, None] + dr[:, None, :]).reshape(len(points), array.n_pairs)
+        assert np.abs(cached - full).max() < 1e-12
         assert naive_time >= 5.0 * cached_time
 
 
@@ -251,3 +268,47 @@ class TestMeanPairPhasors:
             mean_pair_phasors(pts[5:], baseband, array, freqs, workers=1),
         ])
         assert np.array_equal(whole, split)
+
+    def test_padded_blocks_make_splits_and_workers_irrelevant(self):
+        # 600 points span three 256-row GEMM blocks, the last one padded.
+        rng = np.random.default_rng(5)
+        array = mimo_cross_array(5, 6, 0.05)
+        grid = CandidateGrid.regular(30, 20, 0.002).with_scalar_prior(0.31)
+        freqs = FrequencySet((72e9, 77e9, 82e9))
+        data = rng.normal(size=(array.n_tx, array.n_rx, 3, 2))
+        baseband = BasebandTensor(data[..., 0] + 1j * data[..., 1])
+        pts = grid.points()
+        whole = mean_pair_phasors(pts, baseband, array, freqs, workers=1)
+        for w in (2, 3):
+            assert np.array_equal(whole, mean_pair_phasors(pts, baseband, array, freqs, workers=w))
+        for cut in (5, 257, 511):
+            split = np.vstack([
+                mean_pair_phasors(pts[:cut], baseband, array, freqs, workers=1),
+                mean_pair_phasors(pts[cut:], baseband, array, freqs, workers=2),
+            ])
+            assert np.array_equal(whole, split)
+        want = reference_correlation(baseband, grid, array, freqs)[grid.valid]
+        assert np.abs(whole - want).max() / np.abs(want).max() < 1e-12
+
+    def test_blas_thread_count_does_not_change_bytes(self):
+        # OpenBLAS reads its thread count once, at import: one child each.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from mmfsk import BasebandTensor, FrequencySet, mean_pair_phasors, mimo_cross_array\n"
+            "rng = np.random.default_rng(8)\n"
+            "array = mimo_cross_array(64, 64, 0.4)\n"
+            "d = rng.normal(size=(64, 64, 2, 2))\n"
+            "bb = BasebandTensor(d[..., 0] + 1j * d[..., 1])\n"
+            "pts = rng.uniform(-0.05, 0.05, (700, 3)) + [0, 0, 0.3]\n"
+            "out = mean_pair_phasors(pts, bb, array, FrequencySet((72e9, 82e9)), workers=1)\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mmfsk import reconstruct
 from mmfsk import (
+    BasebandTensor,
     CandidateGrid,
     FrequencySet,
     Scene,
@@ -9,6 +11,7 @@ from mmfsk import (
     backproject,
     fsk2_reconstruct,
     fsk3_reconstruct,
+    correlate_grid,
     magnitude_filter,
     make_scene,
     max_unambiguous_depth,
@@ -18,6 +21,7 @@ from mmfsk import (
     surface_depth,
 )
 from mmfsk.errors import ConfigurationError, EmptyImageError
+from mmfsk.correlate import CorrelationField
 from mmfsk.reconstruct import RadarImage
 from mmfsk.simulate import NoiseSpec
 from scenarios import recovery_run
@@ -199,6 +203,45 @@ class TestThreeFrequency:
         grid = CandidateGrid.regular(2, 2, 0.002).with_scalar_prior(0.3)
         with pytest.raises(ConfigurationError):
             fsk3_reconstruct(bb, grid, desk_array, freqs)
+
+    def test_pair_field_equals_columns_of_full_field(self, desk_array):
+        # Each carrier's column depends on that carrier alone, so stage one
+        # may correlate just its pair.
+        freqs = FrequencySet.triple_from_pair_names("0.5", "10.0")
+        scene, grid = plane_setup(desk_array, grid_n=24)
+        bb = simulate_baseband(scene, desk_array, freqs, NoiseSpec(snr_db=25, seed=3))
+        grid = grid.with_scalar_prior(0.31)
+        full = correlate_grid(bb, grid, desk_array, freqs).data
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            pair = FrequencySet((freqs[i], freqs[j]))
+            two = correlate_grid(BasebandTensor(bb.data[..., [i, j]]), grid, desk_array, pair).data
+            assert np.array_equal(two, full[..., [i, j]], equal_nan=True)
+
+    def test_stage_one_matches_full_carrier_field(self, desk_array, monkeypatch):
+        # Feeding stage one the matching columns of the three-carrier field
+        # instead of the pair-only correlation leaves the image bit-identical.
+        freqs = FrequencySet.triple_from_pair_names("0.5", "10.0")
+        scene, grid = plane_setup(desk_array, grid_n=24)
+        bb = simulate_baseband(scene, desk_array, freqs, NoiseSpec(snr_db=25, seed=3))
+        grid = grid.with_scalar_prior(0.31)
+        got = fsk3_reconstruct(bb, grid, desk_array, freqs)
+
+        real = reconstruct.correlate_grid
+        stage_one = []
+
+        def full_stage_one(band, g, array, fs, workers=None):
+            if len(fs) == 3:
+                return real(band, g, array, fs, workers=workers)
+            cols = [freqs.frequencies.index(f) for f in fs.frequencies]
+            stage_one.append(cols)
+            field = real(bb, g, array, freqs, workers=workers)
+            return CorrelationField(field.data[..., cols], field.valid)
+
+        monkeypatch.setattr(reconstruct, "correlate_grid", full_stage_one)
+        want = fsk3_reconstruct(bb, grid, desk_array, freqs)
+        assert len(stage_one) == 1
+        for name in ("depth", "magnitude", "joint_magnitude", "valid"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
 
 
 class TestMethodsAgree:

@@ -6,6 +6,12 @@ holes, since the triangulation covers the convex hull), rigidly transforms
 the mesh into the radar frame, and rasterizes it orthographically onto the
 candidate grid with barycentric depth interpolation. Where triangles
 overlap after the transform, the front-most surface (smallest depth) wins.
+
+Rasterization is one array pass over all triangles rather than a loop per
+triangle. Each triangle's integer bounding box expands into (triangle,
+pixel) candidates, which are evaluated ``_RASTER_CHUNK`` at a time so the
+temporaries stay at a few MB on any mesh; a z-buffer keeps the nearest
+candidate per pixel. The result does not depend on where chunks split.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .errors import (
 
 _ORTHONORMAL_TOL = 1e-9
 _MIN_TRIANGLE_AREA = 1e-12  # squared pixels; drops numerically degenerate slivers
+_RASTER_CHUNK = 1 << 16  # (triangle, pixel) candidates per array pass: a few MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,20 @@ def _edge(ax, ay, bx, by, px, py):
     return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
 
+def front_most_per_pixel(pix: np.ndarray, z: np.ndarray):
+    """Smallest depth at each distinct flat pixel index, as ``(pix, z)``.
+
+    Exact ties keep the earliest entry (the sort is stable), which is what
+    a loop over the entries in order with a strict ``<`` keeps, signed
+    zeros included.
+    """
+    order = np.lexsort((z, pix))
+    pix, z = pix[order], z[order]
+    first = np.ones(pix.size, dtype=bool)
+    first[1:] = pix[1:] != pix[:-1]
+    return pix[first], z[first]
+
+
 def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
     """Orthographically rasterize the mesh onto the candidate grid.
 
@@ -205,6 +226,12 @@ def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
     edge belong to exactly one triangle. Depth is barycentrically
     interpolated; overlapping triangles resolve to the smallest depth, and
     exact depth ties keep the earliest triangle.
+
+    All triangles are handled as arrays: every (triangle, pixel) pair of a
+    triangle's integer bounding box is one candidate, and candidates are
+    evaluated ``_RASTER_CHUNK`` at a time in triangle order. Each chunk's
+    front-most candidate per pixel replaces the buffer only when strictly
+    nearer, so chunk boundaries never change the result.
     """
     if grid.width > 1:
         dx = grid.x[1] - grid.x[0]
@@ -216,42 +243,55 @@ def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
         dy = 1.0
     x0, y0 = grid.x[0], grid.y[0]
 
-    zbuf = np.full((grid.height, grid.width), np.inf)
-    verts = mesh.vertices
-    for tri in mesh.triangles:
-        vx = (verts[tri, 0] - x0) / dx  # continuous pixel coordinates
-        vy = (verts[tri, 1] - y0) / dy
-        vz = verts[tri, 2]
-        area2 = _edge(vx[0], vy[0], vx[1], vy[1], vx[2], vy[2])
-        if area2 == 0.0:
-            continue
-        if area2 < 0.0:  # normalize winding so edge functions are >= 0 inside
-            vx, vy, vz = vx[[0, 2, 1]], vy[[0, 2, 1]], vz[[0, 2, 1]]
-            area2 = -area2
+    tri = mesh.triangles
+    vx = (mesh.vertices[tri, 0] - x0) / dx  # (M, 3) continuous pixel coordinates
+    vy = (mesh.vertices[tri, 1] - y0) / dy
+    vz = mesh.vertices[tri, 2]
+    area2 = _edge(vx[:, 0], vy[:, 0], vx[:, 1], vy[:, 1], vx[:, 2], vy[:, 2])
+    flip = area2 < 0.0  # normalize winding so edge functions are >= 0 inside
+    for a in (vx, vy, vz):
+        a[flip] = a[flip][:, [0, 2, 1]]
+    area2 = np.abs(area2)
 
-        u_lo = max(0, int(np.ceil(vx.min() - 1e-12)))
-        u_hi = min(grid.width - 1, int(np.floor(vx.max() + 1e-12)))
-        v_lo = max(0, int(np.ceil(vy.min() - 1e-12)))
-        v_hi = min(grid.height - 1, int(np.floor(vy.max() + 1e-12)))
-        if u_lo > u_hi or v_lo > v_hi:
-            continue
-        pu, pv = np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1))
+    u_lo = np.maximum(np.ceil(vx.min(axis=1) - 1e-12), 0.0)
+    u_hi = np.minimum(np.floor(vx.max(axis=1) + 1e-12), grid.width - 1)
+    v_lo = np.maximum(np.ceil(vy.min(axis=1) - 1e-12), 0.0)
+    v_hi = np.minimum(np.floor(vy.max(axis=1) + 1e-12), grid.height - 1)
+    keep = (area2 != 0.0) & (u_lo <= u_hi) & (v_lo <= v_hi)  # NaN vertices drop here
+    vx, vy, vz, area2 = vx[keep], vy[keep], vz[keep], area2[keep]
+    u_lo, v_lo = u_lo[keep].astype(np.int64), v_lo[keep].astype(np.int64)
+    box_w = u_hi[keep].astype(np.int64) - u_lo + 1
+    count = box_w * (v_hi[keep].astype(np.int64) - v_lo + 1)
+    end = np.cumsum(count)
 
-        cover = np.ones(pu.shape, dtype=bool)
+    edges = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        ddx, ddy = vx[:, j] - vx[:, i], vy[:, j] - vy[:, i]
+        boundary_in = (ddy > 0.0) | ((ddy == 0.0) & (ddx < 0.0))
+        edges.append((vx[:, i], vy[:, i], ddx, ddy, boundary_in))
+
+    zbuf = np.full(grid.height * grid.width, np.inf)
+    total = int(end[-1]) if end.size else 0
+    for start in range(0, total, _RASTER_CHUNK):
+        k = np.arange(start, min(start + _RASTER_CHUNK, total))
+        t = np.searchsorted(end, k, side="right")  # owning triangle of each candidate
+        row, col = np.divmod(k - (end[t] - count[t]), box_w[t])
+        pu, pv = u_lo[t] + col, v_lo[t] + row
+
+        cover = np.ones(k.size, dtype=bool)
         bary = []
-        for i, j in ((1, 2), (2, 0), (0, 1)):
-            e = _edge(vx[i], vy[i], vx[j], vy[j], pu, pv)
-            ddx, ddy = vx[j] - vx[i], vy[j] - vy[i]
-            boundary_in = ddy > 0.0 or (ddy == 0.0 and ddx < 0.0)
-            cover &= (e > 0.0) | ((e == 0.0) & boundary_in)
-            bary.append(e / area2)
-        if not cover.any():
-            continue
-        z = bary[0] * vz[0] + bary[1] * vz[1] + bary[2] * vz[2]
-        sub = zbuf[v_lo : v_hi + 1, u_lo : u_hi + 1]
-        upd = cover & (z < sub)
-        sub[upd] = z[upd]
+        for ax, ay, ddx, ddy, boundary_in in edges:
+            e = ddx[t] * (pv - ay[t]) - ddy[t] * (pu - ax[t])
+            cover &= (e > 0.0) | ((e == 0.0) & boundary_in[t])
+            bary.append(e / area2[t])
+        z = bary[0] * vz[t, 0] + bary[1] * vz[t, 1] + bary[2] * vz[t, 2]
+        cover &= z < np.inf  # the buffer starts at inf; NaN and inf never win
 
+        pix, z = front_most_per_pixel((pv * grid.width + pu)[cover], z[cover])
+        nearer = z < zbuf[pix]
+        zbuf[pix[nearer]] = z[nearer]
+
+    zbuf = zbuf.reshape(grid.height, grid.width)
     valid = np.isfinite(zbuf)
     return grid.with_prior(np.where(valid, zbuf, np.nan), valid)
 

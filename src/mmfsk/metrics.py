@@ -16,6 +16,7 @@ from scipy.ndimage import binary_erosion
 from scipy.spatial import cKDTree
 
 from .correlate import CandidateGrid
+from .depth_prior import front_most_per_pixel
 from .errors import InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
@@ -132,17 +133,15 @@ def resample_gt_depth(kind: str, params: dict, grid: CandidateGrid) -> np.ndarra
 
 def _bin_cloud_depth(points: np.ndarray, grid: CandidateGrid) -> np.ndarray:
     """Nearest-pixel binning for surfaceless clouds; the front-most point
-    per pixel wins."""
+    per pixel wins, the earliest point on exact ties."""
     dx, dy = grid.spacing
-    depth = np.full((grid.height, grid.width), np.nan)
     u = np.round((points[:, 0] - grid.x[0]) / (dx or 1.0)).astype(int)
     v = np.round((points[:, 1] - grid.y[0]) / (dy or 1.0)).astype(int)
     ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
-    for ui, vi, zi in sorted(zip(u[ok], v[ok], points[ok, 2])):
-        cur = depth[vi, ui]
-        if not np.isfinite(cur) or zi < cur:
-            depth[vi, ui] = zi
-    return depth
+    pix, z = front_most_per_pixel(v[ok] * grid.width + u[ok], points[ok, 2])
+    depth = np.full(grid.height * grid.width, np.nan)
+    depth[pix] = z
+    return depth.reshape(grid.height, grid.width)
 
 
 def evaluate_image(
@@ -158,7 +157,10 @@ def evaluate_image(
 
     The ground-truth cloud is resampled near the radar pixel pitch so both
     clouds have comparable density; the projective error uses the analytic
-    ground-truth depth on the same grid.
+    ground-truth depth on the same grid. A ``random-cloud`` scene has no
+    surface: its ground-truth depth is binned points, isolated pixels that
+    any erosion would remove, so ``erode`` is ignored there and the eroded
+    values equal the masked ones.
     """
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
@@ -168,6 +170,8 @@ def evaluate_image(
         gt_spacing = max(dx, dy) or 0.001
     gt_cloud = resample_gt_cloud(kind, params, gt_spacing)
     gt_depth = resample_gt_depth(kind, params, grid)
+    if kind == "random-cloud":
+        erode = 0
     return EvalReport(
         c_gt_to_r=chamfer_one_way(gt_cloud, recon_cloud),
         c_r_to_gt=chamfer_one_way(recon_cloud, gt_cloud),

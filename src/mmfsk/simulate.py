@@ -216,8 +216,8 @@ def render_depth_map(
     trans = extrinsics.translation
     dirs_r = dirs @ rot.T  # radar-frame direction per unit camera depth
 
-    def gap(s):
-        p = s[..., None] * dirs_r + trans
+    def gap(s, dirs):
+        p = s[..., None] * dirs + trans
         return p[..., 2] - surface_depth(kind, params, p[..., 0], p[..., 1])
 
     # Coarse scan for the first front-to-behind crossing along each ray,
@@ -226,22 +226,26 @@ def render_depth_map(
     steps = np.linspace(float(depth_range[0]), float(depth_range[1]), 64)
     lo = np.full((height, width), np.nan)
     hi = np.full((height, width), np.nan)
-    g_prev = gap(np.full((height, width), steps[0]))
+    g_prev = gap(np.full((height, width), steps[0]), dirs_r)
     for s in steps[1:]:
-        g_cur = gap(np.full((height, width), s))
+        g_cur = gap(np.full((height, width), s), dirs_r)
         crossing = np.isnan(lo) & (g_prev < 0.0) & (g_cur >= 0.0)
         lo[crossing] = s - (steps[1] - steps[0])
         hi[crossing] = s
         g_prev = g_cur
     valid = np.isfinite(lo)
-    lo = np.where(valid, lo, steps[0])
-    hi = np.where(valid, hi, steps[-1])
+    lo, hi, dirs_v = lo[valid], hi[valid], dirs_r[valid]
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        below = ~(g_mid >= 0.0)  # NaN mid-samples keep searching outward
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    depth = 0.5 * (lo + hi)
-    valid &= np.isfinite(gap(depth))
+        below = ~(gap(mid, dirs_v) >= 0.0)  # NaN mid-samples keep searching outward
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        # The step is a function of (lo, hi) alone: once no bracket moves,
+        # every later iteration would repeat this one.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    depth = np.full((height, width), np.nan)
+    depth[valid] = 0.5 * (lo + hi)
+    valid[valid] = np.isfinite(gap(depth[valid], dirs_v))
     return OpticalDepthMap(depth=np.where(valid, depth, np.nan), valid=valid)

@@ -157,6 +157,19 @@ class TestReconstructAndEval:
         rec = mio.load_json(tmp_path / "out" / "eval_bp.json")
         assert rec["p_eroded"] < 0.01
 
+    def test_sparse_random_cloud_evaluates(self, tmp_path):
+        # 64 points on a 32x32 grid bin to isolated pixels, which the
+        # default erosion would remove entirely.
+        self.run_pipeline(
+            tmp_path,
+            scene={"kind": "random-cloud", "params": {"n": 64, "seed": 3}},
+            grid={"width": 32, "height": 32, "spacing": 0.001},
+            prior={"mode": "scalar", "value": 0.40},
+        )
+        rec = mio.load_json(tmp_path / "out" / "eval_mm2fsk.json")
+        assert rec["n_pixels_eroded"] == rec["n_pixels_masked"] > 0
+        assert rec["p_eroded"] == rec["p_masked"]
+
     def test_unknown_method_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", methods=["hologram"])
         main(["simulate", "-c", str(cfg)])

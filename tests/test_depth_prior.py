@@ -15,6 +15,7 @@ from mmfsk import (
     transform_mesh,
     triangulate,
 )
+from mmfsk import depth_prior
 from mmfsk.depth_prior import cull_long_edges
 from mmfsk.errors import (
     DegenerateGeometryError,
@@ -49,6 +50,84 @@ def circumcircle_violations(pixels, triangles, tol=1e-9):
         inside[tri] = False
         bad += int(inside.any())
     return bad
+
+
+def _edge(ax, ay, bx, by, px, py):
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def reference_rasterize(mesh, grid):
+    """Per-triangle loop rasterizer: the oracle that ``rasterize_prior`` must
+    match bit for bit (same pixel-center rule, half-open edges, smallest
+    depth wins, earliest triangle on exact ties)."""
+    dx = grid.x[1] - grid.x[0] if grid.width > 1 else 1.0
+    dy = grid.y[1] - grid.y[0] if grid.height > 1 else 1.0
+    x0, y0 = grid.x[0], grid.y[0]
+
+    zbuf = np.full((grid.height, grid.width), np.inf)
+    verts = mesh.vertices
+    for tri in mesh.triangles:
+        vx = (verts[tri, 0] - x0) / dx
+        vy = (verts[tri, 1] - y0) / dy
+        vz = verts[tri, 2]
+        area2 = _edge(vx[0], vy[0], vx[1], vy[1], vx[2], vy[2])
+        if area2 == 0.0:
+            continue
+        if area2 < 0.0:
+            vx, vy, vz = vx[[0, 2, 1]], vy[[0, 2, 1]], vz[[0, 2, 1]]
+            area2 = -area2
+
+        u_lo = max(0, int(np.ceil(vx.min() - 1e-12)))
+        u_hi = min(grid.width - 1, int(np.floor(vx.max() + 1e-12)))
+        v_lo = max(0, int(np.ceil(vy.min() - 1e-12)))
+        v_hi = min(grid.height - 1, int(np.floor(vy.max() + 1e-12)))
+        if u_lo > u_hi or v_lo > v_hi:
+            continue
+        pu, pv = np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1))
+
+        cover = np.ones(pu.shape, dtype=bool)
+        bary = []
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            e = _edge(vx[i], vy[i], vx[j], vy[j], pu, pv)
+            ddx, ddy = vx[j] - vx[i], vy[j] - vy[i]
+            boundary_in = ddy > 0.0 or (ddy == 0.0 and ddx < 0.0)
+            cover &= (e > 0.0) | ((e == 0.0) & boundary_in)
+            bary.append(e / area2)
+        if not cover.any():
+            continue
+        z = bary[0] * vz[0] + bary[1] * vz[1] + bary[2] * vz[2]
+        sub = zbuf[v_lo : v_hi + 1, u_lo : u_hi + 1]
+        upd = cover & (z < sub)
+        sub[upd] = z[upd]
+
+    valid = np.isfinite(zbuf)
+    return grid.with_prior(np.where(valid, zbuf, np.nan), valid)
+
+
+def random_mesh(rng, grid, spacing, n_tri, snapped=False):
+    """Triangles over random vertices that reach a little past the grid, so
+    they overlap one another and the grid border. Snapped meshes put every
+    vertex on a half-pixel lattice (exact in binary for a power-of-two
+    pitch) and draw depths from a few values, signed zeros included, so
+    edges pass exactly through pixel centers and depths tie exactly."""
+    n_v = max(3, n_tri)
+    lo = np.array([grid.x[0], grid.y[0]]) - 2.0 * spacing
+    hi = np.array([grid.x[-1], grid.y[-1]]) + 2.0 * spacing
+    xy = lo + rng.random((n_v, 2)) * (hi - lo)
+    z = rng.uniform(0.2, 0.5, n_v)
+    if snapped:
+        xy = np.round(xy / (spacing / 2.0)) * (spacing / 2.0)
+        z = rng.choice([-0.0, 0.0, 0.25, 0.5], n_v)
+    tris = rng.integers(0, n_v, (n_tri, 3))
+    return TriangleMesh(np.column_stack([xy, z]), tris, np.zeros((n_v, 2)))
+
+
+def assert_matches_reference(mesh, grid):
+    got = rasterize_prior(mesh, grid)
+    want = reference_rasterize(mesh, grid)
+    assert np.array_equal(got.valid, want.valid)
+    assert got.prior_depth.tobytes() == want.prior_depth.tobytes()
+    return got
 
 
 class TestIntrinsicsExtrinsics:
@@ -248,6 +327,81 @@ class TestRasterizePrior:
         mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.zeros((6, 2)))
         grid = rasterize_prior(mesh, self._grid())
         assert np.abs(grid.prior_depth[grid.valid] - 0.30).max() < 1e-12
+
+    @pytest.mark.parametrize("snapped", [False, True])
+    def test_random_meshes_match_reference(self, snapped):
+        rng = np.random.default_rng(11 + snapped)
+        for _ in range(100):
+            w, h = (int(n) for n in rng.integers(1, 24, 2))
+            spacing = 0.25 if snapped else rng.uniform(0.001, 0.003)
+            grid = CandidateGrid.regular(w, h, spacing)
+            assert_matches_reference(random_mesh(rng, grid, spacing, int(rng.integers(1, 40)), snapped), grid)
+
+    def test_snapped_meshes_hit_edges_and_tie(self):
+        # The snapped case must really exercise the exact rules it claims to.
+        rng = np.random.default_rng(5)
+        grid = CandidateGrid.regular(16, 16, 0.25)
+        mesh = random_mesh(rng, grid, 0.25, 60, snapped=True)
+        tri = mesh.triangles
+        vx = (mesh.vertices[tri, 0] - grid.x[0]) / 0.25
+        vy = (mesh.vertices[tri, 1] - grid.y[0]) / 0.25
+        assert (vx == np.round(vx)).any() and (vy == np.round(vy)).any()
+        out = assert_matches_reference(mesh, grid)
+        assert np.signbit(out.prior_depth[out.valid]).any()
+        assert (out.prior_depth[out.valid] == 0.0).sum() > 1
+
+    def test_self_overlapping_mesh_after_rigid_transform(self):
+        # A Delaunay mesh is disjoint in its pixel domain; a steep rotation
+        # folds it over itself so many pixels see several triangles.
+        rng = np.random.default_rng(4)
+        pix = rng.uniform(0, 40, (150, 2))
+        pts = np.column_stack([(pix - 20) * 0.001, 0.3 + 0.02 * np.sin(pix[:, 0] / 3.0)])
+        mesh = triangulate(pts, pix)
+        rot = rotation_about([0.2, 1.0, 0.0], 1.3)
+        moved = transform_mesh(mesh, Extrinsics(rot, -rot @ pts.mean(axis=0) + [0.0, 0.0, 0.3]))
+        grid = self._grid(n=40, spacing=0.0005)
+        tri = moved.triangles
+        e1 = moved.vertices[tri[:, 1], :2] - moved.vertices[tri[:, 0], :2]
+        e2 = moved.vertices[tri[:, 2], :2] - moved.vertices[tri[:, 0], :2]
+        winding = np.sign(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        assert (winding > 0).any() and (winding < 0).any()  # folded: both windings occur
+        assert assert_matches_reference(moved, grid).valid.sum() > 100
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1), (1, 1)])
+    def test_single_row_and_column_grids(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        w, h = shape
+        for snapped in (False, True):
+            grid = CandidateGrid.regular(w, h, 0.25)
+            for _ in range(20):
+                assert_matches_reference(random_mesh(rng, grid, 0.25, 12, snapped), grid)
+
+    def test_triangle_larger_than_grid(self):
+        verts = np.array([[-1.0, -1.0, 0.3], [1.0, -1.0, 0.35], [0.0, 1.5, 0.4]])
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
+        grid = self._grid(n=20)
+        assert assert_matches_reference(mesh, grid).valid.all()
+
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        grid = CandidateGrid.regular(12, 9, 0.25)
+        mesh = random_mesh(rng, grid, 0.25, 80, snapped=True)
+        whole = rasterize_prior(mesh, grid)
+        for chunk in (1, 7, 64):  # each splits one triangle's bounding box
+            monkeypatch.setattr(depth_prior, "_RASTER_CHUNK", chunk)
+            split = assert_matches_reference(mesh, grid)
+            assert split.prior_depth.tobytes() == whole.prior_depth.tobytes()
+
+    def test_degenerate_and_off_grid_triangles_are_skipped(self):
+        verts = np.array(
+            [[0.0, 0.0, 0.3], [0.01, 0.0, 0.3], [0.02, 0.0, 0.3],   # collinear
+             [1.0, 1.0, 0.3], [1.1, 1.0, 0.3], [1.0, 1.1, 0.3]]     # far off the grid
+        )
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5], [0, 0, 1]]), np.zeros((6, 2)))
+        out = assert_matches_reference(mesh, self._grid())
+        assert not out.valid.any()
+        empty = TriangleMesh(verts, np.zeros((0, 3), dtype=int), np.zeros((6, 2)))
+        assert not assert_matches_reference(empty, self._grid()).valid.any()
 
     def test_cull_long_edges(self):
         verts = np.array([[0.0, 0.0, 0.3], [0.01, 0.0, 0.3], [0.0, 0.01, 0.3], [0.5, 0.5, 0.3]])

@@ -10,13 +10,27 @@ from mmfsk import (
     resample_gt_depth,
 )
 from mmfsk.errors import InsufficientDataError, StructuralError
-from mmfsk.metrics import EvalReport, erode_mask, report_table
+from mmfsk.metrics import EvalReport, _bin_cloud_depth, erode_mask, report_table
 from mmfsk.reconstruct import RadarImage
 
 
 def brute_force_chamfer(src, dst):
     d = np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=-1)
     return float(d.min(axis=1).mean())
+
+
+def reference_bin_cloud_depth(points, grid):
+    """Sorted-loop binning: nearest pixel, front-most point, earliest on ties."""
+    dx, dy = grid.spacing
+    depth = np.full((grid.height, grid.width), np.nan)
+    u = np.round((points[:, 0] - grid.x[0]) / (dx or 1.0)).astype(int)
+    v = np.round((points[:, 1] - grid.y[0]) / (dy or 1.0)).astype(int)
+    ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
+    for ui, vi, zi in sorted(zip(u[ok], v[ok], points[ok, 2])):
+        cur = depth[vi, ui]
+        if not np.isfinite(cur) or zi < cur:
+            depth[vi, ui] = zi
+    return depth
 
 
 class TestChamfer:
@@ -148,6 +162,16 @@ class TestResampleGroundTruth:
         assert np.isfinite(depth).any()
         assert np.nanmin(depth) >= 0.2 and np.nanmax(depth) <= 0.3
 
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 9), (9, 1)])
+    def test_binning_matches_sorted_loop(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        grid = CandidateGrid.regular(*shape, 0.01)
+        pts = np.column_stack([rng.uniform(-0.06, 0.06, (300, 2)), rng.choice([-0.0, 0.0, 0.2, 0.25], 300)])
+        pts = np.vstack([pts, pts[:50]])  # exact duplicates as well as depth ties
+        got = _bin_cloud_depth(pts, grid)
+        want = reference_bin_cloud_depth(pts, grid)
+        assert np.signbit(want).any()  # signed-zero ties, which only the earliest-point rule decides
+        assert got.tobytes() == want.tobytes()
 
 class TestEvaluateImage:
     def _perfect_image(self, grid, depth):

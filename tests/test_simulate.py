@@ -36,6 +36,42 @@ def reference_baseband(scene, array, freqs):
     return out
 
 
+def reference_render(kind, params, intrinsics, extrinsics, width, height,
+                     depth_range=(0.01, 3.0), iterations=60):
+    """Renderer oracle: the same coarse scan, then all ``iterations``
+    bisection steps over every ray, with misses masked out at the end."""
+    gu, gv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    dirs = np.stack([(gu - intrinsics.c_u) / intrinsics.f_u, (gv - intrinsics.c_v) / intrinsics.f_v,
+                     np.ones_like(gu)], axis=-1)
+    dirs_r = dirs @ extrinsics.rotation.T
+
+    def gap(s):
+        p = s[..., None] * dirs_r + extrinsics.translation
+        return p[..., 2] - surface_depth(kind, params, p[..., 0], p[..., 1])
+
+    steps = np.linspace(float(depth_range[0]), float(depth_range[1]), 64)
+    lo = np.full((height, width), np.nan)
+    hi = np.full((height, width), np.nan)
+    g_prev = gap(np.full((height, width), steps[0]))
+    for s in steps[1:]:
+        g_cur = gap(np.full((height, width), s))
+        crossing = np.isnan(lo) & (g_prev < 0.0) & (g_cur >= 0.0)
+        lo[crossing] = s - (steps[1] - steps[0])
+        hi[crossing] = s
+        g_prev = g_cur
+    valid = np.isfinite(lo)
+    lo = np.where(valid, lo, steps[0])
+    hi = np.where(valid, hi, steps[-1])
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        below = ~(gap(mid) >= 0.0)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    depth = 0.5 * (lo + hi)
+    valid &= np.isfinite(gap(depth))
+    return np.where(valid, depth, np.nan), valid
+
+
 def single_target(pos, amp=1.0, phase=0.0):
     return Scene(np.asarray([pos], dtype=float), np.array([amp], dtype=complex), np.array([phase]))
 
@@ -185,6 +221,26 @@ class TestRenderDepthMap:
         radar = cam @ ext.rotation.T + ext.translation
         gap = radar[:, 2] - surface_depth("plane", params, radar[:, 0], radar[:, 1])
         assert np.abs(gap).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("plane", {"depth": 0.31, "extent": 0.12, "tilt_x": 0.06, "tilt_y": -0.03}),
+            ("sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.12}),
+            ("step", {"levels": [0.28, 0.31], "split": 0.003, "extent": 0.08}),
+        ],
+    )
+    @pytest.mark.parametrize("iterations", [60, 20])
+    def test_matches_fixed_step_bisection(self, kind, params, iterations):
+        intr = CameraIntrinsics(f_u=150.0, f_v=160.0, c_u=23.5, c_v=20.0)
+        ang = np.deg2rad(2.0)
+        rot = np.array([[np.cos(ang), 0, np.sin(ang)], [0, 1, 0], [-np.sin(ang), 0, np.cos(ang)]])
+        ext = Extrinsics(rot, np.array([0.01, 0.005, -0.01]))
+        dm = render_depth_map(kind, params, intr, ext, 48, 40, iterations=iterations)
+        depth, valid = reference_render(kind, params, intr, ext, 48, 40, iterations=iterations)
+        assert valid.any() and not valid.all()
+        assert np.array_equal(dm.valid, valid)
+        assert dm.depth.tobytes() == depth.tobytes()
 
     def test_rays_missing_surface_are_invalid(self):
         intr = CameraIntrinsics(f_u=40.0, f_v=40.0, c_u=31.5, c_v=31.5)  # wide FOV

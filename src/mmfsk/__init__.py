@@ -8,6 +8,8 @@ projective-error metrics. See the ``demos/`` scripts for guided tours and
 the ``mmfsk`` CLI for the file-based pipeline.
 """
 
+__version__ = "0.1.0"
+
 from .correlate import (
     CandidateGrid,
     CorrelationField,
@@ -60,8 +62,6 @@ from .signal_core import (
     round_trip_distance,
 )
 from .simulate import NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray",

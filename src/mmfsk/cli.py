@@ -16,6 +16,7 @@ byte-identical artifacts regardless of worker count. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
+from . import __version__
 from . import io as mio
 from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics, build_prior
@@ -42,8 +44,6 @@ from .reconstruct import (
 from .signal_core import FrequencySet, mimo_cross_array
 from .simulate import NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
 
-__version__ = "0.1.0"
-
 log = logging.getLogger("mmfsk")
 
 METHODS = ("2fsk", "mm2fsk", "3fsk", "bp")
@@ -60,22 +60,51 @@ DEFAULT_CONFIG = {
     "output_dir": "out",
     "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.08, "spacing": 0.0015}},
     "array": {"profile": "desk"},
-    "grid": {"width": 64, "height": 64, "spacing": 0.001, "center": [0.0, 0.0]},
+    "grid": {"width": 64, "height": 64, "spacing": 0.001},
     "frequencies": {"pair": "10.0"},
     "methods": ["mm2fsk"],
-    "prior": {"mode": "scalar", "value": 0.40},
+    "prior": {"value": 0.40},
     "noise": None,
     "filter_db": DEFAULT_FILTER_DB,
     "voxel": None,
-    "eval": {"erode": 1},
+    "eval": {},
     "sweep": None,
 }
+
+# Allowed keys of each config section, with the defaults load_config fills
+# in (None: no default). The selector sections, array and frequencies, get
+# no defaults, so their alternatives never mix.
+SECTION_KEYS = {
+    "scene": {"kind": None, "params": None},
+    "array": {"profile": None, "n_tx": None, "n_rx": None, "aperture": None},
+    "grid": {"width": None, "height": None, "spacing": None, "center": [0.0, 0.0]},
+    "frequencies": {"pair": None, "triple": None, "values_ghz": None},
+    "prior": {"mode": "scalar", "value": None, "path": None, "calibration": None,
+              "width": 72, "height": 72, "noise_mm": 0.0, "dropout": 0.0},
+    "noise": {"snr_db": None, "seed": None},
+    "voxel": {"extents": None, "resolution": None, "center": None},
+    "eval": {"erode": 1},
+    "sweep": {"method": None, "pairs": None, "seeds": None, "runs": None},
+    "sweep.runs": {"method": None, "pair": None, "triple": None, "prior": None},
+}
+
+
+def _check_section(where: str, spec, keys: dict) -> dict:
+    """One config section with its defaults filled in; unknown keys are
+    rejected."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"config {where} must be a JSON object")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"config {where}: unknown key(s) {unknown}; allowed: {sorted(keys)}")
+    return {**{k: v for k, v in keys.items() if v is not None}, **spec}
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then the config file, then CLI flags. Sections replace
-    wholesale so that selector keys (e.g. pair vs triple) never mix. Unknown
-    top-level keys are rejected; the ``_meta`` block of a resolved-config
+    wholesale so that selector keys (e.g. pair vs triple) never mix; then
+    ``SECTION_KEYS`` checks each section and fills in its defaults. Unknown
+    keys exit 1 at any level; the ``_meta`` block of a resolved-config
     snapshot is dropped, so a snapshot can be fed back."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
@@ -94,6 +123,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
                                      f"allowed: {sorted(DEFAULT_CONFIG)}")
         cfg.update(loaded)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for name, default in DEFAULT_CONFIG.items():
+        if name in SECTION_KEYS and not (cfg[name] is None and default is None):
+            cfg[name] = _check_section(name, cfg[name], SECTION_KEYS[name])
+    runs = (cfg["sweep"] or {}).get("runs") or []
+    for i, run in enumerate(runs):
+        runs[i] = run = _check_section(f"sweep.runs[{i}]", run, SECTION_KEYS["sweep.runs"])
+        if run.get("prior"):
+            run["prior"] = _check_section(f"sweep.runs[{i}].prior", run["prior"], SECTION_KEYS["prior"])
     return cfg
 
 
@@ -124,8 +161,7 @@ def _build_freqs(cfg: dict) -> FrequencySet:
 def _build_grid(cfg: dict) -> CandidateGrid:
     g = cfg["grid"]
     return CandidateGrid.regular(
-        int(g["width"]), int(g["height"]), float(g["spacing"]),
-        tuple(g.get("center", (0.0, 0.0))),
+        int(g["width"]), int(g["height"]), float(g["spacing"]), tuple(g["center"]),
     )
 
 
@@ -139,7 +175,7 @@ def _voxel_spec(cfg: dict) -> VoxelGridSpec:
         return VoxelGridSpec(
             extents=(w, h, 0.20),
             resolution=(int(g["width"]), int(g["height"]), 201),
-            center=(g.get("center", (0.0, 0.0))[0], g.get("center", (0.0, 0.0))[1], 0.30),
+            center=(g["center"][0], g["center"][1], 0.30),
         )
     return VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
 
@@ -147,7 +183,7 @@ def _voxel_spec(cfg: dict) -> VoxelGridSpec:
 def _noise(cfg: dict) -> NoiseSpec:
     n = cfg.get("noise")
     if not n or n.get("snr_db") in (None, "none"):
-        return NoiseSpec.none()
+        return NoiseSpec()
     return NoiseSpec(snr_db=float(n["snr_db"]), seed=int(n.get("seed", cfg.get("seed", 0))))
 
 
@@ -214,14 +250,13 @@ def cmd_prior(cfg: dict, args) -> int:
     outdir = _outdir(cfg, args)
     grid = _build_grid(cfg)
     spec = cfg["prior"]
-    mode = spec.get("mode", "scalar")
+    mode = spec["mode"]
     if mode == "scalar":
         prior = grid.with_scalar_prior(float(spec["value"]))
     elif mode == "camera":
         if spec.get("calibration"):
             intr, ext = mio.load_calibration(spec["calibration"])
-            width = int(spec.get("width", 72))
-            height = int(spec.get("height", 72))
+            width, height = int(spec["width"]), int(spec["height"])
         else:
             intr, ext, width, height = _default_calibration()
         scene_cfg = cfg["scene"]
@@ -243,8 +278,8 @@ def _degrade_depth_map(depth_map, spec: dict, seed: int):
     """Optional sensor imperfections: per-pixel depth noise and dropout."""
     from .depth_prior import OpticalDepthMap
 
-    noise_mm = float(spec.get("noise_mm", 0.0))
-    dropout = float(spec.get("dropout", 0.0))
+    noise_mm = float(spec["noise_mm"])
+    dropout = float(spec["dropout"])
     if noise_mm <= 0.0 and dropout <= 0.0:
         return depth_map
     rng = np.random.Generator(np.random.Philox(seed))
@@ -284,7 +319,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
             grid = _load_prior_grid(cfg, outdir)
             recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}[method]
             image = recon(baseband, grid, array, freqs, workers=workers)
-        image = magnitude_filter(image, float(cfg.get("filter_db", DEFAULT_FILTER_DB)))
+        image = magnitude_filter(image, float(cfg["filter_db"]))
         mio.export_radar_image(outdir, method, image)
         log.info("reconstruct[%s]: %d valid pixels", method, image.n_valid)
     _snapshot(cfg, outdir, "reconstruct")
@@ -315,18 +350,18 @@ def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
 def cmd_eval(cfg: dict, args) -> int:
     outdir = _outdir(cfg, args)
     scene_cfg = cfg["scene"]
-    erode = int(cfg.get("eval", {}).get("erode", 1))
+    erode = int(cfg["eval"]["erode"])
     reports = []
     for method in cfg["methods"]:
         path = outdir / f"{method}_depth.pfm"
         if not path.exists():
             raise FileNotFoundError(f"reconstruction not found: {path} (run 'reconstruct' first)")
         image = _load_image(outdir, method, cfg)
-        label = f"{method}@{_freq_label(cfg)}"
+        label = f"{method}@{_freq_label(cfg['frequencies'])}"
         report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"],
                                 _eval_grid(cfg, method), erode=erode, label=label)
         reports.append(report)
-        mio.dump_json(outdir / f"eval_{method}.json", report.to_dict())
+        mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")
     _snapshot(cfg, outdir, "eval")
     for r in reports:
@@ -335,8 +370,7 @@ def cmd_eval(cfg: dict, args) -> int:
     return 0
 
 
-def _freq_label(cfg: dict) -> str:
-    spec = cfg["frequencies"]
+def _freq_label(spec: dict) -> str:
     if "pair" in spec:
         return f"d{spec['pair']}"
     if "triple" in spec:
@@ -361,12 +395,6 @@ def _sweep_runs(cfg: dict) -> list:
     return [{"method": method, "pair": p} for p in pairs]
 
 
-def _run_label(run: dict) -> str:
-    if "triple" in run:
-        return f"{run['method']}@t{run['triple'][0]}-{run['triple'][1]}"
-    return f"{run['method']}@d{run['pair']}"
-
-
 def cmd_sweep(cfg: dict, args) -> int:
     """Run simulate->prior->reconstruct->eval per configuration, aggregate
     seed medians, and judge the error-vs-bandwidth trend."""
@@ -381,7 +409,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     for run in runs:
         method = run["method"]
         freq_spec = {"triple": run["triple"]} if "triple" in run else {"pair": run["pair"]}
-        label = _run_label(run)
+        label = f"{method}@{_freq_label(freq_spec)}"
         per_seed = []
         for seed in seeds:
             sub = {
@@ -453,14 +481,10 @@ def cmd_report(cfg: dict, args) -> int:
     for path in sorted(outdir.rglob("eval_*.json")):
         if path.name == "eval_config.json":  # run snapshot, not a record
             continue
-        doc = mio.load_json(path)
-        records.append(EvalReport(
-            c_gt_to_r=doc["c_gt_to_r"], c_r_to_gt=doc["c_r_to_gt"],
-            p_masked=doc["p_masked"], p_eroded=doc["p_eroded"],
-            n_points_recon=doc.get("n_points_recon", 0),
-            n_points_gt=doc.get("n_points_gt", 0),
-            label=doc.get("label", path.stem),
-        ))
+        try:
+            records.append(EvalReport(**mio.load_json(path)))
+        except TypeError as exc:  # not a JSON object, or keys EvalReport does not have
+            raise ConfigurationError(f"{path} is not an evaluation record: {exc}") from None
     if not records:
         raise FileNotFoundError(f"no eval_*.json records under {outdir}")
     table = report_table(records)

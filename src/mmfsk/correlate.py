@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
-from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet
+from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet, freeze
 
 _BLOCK_ROWS = 256  # GEMM block height: fixed, so every point rounds the same way
 
@@ -58,12 +58,7 @@ class CandidateGrid:
                     raise StructuralError("grid spacing must be uniform and increasing")
         if not np.isfinite(prior[valid]).all():
             raise StructuralError("prior depth must be finite wherever valid")
-        for a in (x, y, prior, valid):
-            a.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "prior_depth", prior)
-        object.__setattr__(self, "valid", valid)
+        freeze(self, x=x, y=y, prior_depth=prior, valid=valid)
 
     @property
     def width(self) -> int:
@@ -118,6 +113,7 @@ class CorrelationField:
 def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     """One-way distances from every TX element to ``p`` and from ``p`` to
     every RX element; their broadcast sum reproduces all T*R round trips.
+    The forward model and the correlator both take their distances from here.
 
     ``p`` is one point ``(3,)`` or a batch ``(N, 3)``; the tables have shape
     ``(T,)``, ``(R,)`` or ``(N, T)``, ``(N, R)``.

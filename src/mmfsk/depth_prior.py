@@ -28,6 +28,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
+from .signal_core import freeze
 
 _ORTHONORMAL_TOL = 1e-9
 _MIN_TRIANGLE_AREA = 1e-12  # squared pixels; drops numerically degenerate slivers
@@ -47,11 +48,6 @@ class CameraIntrinsics:
         if self.f_u <= 0.0 or self.f_v <= 0.0:
             raise ValidationError("focal lengths must be positive")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.f_u, 0.0, self.c_u], [0.0, self.f_v, self.c_v], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class Extrinsics:
@@ -69,10 +65,7 @@ class Extrinsics:
             raise ValidationError("rotation is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > _ORTHONORMAL_TOL:
             raise ValidationError("rotation must be proper (det = +1)")
-        rot.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", t)
+        freeze(self, rotation=rot, translation=t)
 
     @classmethod
     def identity(cls) -> "Extrinsics":
@@ -95,10 +88,7 @@ class OpticalDepthMap:
         ok = depth[valid]
         if ok.size and not (np.isfinite(ok).all() and (ok > 0.0).all()):
             raise StructuralError("valid depth pixels must be positive and finite")
-        depth.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "valid", valid)
+        freeze(self, depth=depth, valid=valid)
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,7 @@ class TriangleMesh:
             raise StructuralError("source_pixels must be (N, 2)")
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise StructuralError("triangle indices out of range")
-        for a in (v, t, s):
-            a.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "source_pixels", s)
+        freeze(self, vertices=v, triangles=t, source_pixels=s)
 
 
 def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics):
@@ -181,23 +167,6 @@ def transform_mesh(mesh: TriangleMesh, extrinsics: Extrinsics) -> TriangleMesh:
     is untouched."""
     moved = mesh.vertices @ extrinsics.rotation.T + extrinsics.translation
     return TriangleMesh(moved, mesh.triangles, mesh.source_pixels)
-
-
-def cull_long_edges(mesh: TriangleMesh, max_edge_length: float) -> TriangleMesh:
-    """Optionally drop sliver triangles whose longest 3-D edge exceeds the
-    limit. Off by default in the pipeline: hole-filling triangles across
-    depth gaps are a feature, not noise."""
-    v = mesh.vertices
-    t = mesh.triangles
-    e = np.stack(
-        [
-            np.linalg.norm(v[t[:, 0]] - v[t[:, 1]], axis=1),
-            np.linalg.norm(v[t[:, 1]] - v[t[:, 2]], axis=1),
-            np.linalg.norm(v[t[:, 2]] - v[t[:, 0]], axis=1),
-        ]
-    )
-    keep = e.max(axis=0) <= max_edge_length
-    return TriangleMesh(v, t[keep], mesh.source_pixels)
 
 
 def _edge(ax, ay, bx, by, px, py):
@@ -301,12 +270,11 @@ def build_prior(
     intrinsics: CameraIntrinsics,
     extrinsics: Extrinsics,
     grid: CandidateGrid,
-    max_edge_length: float | None = None,
 ) -> CandidateGrid:
-    """Full prior pipeline: back-project, triangulate, transform, rasterize."""
+    """Full prior pipeline: back-project, triangulate, transform, rasterize.
+    Hole-filling triangles across depth gaps are kept: they are a feature,
+    not noise."""
     points, pixels = backproject_depth(depth_map, intrinsics)
     mesh = triangulate(points, pixels)
-    if max_edge_length is not None:
-        mesh = cull_long_edges(mesh, max_edge_length)
     mesh = transform_mesh(mesh, extrinsics)
     return rasterize_prior(mesh, grid)

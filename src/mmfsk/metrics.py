@@ -21,8 +21,6 @@ from .errors import InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
 
-_BRUTE_FORCE_LIMIT = 64  # below this, exhaustive search beats building a tree
-
 # 4-neighborhood erosion structure
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -49,34 +47,19 @@ class EvalReport:
             if not np.isfinite(v) or v < 0.0:
                 raise StructuralError(f"{name} must be finite and non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "c_gt_to_r": self.c_gt_to_r,
-            "c_r_to_gt": self.c_r_to_gt,
-            "p_masked": self.p_masked,
-            "p_eroded": self.p_eroded,
-            "n_points_recon": self.n_points_recon,
-            "n_points_gt": self.n_points_gt,
-            "n_pixels_masked": self.n_pixels_masked,
-            "n_pixels_eroded": self.n_pixels_eroded,
-        }
-
 
 def chamfer_one_way(src: np.ndarray, dst: np.ndarray) -> float:
     """Mean distance from every source point to its nearest destination
     point. Report it in both directions; the two values differ whenever one
-    cloud covers regions the other misses."""
+    cloud covers regions the other misses. Nearest neighbours come from a
+    KD-tree on the destination cloud."""
     src = np.atleast_2d(np.asarray(src, dtype=np.float64))
     dst = np.atleast_2d(np.asarray(dst, dtype=np.float64))
     if src.shape[0] < 1 or dst.shape[0] < 1:
         raise InsufficientDataError("point clouds must be non-empty")
     if src.shape[1] != 3 or dst.shape[1] != 3:
         raise StructuralError("point clouds must be (N, 3)")
-    if dst.shape[0] <= _BRUTE_FORCE_LIMIT:
-        d = np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=-1).min(axis=1)
-    else:
-        d, _ = cKDTree(dst).query(src, k=1)
+    d, _ = cKDTree(dst).query(src, k=1)
     return float(d.mean())
 
 
@@ -131,12 +114,19 @@ def resample_gt_depth(kind: str, params: dict, grid: CandidateGrid) -> np.ndarra
     return surface_depth(kind, params, gx, gy)
 
 
+def _pitch(grid: CandidateGrid) -> float:
+    """Lateral pitch of a grid: its coarser axis, or 1 mm on a 1x1 grid."""
+    return max(grid.spacing) or 0.001
+
+
 def _bin_cloud_depth(points: np.ndarray, grid: CandidateGrid) -> np.ndarray:
     """Nearest-pixel binning for surfaceless clouds; the front-most point
-    per pixel wins, the earliest point on exact ties."""
+    per pixel wins, the earliest point on exact ties. A one-pixel axis is
+    binned with the grid's pitch."""
     dx, dy = grid.spacing
-    u = np.round((points[:, 0] - grid.x[0]) / (dx or 1.0)).astype(int)
-    v = np.round((points[:, 1] - grid.y[0]) / (dy or 1.0)).astype(int)
+    pitch = _pitch(grid)
+    u = np.round((points[:, 0] - grid.x[0]) / (dx or pitch)).astype(int)
+    v = np.round((points[:, 1] - grid.y[0]) / (dy or pitch)).astype(int)
     ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
     pix, z = front_most_per_pixel(v[ok] * grid.width + u[ok], points[ok, 2])
     depth = np.full(grid.height * grid.width, np.nan)
@@ -149,7 +139,6 @@ def evaluate_image(
     kind: str,
     params: dict,
     grid: CandidateGrid,
-    gt_spacing: float | None = None,
     erode: int = 1,
     label: str = "",
 ) -> EvalReport:
@@ -165,10 +154,7 @@ def evaluate_image(
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
-    if gt_spacing is None:
-        dx, dy = grid.spacing
-        gt_spacing = max(dx, dy) or 0.001
-    gt_cloud = resample_gt_cloud(kind, params, gt_spacing)
+    gt_cloud = resample_gt_cloud(kind, params, _pitch(grid))
     gt_depth = resample_gt_depth(kind, params, grid)
     if kind == "random-cloud":
         erode = 0

@@ -22,6 +22,7 @@ from .signal_core import (
     BasebandTensor,
     FrequencySet,
     differential_phasor,
+    freeze,
     phase_to_depth_correction,
     residual_phase,
 )
@@ -80,9 +81,9 @@ class VoxelGridSpec:
             raise ConfigurationError("extents must be three positive lengths")
         if len(self.resolution) != 3 or any(int(n) < 1 for n in self.resolution):
             raise ConfigurationError("resolution must be three counts >= 1")
-        object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
-        object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        freeze(self, extents=tuple(float(e) for e in self.extents),
+               resolution=tuple(int(n) for n in self.resolution),
+               center=tuple(float(c) for c in self.center))
 
     def axis(self, i: int) -> np.ndarray:
         n = self.resolution[i]
@@ -151,16 +152,6 @@ def mm2fsk_reconstruct(
     return fsk2_reconstruct(baseband, prior_grid, array, freqs, workers=workers)
 
 
-def _coherent_pair_average(field_data: np.ndarray, pairs, deltas) -> tuple:
-    """Combine differential phasors of several carrier pairs by complex
-    averaging; the matching effective difference frequency is the mean of
-    the pair differences. Swap point for other combination rules."""
-    acc = np.zeros(field_data.shape[:-1], dtype=np.complex128)
-    for i, j in pairs:
-        acc += differential_phasor(field_data[..., i], field_data[..., j])
-    return acc / len(pairs), float(np.mean(deltas))
-
-
 def fsk3_reconstruct(
     baseband: BasebandTensor,
     grid: CandidateGrid,
@@ -194,10 +185,12 @@ def fsk3_reconstruct(
         np.where(field1.valid, grid.prior_depth + coarse_fix, np.nan), field1.valid
     )
 
+    # Stage two averages the fine pairs' differential phasors; their
+    # effective difference frequency is the mean of the pair differences.
     field2 = correlate_grid(baseband, refined, array, freqs, workers=workers)
-    avg, f_eff = _coherent_pair_average(field2.data, fine_pairs, fine_deltas)
+    avg = sum(differential_phasor(field2.data[..., i], field2.data[..., j]) for i, j in fine_pairs)
     with np.errstate(invalid="ignore"):
-        fine_fix = phase_to_depth_correction(residual_phase(avg), f_eff)
+        fine_fix = phase_to_depth_correction(residual_phase(avg / len(fine_pairs)), float(np.mean(fine_deltas)))
     return _image_from_correction(refined, field2, fine_fix)
 
 

@@ -32,6 +32,14 @@ FREQUENCY_PAIRS = {
 }
 
 
+def freeze(obj, **fields) -> None:
+    """Set validated fields on a frozen dataclass; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class FrequencySet:
     """An ordered set of carrier frequencies in hertz.
@@ -50,7 +58,7 @@ class FrequencySet:
             raise ConfigurationError("carrier frequencies must be positive")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ConfigurationError("carrier frequencies must be strictly increasing")
-        object.__setattr__(self, "frequencies", freqs)
+        freeze(self, frequencies=freqs)
 
     def __len__(self):
         return len(self.frequencies)
@@ -58,9 +66,9 @@ class FrequencySet:
     def __getitem__(self, k: int) -> float:
         return self.frequencies[k]
 
-    def delta(self, low: int = 0, high: int = -1) -> float:
-        """Difference between two carriers (defaults to last minus first)."""
-        d = self.frequencies[high] - self.frequencies[low]
+    def delta(self) -> float:
+        """Difference between the last and the first carrier."""
+        d = self.frequencies[-1] - self.frequencies[0]
         if d <= 0.0:
             raise ConfigurationError("frequency difference must be positive")
         return d
@@ -107,10 +115,7 @@ class AntennaArray:
             raise StructuralError("rx_positions must be a (R, 3) array with R >= 1")
         if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
             raise StructuralError("antenna positions must be finite")
-        tx.setflags(write=False)
-        rx.setflags(write=False)
-        object.__setattr__(self, "tx_positions", tx)
-        object.__setattr__(self, "rx_positions", rx)
+        freeze(self, tx_positions=tx, rx_positions=rx)
 
     @property
     def n_tx(self) -> int:
@@ -125,15 +130,15 @@ class AntennaArray:
         return self.n_tx * self.n_rx
 
 
-def mimo_cross_array(n_tx: int, n_rx: int, aperture: float, z: float = 0.0) -> AntennaArray:
+def mimo_cross_array(n_tx: int, n_rx: int, aperture: float) -> AntennaArray:
     """Orthogonal linear TX/RX arrays (TX along x, RX along y), the usual
     layout that fills a 2-D virtual aperture with n_tx*n_rx pairs."""
     if n_tx < 1 or n_rx < 1 or aperture <= 0.0:
         raise ConfigurationError("array needs n_tx, n_rx >= 1 and a positive aperture")
     tx_x = np.linspace(-aperture / 2.0, aperture / 2.0, n_tx) if n_tx > 1 else np.zeros(1)
     rx_y = np.linspace(-aperture / 2.0, aperture / 2.0, n_rx) if n_rx > 1 else np.zeros(1)
-    tx = np.column_stack([tx_x, np.zeros(n_tx), np.full(n_tx, z)])
-    rx = np.column_stack([np.zeros(n_rx), rx_y, np.full(n_rx, z)])
+    tx = np.column_stack([tx_x, np.zeros(n_tx), np.zeros(n_tx)])
+    rx = np.column_stack([np.zeros(n_rx), rx_y, np.zeros(n_rx)])
     return AntennaArray(tx, rx)
 
 
@@ -158,21 +163,11 @@ class Scene:
             raise StructuralError("scene values must be finite")
         if np.any(np.abs(refl) <= 0.0):
             raise StructuralError("reflectivity magnitudes must be positive")
-        for a in (pos, refl, phi):
-            a.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "reflectivities", refl)
-        object.__setattr__(self, "phase_offsets", phi)
+        freeze(self, positions=pos, reflectivities=refl, phase_offsets=phi)
 
     @property
     def n_targets(self) -> int:
         return self.positions.shape[0]
-
-    @classmethod
-    def from_targets(cls, targets) -> "Scene":
-        """Build from an iterable of (position, reflectivity, phase_offset)."""
-        pos, refl, phi = zip(*targets)
-        return cls(np.asarray(pos), np.asarray(refl), np.asarray(phi))
 
     def union(self, other: "Scene") -> "Scene":
         return Scene(
@@ -194,8 +189,7 @@ class BasebandTensor:
             raise StructuralError("baseband data must have shape (T, R, F)")
         if not np.isfinite(data).all():
             raise StructuralError("baseband entries must be finite")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        freeze(self, data=data)
 
     @property
     def shape(self):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlate import precompute_distance_tables
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap
 from .errors import ConfigurationError
 from .signal_core import (
@@ -42,10 +43,6 @@ class NoiseSpec:
     seed: int = 0
 
     algorithm = "philox"
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(snr_db=None)
 
     @property
     def enabled(self) -> bool:
@@ -154,9 +151,7 @@ def simulate_baseband(
     Gaussian scaled so mean clean power over noise power matches the
     requested SNR.
     """
-    noise = noise or NoiseSpec.none()
-    tx = array.tx_positions
-    rx = array.rx_positions
+    noise = noise or NoiseSpec()
     n_t, n_r, n_f = array.n_tx, array.n_rx, len(freqs)
 
     data = np.zeros((n_t, n_r, n_f), dtype=np.complex128)
@@ -166,8 +161,8 @@ def simulate_baseband(
         sl = slice(start, start + _TARGET_CHUNK)
         pos = scene.positions[sl]
         amp = scene.reflectivities[sl] * np.exp(1j * scene.phase_offsets[sl])
-        dtx = np.linalg.norm(tx[:, None, :] - pos[None, :, :], axis=-1)  # (T, C)
-        drx = np.linalg.norm(rx[:, None, :] - pos[None, :, :], axis=-1)  # (R, C)
+        # (T, C) and (R, C) copies, so the einsum sums over contiguous targets
+        dtx, drx = (np.ascontiguousarray(d.T) for d in precompute_distance_tables(pos, array))
         for k, wk in enumerate(wavenumbers):
             et = np.exp(wk * dtx) * amp[None, :]
             er = np.exp(wk * drx)
@@ -190,7 +185,6 @@ def render_depth_map(
     extrinsics: Extrinsics,
     width: int,
     height: int,
-    depth_range: tuple = (0.01, 3.0),
     iterations: int = 60,
 ) -> OpticalDepthMap:
     """Synthetic optical depth map of a surface scene.
@@ -220,10 +214,10 @@ def render_depth_map(
         p = s[..., None] * dirs + trans
         return p[..., 2] - surface_depth(kind, params, p[..., 0], p[..., 1])
 
-    # Coarse scan for the first front-to-behind crossing along each ray,
-    # then bisection inside that bracket. Rays that never cross the surface
-    # footprint stay invalid.
-    steps = np.linspace(float(depth_range[0]), float(depth_range[1]), 64)
+    # Coarse scan from 1 cm to 3 m for the first front-to-behind crossing
+    # along each ray, then bisection inside that bracket. Rays that never
+    # cross the surface footprint stay invalid.
+    steps = np.linspace(0.01, 3.0, 64)
     lo = np.full((height, width), np.nan)
     hi = np.full((height, width), np.nan)
     g_prev = gap(np.full((height, width), steps[0]), dirs_r)

@@ -58,6 +58,20 @@ class TestSimulate:
         assert "methds" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"noise": {"snr": 10}}, "snr"),
+        ({"grid": {"widht": 64}}, "widht"),
+        ({"sweep": {"seeds": 1, "runs": [{"method": "2fsk", "pari": "10.0"}]}}, "pari"),
+        ({"sweep": {"runs": [{"method": "mm2fsk", "pair": "10.0", "prior": {"mode": "camera", "nosie_mm": 1}}]}},
+         "nosie_mm"),
+        ({"eval": 3}, "eval"),
+    ])
+    def test_misspelled_section_key_exits_1(self, tmp_path, caplog, overrides, key):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "-c", str(cfg)]) == 1
+        assert key in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_1(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
@@ -259,6 +273,15 @@ class TestSweepAndReport:
         out = capsys.readouterr().out
         assert "P_eroded cm" in out
         assert (tmp_path / "out" / "report_table.txt").exists()
+
+    def test_report_rejects_unknown_record_key(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "eval_x.json").write_text(json.dumps({"c_gt_to_r": 0.1, "c_r_to_gt": 0.1, "p_masked": 0.1,
+                                                     "p_eroded": 0.1, "label": "x", "note": "edited"}))
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["report", "-c", str(cfg)]) == 1
+        assert "note" in caplog.text
 
     def test_report_without_records_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "empty"))

@@ -16,7 +16,6 @@ from mmfsk import (
     triangulate,
 )
 from mmfsk import depth_prior
-from mmfsk.depth_prior import cull_long_edges
 from mmfsk.errors import (
     DegenerateGeometryError,
     InsufficientDataError,
@@ -402,12 +401,6 @@ class TestRasterizePrior:
         assert not out.valid.any()
         empty = TriangleMesh(verts, np.zeros((0, 3), dtype=int), np.zeros((6, 2)))
         assert not assert_matches_reference(empty, self._grid()).valid.any()
-
-    def test_cull_long_edges(self):
-        verts = np.array([[0.0, 0.0, 0.3], [0.01, 0.0, 0.3], [0.0, 0.01, 0.3], [0.5, 0.5, 0.3]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]), np.zeros((4, 2)))
-        out = cull_long_edges(mesh, 0.1)
-        assert out.triangles.shape[0] == 1
 
 
 class TestBuildPrior:

@@ -1,10 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmfsk import BasebandTensor, CameraIntrinsics, CandidateGrid, Extrinsics, RadarImage
 from mmfsk.correlate import CorrelationField
 from mmfsk.errors import StructuralError
 from mmfsk import io as mio
+
+# Round-trip properties: derandomized, so every run checks the same examples.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def shapes(dims):
+    return hnp.array_shapes(min_dims=dims, max_dims=dims, min_side=0, max_side=5)
+
+
+def write_twice(write, path, *args) -> None:
+    """Write the same input twice; both writes must give the same bytes."""
+    write(path, *args)
+    first = path.read_bytes()
+    write(path, *args)
+    assert path.read_bytes() == first
+
+
+def same_complex(a, b) -> bool:
+    """Equal real and imaginary parts, NaN matching NaN."""
+    return (a.shape == b.shape and np.array_equal(a.real, b.real, equal_nan=True)
+            and np.array_equal(a.imag, b.imag, equal_nan=True))
 
 
 def complex64_grid(shape, seed=0):
@@ -61,6 +86,26 @@ class TestBinaryContainers:
         mio.write_baseband(b, BasebandTensor(data))
         assert a.read_bytes() == b.read_bytes()
 
+    @PROPERTY
+    @given(hnp.arrays(np.complex128, shapes(3),
+                      elements=st.complex_numbers(max_magnitude=1e30, allow_nan=False, allow_infinity=False)))
+    def test_baseband_round_trip_property(self, tmp_path, data):
+        # a baseband tensor must be finite, so magnitudes stay inside complex64
+        path = tmp_path / "t.fskt"
+        write_twice(mio.write_baseband, path, BasebandTensor(data))
+        assert same_complex(mio.read_baseband(path).data, data.astype(np.complex64))
+
+    @PROPERTY
+    @given(hnp.arrays(np.complex128, shapes(3), elements=st.complex_numbers(allow_nan=True, allow_infinity=True)))
+    def test_field_round_trip_property(self, tmp_path, data):
+        with np.errstate(over="ignore"):  # magnitudes beyond complex64 become inf
+            want = data.astype(np.complex64)
+            path = tmp_path / "t.fskc"
+            write_twice(mio.write_field, path, CorrelationField(data=data, valid=np.isfinite(data).all(axis=-1)))
+        back = mio.read_field(path)
+        assert same_complex(back.data, want)
+        assert np.array_equal(back.valid, np.isfinite(want).all(axis=-1))
+
 
 class TestPfm:
     def test_round_trip_with_nan(self, tmp_path):
@@ -81,6 +126,17 @@ class TestPfm:
         floats = np.frombuffer(raw[-16:], dtype="<f4")
         assert list(floats) == [3.0, 4.0, 1.0, 2.0]  # last row first
 
+    @PROPERTY
+    @given(hnp.arrays(np.float64, shapes(2), elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_round_trip_property(self, tmp_path, img):
+        with np.errstate(over="ignore"):  # values beyond float32 become inf
+            want = img.astype(np.float32)
+            path = tmp_path / "d.pfm"
+            write_twice(mio.write_pfm, path, img)
+        back = mio.read_pfm(path)
+        assert back.shape == img.shape
+        assert np.array_equal(back, want, equal_nan=True)
+
     def test_rejects_color(self, tmp_path):
         path = tmp_path / "c.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
@@ -98,6 +154,20 @@ class TestPly:
         back, extras = mio.read_ply(path)
         assert np.abs(back - pts).max() < 1e-9
         assert np.abs(extras["magnitude"] - mag).max() < 1e-9
+
+    @PROPERTY
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(4)), elements=st.floats(-1e300, 1e300)))
+    def test_round_trip_property(self, tmp_path, rows):
+        # values are written with 10 significant digits: each comes back
+        # within half a unit of the tenth digit (the bound keeps rounding
+        # from carrying a value past the float64 maximum)
+        pts, mag = rows[:, :3], rows[:, 3]
+        path = tmp_path / "c.ply"
+        write_twice(mio.write_ply, path, pts, mag)
+        back, extras = mio.read_ply(path)
+        assert back.shape == pts.shape
+        np.testing.assert_allclose(back, pts, rtol=5.000001e-10, atol=0.0)
+        np.testing.assert_allclose(extras["magnitude"], mag, rtol=5.000001e-10, atol=0.0)
 
     def test_header_declares_properties(self, tmp_path):
         path = tmp_path / "c.ply"
@@ -126,6 +196,24 @@ class TestGridAndCalibration:
         assert np.abs(back.y - grid.y).max() < 1e-12
         assert np.array_equal(back.valid, grid.valid)
         assert np.array_equal(back.prior_depth[back.valid], grid.prior_depth[grid.valid])
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 6), st.floats(1e-4, 0.01),
+           st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)), st.data())
+    def test_grid_round_trip_property(self, tmp_path, width, height, spacing, center, data):
+        prior = data.draw(hnp.arrays(np.float64, (height, width),
+                                     elements=st.floats(allow_nan=True, allow_infinity=False)))
+        grid = CandidateGrid.regular(width, height, spacing, center).with_prior(prior)
+        path = tmp_path / "g.json"
+        write_twice(mio.save_candidate_grid, path, grid)
+        back = mio.load_candidate_grid(path)
+        # the document stores the prior, the grid size, the origin and the pitch exactly
+        assert np.array_equal(back.prior_depth, grid.prior_depth, equal_nan=True)
+        assert np.array_equal(np.signbit(back.prior_depth[grid.valid]), np.signbit(prior[grid.valid]))
+        assert np.array_equal(back.valid, grid.valid)
+        for got, axis, pitch in ((back.x, grid.x, grid.spacing[0]), (back.y, grid.y, grid.spacing[1])):
+            assert np.array_equal(got, axis[0] + np.arange(axis.size) * (pitch or 1.0))
+            assert np.abs(got - axis).max() <= 1e-12  # axes rebuilt from origin and pitch
 
     def test_calibration_round_trip(self, tmp_path):
         intr = CameraIntrinsics(200.0, 210.0, 32.0, 24.0)

@@ -20,11 +20,13 @@ def brute_force_chamfer(src, dst):
 
 
 def reference_bin_cloud_depth(points, grid):
-    """Sorted-loop binning: nearest pixel, front-most point, earliest on ties."""
+    """Sorted-loop binning: nearest pixel, front-most point, earliest on ties.
+    A one-pixel axis takes the other axis's pitch, a 1x1 grid 1 mm."""
     dx, dy = grid.spacing
+    pitch = max(dx, dy) or 0.001
     depth = np.full((grid.height, grid.width), np.nan)
-    u = np.round((points[:, 0] - grid.x[0]) / (dx or 1.0)).astype(int)
-    v = np.round((points[:, 1] - grid.y[0]) / (dy or 1.0)).astype(int)
+    u = np.round((points[:, 0] - grid.x[0]) / (dx or pitch)).astype(int)
+    v = np.round((points[:, 1] - grid.y[0]) / (dy or pitch)).astype(int)
     ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
     for ui, vi, zi in sorted(zip(u[ok], v[ok], points[ok, 2])):
         cur = depth[vi, ui]
@@ -172,6 +174,21 @@ class TestResampleGroundTruth:
         want = reference_bin_cloud_depth(pts, grid)
         assert np.signbit(want).any()  # signed-zero ties, which only the earliest-point rule decides
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+    def test_one_pixel_axis_bins_at_grid_pitch(self, shape):
+        # A point 3 cm off the single column (or row) lies three or more
+        # pixels away (1 cm pitch; 1 mm on the 1x1 grid), so it must not
+        # land in the grid.
+        grid = CandidateGrid.regular(*shape, 0.01)
+        off = [0.03, 0.0] if shape[0] == 1 else [0.0, 0.03]
+        pts = np.array([[0.0, 0.0, 0.3], off + [0.2]])
+        depth = _bin_cloud_depth(pts, grid)
+        centre = (grid.height // 2, grid.width // 2)
+        assert depth[centre] == 0.3
+        assert np.isfinite(depth).sum() == 1
+        assert depth.tobytes() == reference_bin_cloud_depth(pts, grid).tobytes()
+
 
 class TestEvaluateImage:
     def _perfect_image(self, grid, depth):

@@ -12,6 +12,18 @@ of 256 of the global point index; each worker takes a contiguous run of
 whole blocks. BLAS therefore sees the same block shape for every point, and
 the result is bit-identical no matter how candidates are split across
 workers or BLAS threads.
+
+Complex ``exp`` of the phasor tables, not the GEMM, dominates a block with
+many carriers. When three or more carriers lie on a uniform grid (every
+f_k within one ulp of the top carrier of f_0 + k*step, with the mean step
+(f_last - f_0)/(F - 1)), only carriers whose index is a multiple of 4 take
+an exact ``exp``; each carrier in between is the previous table times one
+step table exp(j 2 pi step d / c). The mean step, not f_1 - f_0, keeps the
+rounding of a linspace-built f_1 out of the chain, and the anchors keep the
+chain at three multiplies for any F, so the tables are as exact as the
+per-carrier ``exp``. Two carriers and non-uniform sets (2fsk, mm2fsk, the
+3fsk triples) keep the per-carrier ``exp``: a step would save nothing
+there, and their bytes stay as they were.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .errors import InsufficientDataError, StructuralError
 from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet, freeze
 
 _BLOCK_ROWS = 256  # GEMM block height: fixed, so every point rounds the same way
+_ANCHOR_EVERY = 4  # carriers per exact exp on a uniform grid; the rest step from the anchor
 
 
 @dataclass(frozen=True)
@@ -124,15 +137,39 @@ def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     return tx_dists, rx_dists
 
 
+def _uniform_step(carriers) -> float | None:
+    """Mean carrier step (f_last - f_0)/(F - 1) when three or more carriers
+    lie on a uniform grid: every f_k within one ulp of the top carrier of
+    f_0 + k*step. None otherwise."""
+    f = np.asarray(carriers, dtype=np.float64)
+    if f.size < 3:
+        return None
+    step = (f[-1] - f[0]) / (f.size - 1)
+    if np.abs(f - (f[0] + np.arange(f.size) * step)).max() > np.spacing(f[-1]):
+        return None
+    return step
+
+
 def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, carriers) -> np.ndarray:
     """Mean pair phasors of one block of points; ``cube`` is the baseband
-    as contiguous (F, T, R) slices so each GEMM reads one carrier."""
+    as contiguous (F, T, R) slices so each GEMM reads one carrier. On a
+    uniform carrier grid the tables between anchors come from the carrier
+    recurrence described in the module docstring."""
     n_f, n_t, n_r = cube.shape
     dtx, drx = precompute_distance_tables(points, array)
+    step = _uniform_step(carriers)
+    if step is not None:
+        w_step = 2j * np.pi * step / SPEED_OF_LIGHT
+        step_tx, step_rx = np.exp(w_step * dtx), np.exp(w_step * drx)
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
     for k, f in enumerate(carriers):
-        w = 2j * np.pi * f / SPEED_OF_LIGHT  # conjugated hypothesis: exp(+j 2 pi f rho / c)
-        out[:, k] = ((np.exp(w * dtx) @ cube[k]) * np.exp(w * drx)).sum(axis=1)
+        if step is None or k % _ANCHOR_EVERY == 0:
+            w = 2j * np.pi * f / SPEED_OF_LIGHT  # conjugated hypothesis: exp(+j 2 pi f rho / c)
+            e_tx, e_rx = np.exp(w * dtx), np.exp(w * drx)
+        else:
+            e_tx *= step_tx
+            e_rx *= step_rx
+        out[:, k] = ((e_tx @ cube[k]) * e_rx).sum(axis=1)
     return out / (n_t * n_r)
 
 

@@ -33,9 +33,11 @@ FREQUENCY_PAIRS = {
 
 
 def freeze(obj, **fields) -> None:
-    """Set validated fields on a frozen dataclass; arrays become read-only."""
+    """Set validated fields on a frozen dataclass; arrays are stored as
+    read-only copies, so the caller's own arrays stay writable."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
+            value = value.copy(order="K")
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from mmfsk import (
     precompute_distance_tables,
     simulate_baseband,
 )
+from mmfsk.correlate import _uniform_step
 from mmfsk.errors import InsufficientDataError, StructuralError
 
 
@@ -43,7 +45,44 @@ def reference_correlation(baseband, grid, array, freqs):
     return out
 
 
-def random_instance(seed):
+def reference_phasor_block(points, cube, array, carriers):
+    """The block kernel with an exact ``exp`` per carrier and table, as
+    ``_phasor_block`` computes every carrier set that is not a uniform grid
+    of three or more carriers."""
+    n_f, n_t, n_r = cube.shape
+    dtx, drx = precompute_distance_tables(points, array)
+    out = np.empty((points.shape[0], n_f), dtype=np.complex128)
+    for k, f in enumerate(carriers):
+        w = 2j * np.pi * f / SPEED_OF_LIGHT
+        out[:, k] = ((np.exp(w * dtx) @ cube[k]) * np.exp(w * drx)).sum(axis=1)
+    return out / (n_t * n_r)
+
+
+def exact_phase_reference(points, baseband, array, freqs):
+    """Mean pair phasors whose phases f*d/c are reduced mod 1 in exact
+    rational arithmetic before the complex exp, so the only rounding left is
+    that of the reduced phase, the products and the pair sum."""
+    c = Fraction(SPEED_OF_LIGHT)
+    dtx, drx = precompute_distance_tables(points, array)
+
+    def phasors(dists, f):
+        turns = [float(Fraction(f) * Fraction(float(d)) / c % 1) for d in dists.ravel()]
+        return np.exp(2j * np.pi * np.array(turns)).reshape(dists.shape)
+
+    out = np.empty((points.shape[0], len(freqs)), dtype=np.complex128)
+    for k, f in enumerate(freqs.frequencies):
+        out[:, k] = ((phasors(dtx, f) @ baseband.data[..., k]) * phasors(drx, f)).sum(axis=1)
+    return out / array.n_pairs
+
+
+def random_baseband(rng, array, n_f):
+    data = rng.normal(size=(array.n_tx, array.n_rx, n_f, 2))
+    return BasebandTensor(data[..., 0] + 1j * data[..., 1])
+
+
+def random_instance(seed, n_uniform=None):
+    """Random array, grid and baseband; random carriers, or ``n_uniform``
+    carriers from np.linspace(72e9, 82e9, n_uniform)."""
     rng = np.random.default_rng(seed)
     n_tx, n_rx = rng.integers(2, 9, 2)
     array = mimo_cross_array(int(n_tx), int(n_rx), 0.05)
@@ -51,9 +90,10 @@ def random_instance(seed):
     grid = CandidateGrid.regular(int(w), int(h), 0.002).with_scalar_prior(0.3 + 0.05 * rng.random())
     n_f = int(rng.integers(1, 5))
     freqs = FrequencySet(tuple(np.sort(rng.uniform(70e9, 84e9, n_f))))
-    data = rng.normal(size=(array.n_tx, array.n_rx, n_f, 2))
-    baseband = BasebandTensor(data[..., 0] + 1j * data[..., 1])
-    return baseband, grid, array, freqs
+    if n_uniform is not None:
+        n_f = n_uniform
+        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, n_f)))
+    return random_baseband(rng, array, n_f), grid, array, freqs
 
 
 def single_target(pos):
@@ -87,9 +127,12 @@ class TestCorrelateGrid:
             got_wrapped = (got - want + np.pi) % (2 * np.pi) - np.pi
             assert abs(got_wrapped) < 0.01 * abs(want)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_nested_loop_reference(self, seed):
-        baseband, grid, array, freqs = random_instance(seed)
+    @pytest.mark.parametrize(
+        "seed, n_uniform",
+        [pytest.param(s, None, id=str(s)) for s in range(4)] + [pytest.param(4, 16, id="linspace16")],
+    )
+    def test_matches_nested_loop_reference(self, seed, n_uniform):
+        baseband, grid, array, freqs = random_instance(seed, n_uniform)
         got = correlate_grid(baseband, grid, array, freqs).data
         want = reference_correlation(baseband, grid, array, freqs)
         scale = np.abs(want[np.isfinite(want)]).max()
@@ -312,3 +355,55 @@ class TestMeanPairPhasors:
                                  text=True, timeout=120, check=True)
             digests.append(run.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+class TestCarrierRecurrence:
+    def test_uniform_step_rule(self):
+        bench_carriers = [g * 1e9 for g in np.linspace(72.0, 82.0, 16)]
+        assert _uniform_step(bench_carriers) == (82e9 - 72e9) / 15
+        for n in (3, 16, 17, 128):
+            assert _uniform_step(np.linspace(72e9, 82e9, n)) == (82e9 - 72e9) / (n - 1)
+        assert _uniform_step((72e9, 82e9)) is None
+        assert _uniform_step(FrequencySet.triple_from_pair_names("0.5", "10.0").frequencies) is None
+        off = np.linspace(72e9, 82e9, 16)
+        off[5] += 2 * np.spacing(82e9)
+        assert _uniform_step(off) is None
+
+    def test_recurrence_matches_exact_phase_reference(self, desk_array):
+        rng = np.random.default_rng(21)
+        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 16)))
+        baseband = random_baseband(rng, desk_array, len(freqs))
+        points = np.column_stack([rng.uniform(-0.032, 0.032, (6, 2)), rng.uniform(0.25, 0.33, 6)])
+        got = mean_pair_phasors(points, baseband, desk_array, freqs, workers=1)
+        want = exact_phase_reference(points, baseband, desk_array, freqs)
+        assert np.abs(got - want).max() / np.abs(want).max() < 2.5e-13
+
+    @pytest.mark.parametrize(
+        "carriers",
+        [(72e9, 82e9), (72e9, 81.45e9, 82e9), (70.3e9, 74.1e9, 79.9e9, 83.2e9)],
+        ids=["pair", "3fsk-triple", "random"],
+    )
+    def test_other_carrier_sets_keep_the_per_carrier_bytes(self, carriers):
+        rng = np.random.default_rng(4)
+        array = mimo_cross_array(6, 5, 0.05)
+        freqs = FrequencySet(carriers)
+        baseband = random_baseband(rng, array, len(freqs))
+        points = rng.uniform(-0.02, 0.02, (256, 3)) + [0, 0, 0.3]
+        cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
+        got = mean_pair_phasors(points, baseband, array, freqs, workers=1)
+        assert np.array_equal(got, reference_phasor_block(points, cube, array, carriers))
+
+    def test_short_last_group_is_independent_of_workers(self):
+        # 17 carriers: anchors at 0, 4, 8, 12 and a last group of one.
+        rng = np.random.default_rng(6)
+        array = mimo_cross_array(5, 6, 0.05)
+        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 17)))
+        baseband = random_baseband(rng, array, len(freqs))
+        points = rng.uniform(-0.02, 0.02, (700, 3)) + [0, 0, 0.3]
+        outs = [mean_pair_phasors(points, baseband, array, freqs, workers=w) for w in (1, 2, 3)]
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+        cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
+        want = reference_phasor_block(points, cube, array, freqs.frequencies)
+        assert np.abs(outs[0] - want).max() / np.abs(want).max() < 1e-12
+        # Anchor carriers take the exact exp, so their columns keep its bytes.
+        assert np.array_equal(outs[0][:, ::4], want[:, ::4])

@@ -8,6 +8,7 @@ from mmfsk import (
     FREQUENCY_PAIRS,
     SPEED_OF_LIGHT,
     AntennaArray,
+    BasebandTensor,
     CandidateGrid,
     FrequencySet,
     Scene,
@@ -223,3 +224,20 @@ class TestSceneAndArrayValidation:
             AntennaArray(np.zeros((1, 2)), np.zeros((1, 3)))
         with pytest.raises(Exception):
             AntennaArray(np.array([[np.inf, 0, 0]]), np.zeros((1, 3)))
+
+
+class TestFrozenInputs:
+    def test_baseband_leaves_caller_array_writable(self):
+        d = np.zeros((2, 2, 2), complex)
+        bb = BasebandTensor(d)
+        d[0, 0, 0] = 1
+        assert bb.data[0, 0, 0] == 0 and not bb.data.flags.writeable
+
+    def test_with_prior_leaves_caller_arrays_writable(self):
+        prior = np.full((3, 4), 0.3)
+        valid = np.ones((3, 4), dtype=bool)
+        grid = CandidateGrid.regular(4, 3, 0.001).with_prior(prior, valid)
+        prior[0, 0] = 0.5
+        valid[0, 0] = False
+        assert grid.prior_depth[0, 0] == 0.3 and grid.valid[0, 0]
+        assert not grid.prior_depth.flags.writeable and not grid.valid.flags.writeable

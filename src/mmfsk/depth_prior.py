@@ -32,6 +32,7 @@ from .signal_core import freeze
 
 _ORTHONORMAL_TOL = 1e-9
 _MIN_TRIANGLE_AREA = 1e-12  # squared pixels; drops numerically degenerate slivers
+_LATTICE_LIMIT = 2**29  # largest |pixel| whose lattice keys stay inside int64
 _RASTER_CHUNK = 1 << 16  # (triangle, pixel) candidates per array pass: a few MB of temporaries
 
 
@@ -137,11 +138,105 @@ def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics):
     return points, pixels
 
 
+def _lattice_cells(pixels: np.ndarray):
+    """Delaunay cells read off the integer pixel lattice, without Qhull.
+
+    Returns ``(cells, remainder, covered)``: the cell triangles as point
+    indices, a mask of the points that touch ground no cell covers, and a
+    function telling whether an integer point sum ``a + b + c`` (three
+    times a triangle's centroid) falls in a covered quad quarter.
+
+    Each unit quad (corners c00, c10, c11, c01, counter-clockwise) is cut
+    by its two diagonals into quarters 0-3; quarter k lies between corners
+    k and k + 1. A complete quad covers all four, a quad with three valid
+    corners the two away from its missing corner, and the diamond around a
+    missing pixel with four valid axis neighbours the two next to that
+    pixel in each of its four quads. Each of these shapes is a whole face
+    of the Delaunay subdivision: its circumcircle passes through its
+    corners and holds no other lattice point but a missing one.
+
+    Non-integer or repeated pixels, or pixels too far out for int64 keys,
+    give no cells and send every point to Qhull.
+    """
+    n = pixels.shape[0]
+    no_cells = np.zeros((0, 3), dtype=np.int64), np.ones(n, dtype=bool), None
+    if not (
+        np.isfinite(pixels).all()
+        and np.abs(pixels).max() <= _LATTICE_LIMIT
+        and (pixels == np.round(pixels)).all()
+    ):
+        return no_cells
+    uv = pixels.astype(np.int64)
+    lo = uv.min(axis=0) - 1
+    width = uv[:, 0].max() - lo[0] + 3  # room for u - 1 ... u + 2 on every row
+    keys = (uv[:, 1] - lo[1]) * width + (uv[:, 0] - lo[0])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        return no_cells
+
+    def lookup(k):  # point index at each lattice key, -1 where no pixel
+        pos = np.minimum(np.searchsorted(sorted_keys, k), n - 1)
+        return np.where(sorted_keys[pos] == k, order[pos], -1)
+
+    quads = np.unique((keys[:, None] - [0, 1, width, width + 1]).ravel())  # lower-left keys
+    corner_keys = quads + np.array([[0], [1], [width + 1], [width]])  # (4, Q)
+    corner = lookup(corner_keys)
+    valid = corner >= 0
+    count = valid.sum(axis=0)
+
+    full = corner[:, count == 4]
+    missing = np.argmin(valid[:, count == 3], axis=0)  # the one absent corner
+    three = corner[:, count == 3][(missing + np.arange(1, 4)[:, None]) % 4, np.arange(missing.size)]
+
+    centers = keys + 1  # every diamond center has a valid left neighbour
+    left, bottom, right, top = (lookup(centers + d) for d in (-1, -width, 1, width))
+    diamond = (lookup(centers) < 0) & (bottom >= 0) & (right >= 0) & (top >= 0)
+    left, bottom, right, top = left[diamond], bottom[diamond], right[diamond], top[diamond]
+
+    cells = np.concatenate(
+        [
+            np.stack([full[0], full[1], full[2]], axis=1),
+            np.stack([full[0], full[2], full[3]], axis=1),
+            three.T,
+            np.stack([left, bottom, right], axis=1),
+            np.stack([left, right, top], axis=1),
+        ]
+    )
+
+    at_diamond = np.isin(corner_keys, centers[diamond])
+    pair = np.roll(np.arange(4), -1)  # quarter k lies between corners k and pair[k]
+    filled = ((count >= 3) & valid & valid[pair]) | at_diamond | at_diamond[pair]  # (4, Q) quarters
+    open_beside = ~filled | ~np.roll(filled, 1, axis=0)  # quarters k - 1 and k touch corner k
+    remainder = np.zeros(n, dtype=bool)
+    remainder[corner[valid & open_beside]] = True
+
+    def covered(triple_sum):
+        cell, frac = np.divmod(triple_sum, 3)  # quad of the centroid, position in thirds
+        k = (cell[:, 1] - lo[1]) * width + (cell[:, 0] - lo[0])
+        pos = np.minimum(np.searchsorted(quads, k), quads.size - 1)
+        along, across = frac[:, 0] - frac[:, 1], frac[:, 0] + frac[:, 1] - 3
+        q = np.where(along > 0, np.where(across < 0, 0, 1), np.where(across > 0, 2, 3))
+        return (quads[pos] == k) & filled[q, pos]
+
+    return cells, remainder, covered
+
+
 def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
     """Delaunay-triangulate the cloud in its 2-D pixel domain.
 
     The triangulation spans the convex hull of the source pixels, which is
-    what fills depth holes. Collinear input cannot be triangulated.
+    what fills depth holes. Most triangles come straight from the pixel
+    lattice (``_lattice_cells``): two per complete unit quad, split on the
+    c00-c11 diagonal, one per quad with three valid corners, and two per
+    diamond around a lone missing pixel. Only the points that touch ground
+    none of these cells covers go to Qhull, and of its triangles only those
+    whose centroid lies outside every covered quad quarter are kept. This
+    is exact: the lattice cells are whole Delaunay faces, so every Delaunay
+    face of the full set in the uncovered ground has all its vertices in
+    the Qhull subset and is a Delaunay face of that subset too.
+
+    Collinear input cannot be triangulated.
     """
     points = np.asarray(points, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -149,17 +244,22 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
         raise StructuralError("pixels must be (N, 2) matching the point cloud")
     if pixels.shape[0] < 3:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
+    cells, remainder, covered = _lattice_cells(pixels)
+    subset = np.flatnonzero(remainder)
     try:
-        tri = Delaunay(pixels)
+        tri = Delaunay(pixels[subset])
     except QhullError as exc:
         raise DegenerateGeometryError(f"input cannot be triangulated: {exc}") from exc
-    simplices = tri.simplices
+    simplices = subset[tri.simplices]
     a, b, c = (pixels[simplices[:, i]] for i in range(3))
     area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     keep = np.abs(area2) > _MIN_TRIANGLE_AREA
-    if not keep.any():
+    if cells.size:
+        keep &= ~covered((a + b + c).astype(np.int64))
+    triangles = np.concatenate([cells, simplices[keep]])
+    if not triangles.size:
         raise DegenerateGeometryError("all triangles are degenerate (collinear input)")
-    return TriangleMesh(points, simplices[keep], pixels)
+    return TriangleMesh(points, triangles, pixels)
 
 
 def transform_mesh(mesh: TriangleMesh, extrinsics: Extrinsics) -> TriangleMesh:

@@ -116,10 +116,10 @@ def write_ply(path, points: np.ndarray, magnitude: np.ndarray | None = None) -> 
         cols.append(np.asarray(magnitude, dtype=np.float64).reshape(n, 1))
     header.append("end_header")
     body = np.hstack(cols)
+    row = " ".join(["%.10g"] * body.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
-        for row in body:
-            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+        fh.write("".join([row % tuple(r) for r in body.tolist()]))
 
 
 def read_ply(path):

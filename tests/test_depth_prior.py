@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, Delaunay
 
 from mmfsk import (
     CameraIntrinsics,
@@ -53,6 +54,63 @@ def circumcircle_violations(pixels, triangles, tol=1e-9):
 
 def _edge(ax, ay, bx, by, px, py):
     return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def qhull_triangulate(points, pixels):
+    """Plain Qhull over every pixel, degenerate slivers dropped: the mesh
+    ``triangulate`` built before it read cells off the pixel lattice, and
+    what it must still build on input without a lattice."""
+    simplices = Delaunay(pixels).simplices
+    a, b, c = (pixels[simplices[:, i]] for i in range(3))
+    keep = np.abs(_edge(*a.T, *b.T, *c.T)) > depth_prior._MIN_TRIANGLE_AREA
+    return TriangleMesh(points, simplices[keep], pixels)
+
+
+def triangle_area2(pixels, triangles):
+    a, b, c = (pixels[triangles[:, i]] for i in range(3))
+    return _edge(*a.T, *b.T, *c.T)
+
+
+def max_cover(pixels, triangles, probes):
+    """Most triangles any probe point lies strictly inside: 1 on a mesh
+    whose triangles do not overlap."""
+    a, b, c = (pixels[triangles[:, i]][:, None, :] for i in range(3))
+    sign = np.sign(triangle_area2(pixels, triangles))[:, None]
+    px, py = probes[None, :, 0], probes[None, :, 1]
+    inside = np.ones((triangles.shape[0], probes.shape[0]), dtype=bool)
+    for p, q in ((a, b), (b, c), (c, a)):
+        inside &= sign * _edge(p[..., 0], p[..., 1], q[..., 0], q[..., 1], px, py) > 0.0
+    return int(inside.sum(axis=0).max())
+
+
+def lattice_pixels(mask, offset=(0, 0)):
+    v, u = np.nonzero(mask)
+    return np.column_stack([u + offset[0], v + offset[1]]).astype(np.float64)
+
+
+def dropout_mask(fraction, shape=(36, 44), seed=0):
+    return np.random.default_rng(seed).random(shape) >= fraction
+
+
+def disk_with_slot(n=41):
+    """A round footprint with a slot cut across it: long straight hole
+    edges, concave corners and a hull that bridges the slot's mouth."""
+    v, u = np.mgrid[:n, :n] - (n - 1) / 2.0
+    mask = u**2 + v**2 <= ((n - 1) / 2.0) ** 2
+    mask &= ~((np.abs(v) <= 2) & (u > -8))
+    return mask
+
+
+LATTICE_MASKS = {
+    "dropout-5%": (dropout_mask(0.05, seed=1), (0, 0)),
+    "dropout-30%": (dropout_mask(0.30, seed=2), (0, 0)),
+    "dropout-60%": (dropout_mask(0.60, seed=3), (0, 0)),
+    "disk-with-slot": (disk_with_slot(), (0, 0)),
+    "full-rectangle": (np.ones((17, 23), dtype=bool), (0, 0)),
+    "2xN": (np.ones((2, 31), dtype=bool), (0, 0)),
+    "Nx2-with-gaps": (dropout_mask(0.2, shape=(29, 2), seed=4), (0, 0)),
+    "negative-offset": (dropout_mask(0.30, seed=5), (-80, -23)),
+}
 
 
 def reference_rasterize(mesh, grid):
@@ -236,6 +294,51 @@ class TestTriangulate:
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             triangulate(np.zeros((2, 3)), np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MASKS))
+    def test_lattice_mesh_is_delaunay_and_fills_the_hull(self, name):
+        mask, offset = LATTICE_MASKS[name]
+        pix = lattice_pixels(mask, offset)
+        pts = np.column_stack([pix, np.linspace(0.2, 0.4, len(pix))])
+        mesh = triangulate(pts, pix)
+        assert depth_prior._lattice_cells(pix)[0].shape[0] > 0  # the lattice did real work
+        tri = mesh.triangles
+        assert circumcircle_violations(pix, tri) == 0
+        assert tri.shape[0] == qhull_triangulate(pts, pix).triangles.shape[0]
+        assert np.abs(triangle_area2(pix, tri)).sum() / 2.0 == pytest.approx(
+            ConvexHull(pix).volume, rel=1e-12)
+        assert np.array_equal(np.unique(tri), np.arange(len(pix)))
+        probes = np.random.default_rng(0).uniform(pix.min(axis=0), pix.max(axis=0), (2000, 2))
+        assert max_cover(pix, tri, probes) == 1
+        assert np.array_equal(mesh.vertices, pts) and np.array_equal(mesh.source_pixels, pix)
+
+    def test_most_points_skip_qhull_on_a_camera_like_mask(self):
+        pix = lattice_pixels(dropout_mask(0.05, shape=(120, 120), seed=6))
+        cells, remainder, _ = depth_prior._lattice_cells(pix)
+        assert remainder.mean() < 0.25
+        assert cells.shape[0] > 0.9 * 2 * len(pix)
+
+    def test_single_row_image_is_collinear(self):
+        pix = lattice_pixels(np.ones((1, 12), dtype=bool))
+        pts = np.column_stack([pix, np.full(len(pix), 0.3)])
+        assert depth_prior._lattice_cells(pix)[0].shape[0] == 0
+        with pytest.raises(DegenerateGeometryError):
+            triangulate(pts, pix)
+
+    @pytest.mark.parametrize("kind", ["non-integer", "duplicated", "far-out"])
+    def test_off_lattice_input_is_plain_qhull(self, kind):
+        pix = lattice_pixels(dropout_mask(0.1, shape=(15, 18), seed=7))
+        if kind == "non-integer":
+            pix[5, 0] += 0.5
+        elif kind == "duplicated":
+            pix = np.vstack([pix, pix[10:12]])
+        else:
+            pix[0] = [2.0**40, 0.0]
+        pts = np.column_stack([pix, np.linspace(0.2, 0.4, len(pix))])
+        cells, remainder, _ = depth_prior._lattice_cells(pix)
+        assert cells.shape[0] == 0 and remainder.all()
+        mesh = triangulate(pts, pix)
+        assert np.array_equal(mesh.triangles, qhull_triangulate(pts, pix).triangles)
 
 
 class TestTransformMesh:
@@ -445,6 +548,22 @@ class TestBuildPrior:
         m = exact.valid & biased.valid
         bias = (biased.prior_depth - exact.prior_depth)[m]
         assert bias.mean() == pytest.approx(0.001, abs=1e-4)
+
+    def test_tilted_plane_prior_matches_qhull_mesh(self):
+        # Both meshes interpolate the same plane, so only rounding may
+        # differ; both cover the hull, so the validity masks are equal.
+        intr, ext = self._camera()
+        params = {"depth": 0.30, "extent": 0.12, "spacing": 0.0015, "tilt_x": 0.2, "tilt_y": -0.1}
+        dm = render_depth_map("plane", params, intr, ext, 72, 72)
+        keep = dm.valid & (np.random.default_rng(3).random(dm.depth.shape) >= 0.15)
+        holes = OpticalDepthMap(np.where(keep, dm.depth, np.nan), keep)
+        grid = CandidateGrid.regular(64, 64, 0.001)
+        got = build_prior(holes, intr, ext, grid)
+        pts, pix = backproject_depth(holes, intr)
+        want = rasterize_prior(transform_mesh(qhull_triangulate(pts, pix), ext), grid)
+        assert got.valid.sum() > 3000
+        assert np.array_equal(got.valid, want.valid)
+        assert np.abs(got.prior_depth - want.prior_depth)[got.valid].max() <= 1e-12
 
     def test_mismatched_pixel_count_rejected(self):
         with pytest.raises(StructuralError):

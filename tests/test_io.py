@@ -144,7 +144,42 @@ class TestPfm:
             mio.read_pfm(path)
 
 
+def reference_write_ply(path, points, magnitude=None) -> None:
+    """One f-string per value: the writer ``mio.write_ply`` must match byte
+    for byte."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = points.shape[0]
+    header = ["ply", "format ascii 1.0", f"element vertex {n}",
+              "property float x", "property float y", "property float z"]
+    cols = [points]
+    if magnitude is not None:
+        header.append("property float magnitude")
+        cols.append(np.asarray(magnitude, dtype=np.float64).reshape(n, 1))
+    header.append("end_header")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(header) + "\n")
+        for row in np.hstack(cols):
+            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+
+
 class TestPly:
+    @pytest.mark.parametrize("with_magnitude", [False, True])
+    def test_bytes_match_reference_writer(self, tmp_path, with_magnitude):
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(500, 4)) * 10.0 ** rng.integers(-12, 12, (500, 4))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 123456789012.0]
+        rows.flat[rng.choice(rows.size, 300, replace=False)] = rng.choice(special, 300)
+        mag = rows[:, 3] if with_magnitude else None
+        mio.write_ply(tmp_path / "got.ply", rows[:, :3], mag)
+        reference_write_ply(tmp_path / "want.ply", rows[:, :3], mag)
+        got = (tmp_path / "got.ply").read_bytes()
+        assert got == (tmp_path / "want.ply").read_bytes()
+        tokens = set(got.split())
+        assert {b"nan", b"inf", b"-inf", b"-0", b"1e+300", b"4.940656458e-324"} <= tokens
+        mio.write_ply(tmp_path / "empty.ply", np.zeros((0, 3)), np.zeros(0) if with_magnitude else None)
+        reference_write_ply(tmp_path / "want.ply", np.zeros((0, 3)), np.zeros(0) if with_magnitude else None)
+        assert (tmp_path / "empty.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
+
     def test_round_trip_with_magnitude(self, tmp_path):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(17, 3))

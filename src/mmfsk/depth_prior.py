@@ -7,6 +7,14 @@ the mesh into the radar frame, and rasterizes it orthographically onto the
 candidate grid with barycentric depth interpolation. Where triangles
 overlap after the transform, the front-most surface (smallest depth) wins.
 
+A depth camera's pixels sit on an integer lattice, and most Delaunay
+faces of a lattice are known without computing anything: every complete
+unit quad, every quad with three valid corners, and the diamond around a
+lone missing pixel. ``triangulate`` builds those as arrays and gives only
+the points along irregular holes and the outer border to Qhull, keeping
+the Qhull triangles that fall where no lattice cell lies. Input off the
+lattice (non-integer or repeated pixels) goes to Qhull whole.
+
 Rasterization is one array pass over all triangles rather than a loop per
 triangle. Each triangle's integer bounding box expands into (triangle,
 pixel) candidates, which are evaluated ``_RASTER_CHUNK`` at a time so the
@@ -144,19 +152,13 @@ def _lattice_cells(pixels: np.ndarray):
     Returns ``(cells, remainder, covered)``: the cell triangles as point
     indices, a mask of the points that touch ground no cell covers, and a
     function telling whether an integer point sum ``a + b + c`` (three
-    times a triangle's centroid) falls in a covered quad quarter.
+    times a triangle's centroid) falls in ground a cell covers.
 
-    Each unit quad (corners c00, c10, c11, c01, counter-clockwise) is cut
-    by its two diagonals into quarters 0-3; quarter k lies between corners
-    k and k + 1. A complete quad covers all four, a quad with three valid
-    corners the two away from its missing corner, and the diamond around a
-    missing pixel with four valid axis neighbours the two next to that
-    pixel in each of its four quads. Each of these shapes is a whole face
-    of the Delaunay subdivision: its circumcircle passes through its
-    corners and holds no other lattice point but a missing one.
-
-    Non-integer or repeated pixels, or pixels too far out for int64 keys,
-    give no cells and send every point to Qhull.
+    Coverage is kept per quad quarter: the two diagonals cut each unit quad
+    (corners c00, c10, c11, c01, counter-clockwise) into quarters 0-3, and
+    quarter k lies between corners k and k + 1. Every cell is a union of
+    whole quarters. Non-integer or repeated pixels, or pixels too far out
+    for int64 keys, give no cells and send every point to Qhull.
     """
     n = pixels.shape[0]
     no_cells = np.zeros((0, 3), dtype=np.int64), np.ones(n, dtype=bool), None
@@ -185,24 +187,16 @@ def _lattice_cells(pixels: np.ndarray):
     valid = corner >= 0
     count = valid.sum(axis=0)
 
-    full = corner[:, count == 4]
-    missing = np.argmin(valid[:, count == 3], axis=0)  # the one absent corner
-    three = corner[:, count == 3][(missing + np.arange(1, 4)[:, None]) % 4, np.arange(missing.size)]
+    has3 = count == 3
+    three = corner[:, has3].T[valid[:, has3].T].reshape(-1, 3)  # the valid corners, in order
 
     centers = keys + 1  # every diamond center has a valid left neighbour
-    left, bottom, right, top = (lookup(centers + d) for d in (-1, -width, 1, width))
-    diamond = (lookup(centers) < 0) & (bottom >= 0) & (right >= 0) & (top >= 0)
-    left, bottom, right, top = left[diamond], bottom[diamond], right[diamond], top[diamond]
-
-    cells = np.concatenate(
-        [
-            np.stack([full[0], full[1], full[2]], axis=1),
-            np.stack([full[0], full[2], full[3]], axis=1),
-            three.T,
-            np.stack([left, bottom, right], axis=1),
-            np.stack([left, right, top], axis=1),
-        ]
-    )
+    ring = lookup(centers + np.array([[-1], [-width], [1], [width]]))  # (4, N) counter-clockwise
+    diamond = (lookup(centers) < 0) & (ring >= 0).all(axis=0)
+    # Complete quads and diamonds both have four corners counter-clockwise;
+    # each splits on its corner 0 - corner 2 diagonal.
+    four = np.concatenate([corner[:, count == 4], ring[:, diamond]], axis=1)
+    cells = np.concatenate([four[[0, 1, 2]].T, four[[0, 2, 3]].T, three])
 
     at_diamond = np.isin(corner_keys, centers[diamond])
     pair = np.roll(np.arange(4), -1)  # quarter k lies between corners k and pair[k]
@@ -227,14 +221,15 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
 
     The triangulation spans the convex hull of the source pixels, which is
     what fills depth holes. Most triangles come straight from the pixel
-    lattice (``_lattice_cells``): two per complete unit quad, split on the
-    c00-c11 diagonal, one per quad with three valid corners, and two per
-    diamond around a lone missing pixel. Only the points that touch ground
-    none of these cells covers go to Qhull, and of its triangles only those
-    whose centroid lies outside every covered quad quarter are kept. This
-    is exact: the lattice cells are whole Delaunay faces, so every Delaunay
-    face of the full set in the uncovered ground has all its vertices in
-    the Qhull subset and is a Delaunay face of that subset too.
+    lattice: two per complete unit quad, one per quad with three valid
+    corners (the half away from the missing one), and two per diamond
+    around a missing pixel whose four axis neighbours are valid. Each of
+    these is a whole face of the Delaunay subdivision, since its
+    circumcircle passes through its corners and holds no other lattice
+    point but a missing one. So every other Delaunay face has its vertices
+    among the points that touch ground no cell covers, and is a Delaunay
+    face of those points alone: only they go to Qhull, and of its
+    triangles only those outside every cell are kept.
 
     Collinear input cannot be triangulated.
     """

@@ -28,6 +28,7 @@ MAGIC_FIELD = b"FSKC"
 CONTAINER_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIII")
+_PLY_ROWS = 1024  # rows formatted per write: bounds the text held in memory
 
 
 def _write_container(path, magic: bytes, dims: tuple, data: np.ndarray) -> None:
@@ -119,7 +120,8 @@ def write_ply(path, points: np.ndarray, magnitude: np.ndarray | None = None) -> 
     row = " ".join(["%.10g"] * body.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.write("".join([row % tuple(r) for r in body.tolist()]))
+        for start in range(0, n, _PLY_ROWS):
+            fh.write("".join([row % tuple(r) for r in body[start : start + _PLY_ROWS].tolist()]))
 
 
 def read_ply(path):

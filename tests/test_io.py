@@ -166,9 +166,9 @@ class TestPly:
     @pytest.mark.parametrize("with_magnitude", [False, True])
     def test_bytes_match_reference_writer(self, tmp_path, with_magnitude):
         rng = np.random.default_rng(9)
-        rows = rng.normal(size=(500, 4)) * 10.0 ** rng.integers(-12, 12, (500, 4))
+        rows = rng.normal(size=(2500, 4)) * 10.0 ** rng.integers(-12, 12, (2500, 4))  # several writes
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 123456789012.0]
-        rows.flat[rng.choice(rows.size, 300, replace=False)] = rng.choice(special, 300)
+        rows.flat[rng.choice(rows.size, 1500, replace=False)] = rng.choice(special, 1500)
         mag = rows[:, 3] if with_magnitude else None
         mio.write_ply(tmp_path / "got.ply", rows[:, :3], mag)
         reference_write_ply(tmp_path / "want.ply", rows[:, :3], mag)

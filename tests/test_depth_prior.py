@@ -57,9 +57,9 @@ def _edge(ax, ay, bx, by, px, py):
 
 
 def qhull_triangulate(points, pixels):
-    """Plain Qhull over every pixel, degenerate slivers dropped: the mesh
-    ``triangulate`` built before it read cells off the pixel lattice, and
-    what it must still build on input without a lattice."""
+    """Plain Qhull over every pixel, degenerate slivers dropped: the
+    reference mesh, and exactly what ``triangulate`` must build on input
+    off the pixel lattice."""
     simplices = Delaunay(pixels).simplices
     a, b, c = (pixels[simplices[:, i]] for i in range(3))
     keep = np.abs(_edge(*a.T, *b.T, *c.T)) > depth_prior._MIN_TRIANGLE_AREA

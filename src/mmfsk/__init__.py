@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .correlate import (
     CandidateGrid,
-    CorrelationField,
     correlate_grid,
     mean_pair_phasors,
     precompute_distance_tables,
@@ -53,13 +52,11 @@ from .signal_core import (
     FrequencySet,
     Scene,
     differential_phasor,
-    hypothesis_phasor,
     max_unambiguous_depth,
     mimo_cross_array,
     phase_to_depth_correction,
     principal_phase,
     residual_phase,
-    round_trip_distance,
 )
 from .simulate import NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
 
@@ -68,7 +65,6 @@ __all__ = [
     "BasebandTensor",
     "CameraIntrinsics",
     "CandidateGrid",
-    "CorrelationField",
     "EvalReport",
     "Extrinsics",
     "FREQUENCY_PAIRS",
@@ -89,7 +85,6 @@ __all__ = [
     "evaluate_image",
     "fsk2_reconstruct",
     "fsk3_reconstruct",
-    "hypothesis_phasor",
     "magnitude_filter",
     "make_scene",
     "max_unambiguous_depth",
@@ -105,7 +100,6 @@ __all__ = [
     "resample_gt_cloud",
     "resample_gt_depth",
     "residual_phase",
-    "round_trip_distance",
     "simulate_baseband",
     "surface_depth",
     "transform_mesh",

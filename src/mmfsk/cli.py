@@ -89,6 +89,18 @@ SECTION_KEYS = {
 }
 
 
+class _Section(dict):
+    """One config section: reading a key it lacks is a validation error
+    that names the section and the key."""
+
+    def __init__(self, where: str, items: dict):
+        super().__init__(items)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ConfigurationError(f"config {self.where}: missing key {key!r}")
+
+
 def _check_section(where: str, spec, keys: dict) -> dict:
     """One config section with its defaults filled in; unknown keys are
     rejected."""
@@ -97,15 +109,16 @@ def _check_section(where: str, spec, keys: dict) -> dict:
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ConfigurationError(f"config {where}: unknown key(s) {unknown}; allowed: {sorted(keys)}")
-    return {**{k: v for k, v in keys.items() if v is not None}, **spec}
+    return _Section(where, {**{k: v for k, v in keys.items() if v is not None}, **spec})
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then the config file, then CLI flags. Sections replace
     wholesale so that selector keys (e.g. pair vs triple) never mix; then
     ``SECTION_KEYS`` checks each section and fills in its defaults. Unknown
-    keys exit 1 at any level; the ``_meta`` block of a resolved-config
-    snapshot is dropped, so a snapshot can be fed back."""
+    keys exit 1 at any level, and so does a missing key once it is read;
+    the ``_meta`` block of a resolved-config snapshot is dropped, so a
+    snapshot can be fed back."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -126,6 +139,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for name, default in DEFAULT_CONFIG.items():
         if name in SECTION_KEYS and not (cfg[name] is None and default is None):
             cfg[name] = _check_section(name, cfg[name], SECTION_KEYS[name])
+    if isinstance(cfg["scene"].get("params"), dict):
+        cfg["scene"]["params"] = _Section("scene.params", cfg["scene"]["params"])
     runs = (cfg["sweep"] or {}).get("runs") or []
     for i, run in enumerate(runs):
         runs[i] = run = _check_section(f"sweep.runs[{i}]", run, SECTION_KEYS["sweep.runs"])
@@ -387,7 +402,7 @@ def _sweep_runs(cfg: dict) -> list:
     """
     sweep = cfg.get("sweep") or {}
     if sweep.get("runs"):
-        return [dict(r) for r in sweep["runs"]]
+        return sweep["runs"]
     method = sweep.get("method", cfg["methods"][0])
     pairs = sweep.get("pairs")
     if not pairs:

@@ -114,15 +114,6 @@ class CandidateGrid:
         return np.column_stack([gx[m], gy[m], self.prior_depth[m]])
 
 
-@dataclass(frozen=True)
-class CorrelationField:
-    """Per-pixel, per-carrier mean residual phasors; invalid pixels carry
-    NaN and are excluded from the mask."""
-
-    data: np.ndarray   # (H, W, F) complex128
-    valid: np.ndarray  # (H, W) bool
-
-
 def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     """One-way distances from every TX element to ``p`` and from ``p`` to
     every RX element; their broadcast sum reproduces all T*R round trips.
@@ -220,16 +211,15 @@ def correlate_grid(
     array: AntennaArray,
     freqs: FrequencySet,
     workers: int | None = None,
-) -> CorrelationField:
-    """Correlate a baseband tensor against every valid grid candidate.
+) -> np.ndarray:
+    """Mean residual phasors of every grid pixel at every carrier, as an
+    (H, W, F) complex array.
 
-    Invalid pixels are skipped entirely and come back as NaN with a cleared
-    validity flag.
+    Only pixels with a prior are correlated; every other pixel is NaN, so
+    ``grid.valid`` is the validity mask of the result.
     """
-    n_valid = int(grid.valid.sum())
-    if n_valid == 0:
+    if not grid.valid.any():
         raise InsufficientDataError("candidate grid has no valid pixels")
-    vals = mean_pair_phasors(grid.points(), baseband, array, freqs, workers=workers)
-    data = np.full((grid.height, grid.width, len(freqs)), np.nan, dtype=np.complex128)
-    data[grid.valid] = vals
-    return CorrelationField(data=data, valid=grid.valid.copy())
+    out = np.full((grid.height, grid.width, len(freqs)), np.nan, dtype=np.complex128)
+    out[grid.valid] = mean_pair_phasors(grid.points(), baseband, array, freqs, workers=workers)
+    return out

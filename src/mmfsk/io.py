@@ -1,11 +1,10 @@
-"""File formats: binary phasor containers, PFM float images, ASCII PLY
-point clouds, and the JSON documents used for configs and calibration.
+"""File formats: the binary baseband container, PFM float images, ASCII
+PLY point clouds, and the JSON documents used for configs and calibration.
 
-The binary container is little-endian: a 4-byte magic (``FSKT`` for
-baseband tensors, ``FSKC`` for correlation fields), a u32 format version,
-three u32 dimensions, then the complex64 payload in C (row-major) order.
-Invalid correlation pixels travel as NaN entries. All writers are
-deterministic: identical inputs produce identical bytes.
+The baseband container is little-endian: the 4-byte magic ``FSKT``, a u32
+format version, the three u32 dimensions (T, R, F), then the complex64
+payload in C (row-major) order. All writers are deterministic: identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,59 +16,39 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlate import CandidateGrid, CorrelationField
+from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics
 from .errors import StructuralError
 from .reconstruct import RadarImage
 from .signal_core import BasebandTensor
 
 MAGIC_BASEBAND = b"FSKT"
-MAGIC_FIELD = b"FSKC"
 CONTAINER_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIII")
 _PLY_ROWS = 1024  # rows formatted per write: bounds the text held in memory
 
 
-def _write_container(path, magic: bytes, dims: tuple, data: np.ndarray) -> None:
-    payload = np.ascontiguousarray(data.astype("<c8"))
+def write_baseband(path, baseband: BasebandTensor) -> None:
+    payload = np.ascontiguousarray(baseband.data.astype("<c8"))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, CONTAINER_VERSION, *dims))
+        fh.write(_HEADER.pack(MAGIC_BASEBAND, CONTAINER_VERSION, *baseband.shape))
         fh.write(payload.tobytes())
 
 
-def _read_container(path, magic: bytes) -> np.ndarray:
+def read_baseband(path) -> BasebandTensor:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise StructuralError(f"{path}: truncated container header")
-    got, version, d0, d1, d2 = _HEADER.unpack_from(raw)
-    if got != magic:
-        raise StructuralError(f"{path}: expected magic {magic!r}, found {got!r}")
+    magic, version, d0, d1, d2 = _HEADER.unpack_from(raw)
+    if magic != MAGIC_BASEBAND:
+        raise StructuralError(f"{path}: expected magic {MAGIC_BASEBAND!r}, found {magic!r}")
     if version != CONTAINER_VERSION:
         raise StructuralError(f"{path}: unsupported container version {version}")
-    count = d0 * d1 * d2
     body = raw[_HEADER.size :]
-    if len(body) != count * 8:
+    if len(body) != d0 * d1 * d2 * 8:
         raise StructuralError(f"{path}: payload size does not match dimensions")
-    return np.frombuffer(body, dtype="<c8").reshape(d0, d1, d2).astype(np.complex128)
-
-
-def write_baseband(path, baseband: BasebandTensor) -> None:
-    _write_container(path, MAGIC_BASEBAND, baseband.data.shape, baseband.data)
-
-
-def read_baseband(path) -> BasebandTensor:
-    return BasebandTensor(_read_container(path, MAGIC_BASEBAND))
-
-
-def write_field(path, field: CorrelationField) -> None:
-    _write_container(path, MAGIC_FIELD, field.data.shape, field.data)
-
-
-def read_field(path) -> CorrelationField:
-    data = _read_container(path, MAGIC_FIELD)
-    valid = np.isfinite(data).all(axis=-1)
-    return CorrelationField(data=data, valid=valid)
+    return BasebandTensor(np.frombuffer(body, dtype="<c8").reshape(d0, d1, d2).astype(np.complex128))
 
 
 def write_pfm(path, image: np.ndarray) -> None:

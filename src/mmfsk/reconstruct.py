@@ -1,12 +1,14 @@
 """Depth imaging methods built on the correlation engine.
 
-Two-frequency imaging corrects a depth prior by the residual phase of the
-differential phasor; it is identical math whether the prior is one scalar
-(radar-only mode) or per-pixel values from the optical pipeline. The
-three-frequency variant applies the correction twice, coarse then fine.
-Backprojection sweeps a voxel volume and keeps, per lateral column, the
-depth of the strongest mean phasor; it needs no prior but two to three
-orders of magnitude more work.
+Every correction method uses one formula: the residual phase of a
+differential phasor, scaled by c/(4 pi f_eff), is added to the depth prior
+(``_corrected_image``). Two-frequency imaging applies it once; the math is
+identical whether the prior is one scalar (radar-only mode) or per-pixel
+values from the optical pipeline. The three-frequency variant is
+two-frequency imaging on its closest carrier pair, followed by the same
+correction on the averaged fine pairs. Backprojection sweeps a voxel volume
+and keeps, per lateral column, the depth of the strongest mean phasor; it
+needs no prior but two to three orders of magnitude more work.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlate import CandidateGrid, CorrelationField, correlate_grid, mean_pair_phasors
+from .correlate import CandidateGrid, correlate_grid, mean_pair_phasors
 from .errors import ConfigurationError, EmptyImageError, StructuralError
 from .signal_core import (
     AntennaArray,
@@ -93,24 +95,20 @@ class VoxelGridSpec:
         return np.linspace(self.center[i] - half, self.center[i] + half, n)
 
 
-def _magnitudes(field_data: np.ndarray):
-    per_freq = np.abs(field_data)
-    return per_freq.mean(axis=-1), np.abs(field_data.mean(axis=-1))
-
-
-def _image_from_correction(grid: CandidateGrid, field: CorrelationField, correction: np.ndarray) -> RadarImage:
-    depth = np.where(field.valid, grid.prior_depth + correction, np.nan)
-    mag, joint = _magnitudes(field.data)
-    invalid = ~field.valid
-    for a in (mag, joint):
-        a[invalid] = np.nan
+def _corrected_image(grid: CandidateGrid, phasors: np.ndarray, diff: np.ndarray, f_eff: float) -> RadarImage:
+    """Add the depth correction of the differential phasor ``diff`` at the
+    effective difference frequency ``f_eff`` to the grid's priors. The
+    magnitudes come from the per-carrier ``phasors``, which are NaN off the
+    prior like ``diff``."""
+    with np.errstate(invalid="ignore"):
+        correction = phase_to_depth_correction(residual_phase(diff), f_eff)
     return RadarImage(
         x=grid.x.copy(),
         y=grid.y.copy(),
-        depth=depth,
-        magnitude=mag,
-        joint_magnitude=joint,
-        valid=field.valid.copy(),
+        depth=np.where(grid.valid, grid.prior_depth + correction, np.nan),
+        magnitude=np.abs(phasors).mean(axis=-1),
+        joint_magnitude=np.abs(phasors.mean(axis=-1)),
+        valid=grid.valid.copy(),
     )
 
 
@@ -131,11 +129,9 @@ def fsk2_reconstruct(
     """
     if len(freqs) != 2:
         raise ConfigurationError("two-frequency imaging needs exactly 2 carriers")
-    field = correlate_grid(baseband, grid, array, freqs, workers=workers)
-    diff = differential_phasor(field.data[..., 0], field.data[..., 1])
-    with np.errstate(invalid="ignore"):
-        correction = phase_to_depth_correction(residual_phase(diff), freqs.delta())
-    return _image_from_correction(grid, field, correction)
+    phasors = correlate_grid(baseband, grid, array, freqs, workers=workers)
+    diff = differential_phasor(phasors[..., 0], phasors[..., 1])
+    return _corrected_image(grid, phasors, diff, freqs.delta())
 
 
 def mm2fsk_reconstruct(
@@ -161,11 +157,11 @@ def fsk3_reconstruct(
 ) -> RadarImage:
     """Three-frequency, two-stage depth correction.
 
-    Stage one correlates only the most closely spaced carrier pair and
-    corrects the (typically scalar) prior with it; its wide window tolerates
-    a coarse prior. Stage two re-correlates all three carriers at the
-    corrected per-pixel depths and refines them with the two remaining, much
-    larger frequency differences combined coherently.
+    Stage one is two-frequency imaging on the most closely spaced carrier
+    pair; its wide window tolerates a coarse (typically scalar) prior.
+    Stage two re-correlates all three carriers at the corrected per-pixel
+    depths and refines them with the two remaining, much larger frequency
+    differences combined coherently.
     """
     if len(freqs) != 3:
         raise ConfigurationError("three-frequency imaging needs exactly 3 carriers")
@@ -177,21 +173,14 @@ def fsk3_reconstruct(
 
     i, j = pairs[coarse]
     coarse_band = BasebandTensor(baseband.data[..., [i, j]])
-    field1 = correlate_grid(coarse_band, grid, array, FrequencySet((freqs[i], freqs[j])), workers=workers)
-    diff = differential_phasor(field1.data[..., 0], field1.data[..., 1])
-    with np.errstate(invalid="ignore"):
-        coarse_fix = phase_to_depth_correction(residual_phase(diff), deltas[coarse])
-    refined = grid.with_prior(
-        np.where(field1.valid, grid.prior_depth + coarse_fix, np.nan), field1.valid
-    )
+    stage1 = fsk2_reconstruct(coarse_band, grid, array, FrequencySet((freqs[i], freqs[j])), workers=workers)
+    refined = grid.with_prior(stage1.depth, stage1.valid)
 
     # Stage two averages the fine pairs' differential phasors; their
     # effective difference frequency is the mean of the pair differences.
-    field2 = correlate_grid(baseband, refined, array, freqs, workers=workers)
-    avg = sum(differential_phasor(field2.data[..., i], field2.data[..., j]) for i, j in fine_pairs)
-    with np.errstate(invalid="ignore"):
-        fine_fix = phase_to_depth_correction(residual_phase(avg / len(fine_pairs)), float(np.mean(fine_deltas)))
-    return _image_from_correction(refined, field2, fine_fix)
+    phasors = correlate_grid(baseband, refined, array, freqs, workers=workers)
+    avg = sum(differential_phasor(phasors[..., i], phasors[..., j]) for i, j in fine_pairs)
+    return _corrected_image(refined, phasors, avg / len(fine_pairs), float(np.mean(fine_deltas)))
 
 
 def backproject(

@@ -1,10 +1,9 @@
 """Core signal types and closed-form phasor math for two-frequency depth
 correction.
 
-Everything here is a pure function over immutable inputs: distances between
-antennas and candidate points, unit-magnitude signal hypotheses, the
-differential phasor that converts a residual phase into a depth correction,
-and the unambiguous-correction window implied by a frequency difference.
+Everything here is a pure function over immutable inputs: the differential
+phasor that converts a residual phase into a depth correction, and the
+unambiguous-correction window implied by a frequency difference.
 
 Units are SI throughout: meters, hertz, radians. Complex values are
 double-precision (complex128).
@@ -204,26 +203,6 @@ class BasebandTensor:
                 f"baseband shape {(t, r, f)} does not match array "
                 f"{(array.n_tx, array.n_rx)} and {len(freqs)} frequencies"
             )
-
-
-def round_trip_distance(tx, rx, p) -> float:
-    """Path length from a TX element to a point and back to an RX element.
-
-    Accepts single 3-vectors or broadcastable stacks of them.
-    """
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = np.asarray(rx, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    d = np.linalg.norm(tx - p, axis=-1) + np.linalg.norm(rx - p, axis=-1)
-    return float(d) if np.ndim(d) == 0 else d
-
-
-def hypothesis_phasor(rho, f: float):
-    """Expected unit phasor for an echo that travelled ``rho`` meters at
-    carrier ``f``: exp(-j 2 pi f rho / c)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    out = np.exp(-2j * np.pi * f / SPEED_OF_LIGHT * rho)
-    return complex(out) if np.ndim(out) == 0 else out
 
 
 def max_unambiguous_depth(delta_f: float) -> float:

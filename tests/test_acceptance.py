@@ -165,7 +165,7 @@ def test_correlation_matches_serial_reference():
     worst = 0.0
     for seed in range(10):
         baseband, grid, array, freqs = random_instance(seed)
-        got = __import__("mmfsk").correlate_grid(baseband, grid, array, freqs).data
+        got = __import__("mmfsk").correlate_grid(baseband, grid, array, freqs)
         want = reference_correlation(baseband, grid, array, freqs)
         scale = np.abs(want[np.isfinite(want)]).max()
         worst = max(worst, float(np.abs(got - want)[grid.valid].max() / scale))

@@ -72,6 +72,23 @@ class TestSimulate:
         assert key in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,command,key", [
+        ({"grid": {"width": 8, "height": 8}}, "simulate", "spacing"),
+        ({"methods": ["bp"], "voxel": {"extents": [0.02, 0.02, 0.02], "center": [0, 0, 0.3]}},
+         "reconstruct", "resolution"),
+        ({"scene": {"kind": "plane"}}, "simulate", "params"),
+        ({"scene": {"kind": "plane", "params": {"extent": 0.06}}}, "simulate", "depth"),
+        ({"scene": {"kind": "step", "params": {"extent": 0.06}}}, "simulate", "levels"),
+        ({"array": {"n_tx": 4, "n_rx": 4}}, "simulate", "aperture"),
+        ({"sweep": {"runs": [{"method": "2fsk"}]}}, "sweep", "pair"),
+    ])
+    def test_missing_section_key_exits_1(self, tmp_path, caplog, overrides, command, key):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        if command == "reconstruct":
+            assert main(["simulate", "-c", str(cfg)]) == 0
+        assert main([command, "-c", str(cfg)]) == 1
+        assert "validation: config " in caplog.text and f"missing key '{key}'" in caplog.text
+
     def test_non_object_config_exits_1(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")

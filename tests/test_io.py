@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmfsk import BasebandTensor, CameraIntrinsics, CandidateGrid, Extrinsics, RadarImage
-from mmfsk.correlate import CorrelationField
 from mmfsk.errors import StructuralError
 from mmfsk import io as mio
 
@@ -56,21 +57,20 @@ class TestBinaryContainers:
         assert list(dims) == [2, 7, 4]
         assert len(raw) == 20 + 2 * 7 * 4 * 8
 
-    def test_field_round_trip_preserves_validity(self, tmp_path):
-        data = complex64_grid((6, 6, 2))
-        data[0, 0], data[3, 4] = np.nan, np.nan
-        valid = np.isfinite(data).all(axis=-1)
-        path = tmp_path / "t.fskc"
-        mio.write_field(path, CorrelationField(data=data, valid=valid))
-        back = mio.read_field(path)
-        assert np.array_equal(back.valid, valid)
-        assert np.array_equal(back.data[valid], data[valid])
-
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "t.fskt"
         mio.write_baseband(path, BasebandTensor(complex64_grid((2, 2, 1))))
-        with pytest.raises(StructuralError):
-            mio.read_field(path)
+        path.write_bytes(b"FSKC" + path.read_bytes()[4:])
+        with pytest.raises(StructuralError, match="magic"):
+            mio.read_baseband(path)
+
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "t.fskt"
+        mio.write_baseband(path, BasebandTensor(complex64_grid((2, 2, 1))))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", mio.CONTAINER_VERSION + 1) + raw[8:])
+        with pytest.raises(StructuralError, match="version"):
+            mio.read_baseband(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.fskt"
@@ -94,17 +94,6 @@ class TestBinaryContainers:
         path = tmp_path / "t.fskt"
         write_twice(mio.write_baseband, path, BasebandTensor(data))
         assert same_complex(mio.read_baseband(path).data, data.astype(np.complex64))
-
-    @PROPERTY
-    @given(hnp.arrays(np.complex128, shapes(3), elements=st.complex_numbers(allow_nan=True, allow_infinity=True)))
-    def test_field_round_trip_property(self, tmp_path, data):
-        with np.errstate(over="ignore"):  # magnitudes beyond complex64 become inf
-            want = data.astype(np.complex64)
-            path = tmp_path / "t.fskc"
-            write_twice(mio.write_field, path, CorrelationField(data=data, valid=np.isfinite(data).all(axis=-1)))
-        back = mio.read_field(path)
-        assert same_complex(back.data, want)
-        assert np.array_equal(back.valid, np.isfinite(want).all(axis=-1))
 
 
 class TestPfm:

@@ -21,7 +21,6 @@ from mmfsk import (
     surface_depth,
 )
 from mmfsk.errors import ConfigurationError, EmptyImageError
-from mmfsk.correlate import CorrelationField
 from mmfsk.reconstruct import RadarImage
 from mmfsk.simulate import NoiseSpec
 from scenarios import recovery_run
@@ -211,10 +210,10 @@ class TestThreeFrequency:
         scene, grid = plane_setup(desk_array, grid_n=24)
         bb = simulate_baseband(scene, desk_array, freqs, NoiseSpec(snr_db=25, seed=3))
         grid = grid.with_scalar_prior(0.31)
-        full = correlate_grid(bb, grid, desk_array, freqs).data
+        full = correlate_grid(bb, grid, desk_array, freqs)
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             pair = FrequencySet((freqs[i], freqs[j]))
-            two = correlate_grid(BasebandTensor(bb.data[..., [i, j]]), grid, desk_array, pair).data
+            two = correlate_grid(BasebandTensor(bb.data[..., [i, j]]), grid, desk_array, pair)
             assert np.array_equal(two, full[..., [i, j]], equal_nan=True)
 
     def test_stage_one_matches_full_carrier_field(self, desk_array, monkeypatch):
@@ -234,8 +233,7 @@ class TestThreeFrequency:
                 return real(band, g, array, fs, workers=workers)
             cols = [freqs.frequencies.index(f) for f in fs.frequencies]
             stage_one.append(cols)
-            field = real(bb, g, array, freqs, workers=workers)
-            return CorrelationField(field.data[..., cols], field.valid)
+            return real(bb, g, array, freqs, workers=workers)[..., cols]
 
         monkeypatch.setattr(reconstruct, "correlate_grid", full_stage_one)
         want = fsk3_reconstruct(bb, grid, desk_array, freqs)

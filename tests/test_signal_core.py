@@ -14,12 +14,11 @@ from mmfsk import (
     Scene,
     correlate_grid,
     differential_phasor,
-    hypothesis_phasor,
     max_unambiguous_depth,
     phase_to_depth_correction,
+    precompute_distance_tables,
     principal_phase,
     residual_phase,
-    round_trip_distance,
     simulate_baseband,
 )
 from mmfsk.errors import ConfigurationError
@@ -52,52 +51,39 @@ class TestMaxUnambiguousDepth:
             max_unambiguous_depth(-1e9)
 
 
+def round_trip(tx, rx, p) -> float:
+    """TX -> p -> RX path length from the distance tables both kernels use."""
+    dtx, drx = precompute_distance_tables(p, AntennaArray(tx, rx))
+    return float(dtx[0] + drx[0])
+
+
 class TestRoundTripDistance:
     def test_monostatic_on_axis(self):
-        assert round_trip_distance((0, 0, 0), (0, 0, 0), (0, 0, 0.5)) == pytest.approx(1.0)
+        assert round_trip((0, 0, 0), (0, 0, 0), (0, 0, 0.5)) == pytest.approx(1.0)
 
     def test_bistatic_pythagoras(self):
-        d = round_trip_distance((0.1, 0, 0), (-0.1, 0, 0), (0, 0, 0.3))
+        d = round_trip((0.1, 0, 0), (-0.1, 0, 0), (0, 0, 0.3))
         assert d == pytest.approx(2 * np.sqrt(0.01 + 0.09), rel=1e-12)
 
     def test_against_high_precision_oracle(self):
+        # Every (point, TX, RX) round trip of a batch: tx table [n, t] plus
+        # rx table [n, r], against a 50-digit evaluation.
+        def dist(a, b):
+            return mpmath.sqrt(sum((mpmath.mpf(a[i]) - mpmath.mpf(b[i])) ** 2 for i in range(3)))
+
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            tx, rx, p = rng.normal(0, 0.5, (3, 3))
-            with mpmath.workdps(50):
-                expect = sum(
-                    mpmath.sqrt(sum((mpmath.mpf(a[i]) - mpmath.mpf(p[i])) ** 2 for i in range(3)))
-                    for a in (tx, rx)
-                )
-            assert round_trip_distance(tx, rx, p) == pytest.approx(float(expect), rel=1e-14)
+        for _ in range(10):
+            tx, rx, pts = rng.normal(0, 0.5, (3, 3)), rng.normal(0, 0.5, (4, 3)), rng.normal(0, 0.5, (5, 3))
+            dtx, drx = precompute_distance_tables(pts, AntennaArray(tx, rx))
+            for n, p in enumerate(pts):
+                for t, a in enumerate(tx):
+                    for r, b in enumerate(rx):
+                        with mpmath.workdps(50):
+                            expect = dist(a, p) + dist(b, p)
+                        assert dtx[n, t] + drx[n, r] == pytest.approx(float(expect), rel=1e-14)
 
     def test_zero_only_when_coincident(self):
-        assert round_trip_distance((0, 0, 0), (0, 0, 0), (0, 0, 0)) == 0.0
-
-
-class TestHypothesisPhasor:
-    def test_zero_path(self):
-        assert hypothesis_phasor(0.0, 80e9) == pytest.approx(1.0 + 0j)
-
-    def test_full_wrap(self):
-        f = 80e9
-        assert hypothesis_phasor(SPEED_OF_LIGHT / f, f) == pytest.approx(1.0 + 0j, abs=1e-12)
-
-    def test_quarter_period(self):
-        f = 80e9
-        assert hypothesis_phasor(SPEED_OF_LIGHT / (4 * f), f) == pytest.approx(-1j, abs=1e-12)
-
-    def test_periodicity_over_random_paths(self):
-        f = 77e9
-        rng = np.random.default_rng(11)
-        rho = rng.uniform(0.0, 2.0, 150)
-        period = SPEED_OF_LIGHT / f
-        assert np.abs(hypothesis_phasor(rho + period, f) - hypothesis_phasor(rho, f)).max() < 1e-9
-
-    def test_unit_magnitude(self):
-        rng = np.random.default_rng(2)
-        rho = rng.uniform(0, 3, 100)
-        assert np.abs(np.abs(hypothesis_phasor(rho, 72e9)) - 1.0).max() < 1e-14
+        assert round_trip((0, 0, 0), (0, 0, 0), (0, 0, 0)) == 0.0
 
 
 class TestDifferentialPhasor:
@@ -180,8 +166,8 @@ class TestClosedLoopCorrection:
         scene = Scene(np.array([[0.0, 0.0, truth]]), np.ones(1, complex), np.zeros(1))
         baseband = simulate_baseband(scene, array, freqs)
         grid = CandidateGrid.regular(1, 1, 1.0).with_scalar_prior(prior)
-        field = correlate_grid(baseband, grid, array, freqs)
-        diff = differential_phasor(field.data[0, 0, 0], field.data[0, 0, 1])
+        phasors = correlate_grid(baseband, grid, array, freqs)
+        diff = differential_phasor(phasors[0, 0, 0], phasors[0, 0, 1])
         delta_d = phase_to_depth_correction(residual_phase(diff), freqs.delta())
         assert delta_d == pytest.approx(truth - prior, abs=1e-6)
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics
-from .errors import StructuralError
+from .errors import ConfigurationError, StructuralError
 from .reconstruct import RadarImage
 from .signal_core import BasebandTensor
 
@@ -131,10 +132,18 @@ def read_ply(path):
 
 def save_candidate_grid(path, grid: CandidateGrid) -> None:
     """Persist a prior grid as a JSON document embedding geometry and the
-    per-pixel prior (NaN encodes invalid pixels)."""
+    per-pixel prior (NaN encodes invalid pixels).
+
+    The axes ``x`` and ``y`` are stored value by value, so they load back
+    bit for bit. ``width``, ``height``, ``x0``, ``y0``, ``dx`` and ``dy``
+    describe the same axes for readers that rebuild them from origin and
+    pitch, such as the benchmark's output check; the loader ignores them.
+    """
     doc = {
         "width": grid.width,
         "height": grid.height,
+        "x": [float(v) for v in grid.x],
+        "y": [float(v) for v in grid.y],
         "x0": float(grid.x[0]),
         "y0": float(grid.y[0]),
         "dx": grid.spacing[0],
@@ -149,13 +158,10 @@ def save_candidate_grid(path, grid: CandidateGrid) -> None:
 
 def load_candidate_grid(path) -> CandidateGrid:
     doc = load_json(path)
-    w, h = int(doc["width"]), int(doc["height"])
-    x = doc["x0"] + np.arange(w) * (doc["dx"] or 1.0)
-    y = doc["y0"] + np.arange(h) * (doc["dy"] or 1.0)
-    prior = np.array(
-        [[np.nan if v is None else float(v) for v in row] for row in doc["prior_depth"]]
-    )
-    return CandidateGrid(x, y, prior, np.isfinite(prior))
+    x, y, rows = (_require(doc, key, path) for key in ("x", "y", "prior_depth"))
+    prior = np.array([[np.nan if v is None else float(v) for v in row] for row in rows])
+    return CandidateGrid(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+                         prior, np.isfinite(prior))
 
 
 def save_calibration(path, intrinsics: CameraIntrinsics, extrinsics: Extrinsics) -> None:
@@ -176,12 +182,26 @@ def save_calibration(path, intrinsics: CameraIntrinsics, extrinsics: Extrinsics)
 
 def load_calibration(path):
     doc = load_json(path)
-    intr = CameraIntrinsics(**{k: float(v) for k, v in doc["intrinsics"].items()})
+    intr_doc = _require(doc, "intrinsics", path)
+    names = [f.name for f in fields(CameraIntrinsics)]
+    values = {k: float(_require(intr_doc, k, path)) for k in names}
+    unknown = sorted(set(intr_doc) - set(names))
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown intrinsics key(s) {unknown}; allowed: {names}")
+    ext_doc = _require(doc, "extrinsics", path)
     ext = Extrinsics(
-        np.asarray(doc["extrinsics"]["rotation"], dtype=np.float64),
-        np.asarray(doc["extrinsics"]["translation"], dtype=np.float64),
+        np.asarray(_require(ext_doc, "rotation", path), dtype=np.float64),
+        np.asarray(_require(ext_doc, "translation", path), dtype=np.float64),
     )
-    return intr, ext
+    return CameraIntrinsics(**values), ext
+
+
+def _require(doc, key, path):
+    """``doc[key]`` of a JSON document read from ``path``; a missing key is
+    a validation error that names the file and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigurationError(f"{path}: missing key {key!r}")
+    return doc[key]
 
 
 def export_radar_image(outdir, stem: str, image: RadarImage) -> list:

@@ -194,6 +194,12 @@ def render_depth_map(
     it with the analytic surface by bisection on camera depth. Pixels whose
     rays miss the surface footprint come back invalid, which is exactly how
     real depth cameras fail.
+
+    The bracket comes from a coarse scan of 64 camera depths from 1 cm to
+    3 m. The scan carries only the rays that have not yet crossed from in
+    front of the surface to behind it: a ray leaves at its first crossing,
+    and a ray that never crosses is scanned to the end and comes back
+    invalid. Bisection then runs on the bracketed rays alone.
     """
     u = np.arange(width, dtype=np.float64)
     v = np.arange(height, dtype=np.float64)
@@ -206,29 +212,30 @@ def render_depth_map(
         ],
         axis=-1,
     )  # camera-frame ray per unit camera depth
-    rot = extrinsics.rotation
-    trans = extrinsics.translation
-    dirs_r = dirs @ rot.T  # radar-frame direction per unit camera depth
+    # radar-frame direction per unit camera depth, one contiguous array per axis
+    dirs_r = np.ascontiguousarray((dirs @ extrinsics.rotation.T).reshape(-1, 3).T)
+    t_x, t_y, t_z = (float(t) for t in extrinsics.translation)
 
-    def gap(s, dirs):
-        p = s[..., None] * dirs + trans
-        return p[..., 2] - surface_depth(kind, params, p[..., 0], p[..., 1])
+    def gap(s, d):
+        return (s * d[2] + t_z) - surface_depth(kind, params, s * d[0] + t_x, s * d[1] + t_y)
 
-    # Coarse scan from 1 cm to 3 m for the first front-to-behind crossing
-    # along each ray, then bisection inside that bracket. Rays that never
-    # cross the surface footprint stay invalid.
     steps = np.linspace(0.01, 3.0, 64)
-    lo = np.full((height, width), np.nan)
-    hi = np.full((height, width), np.nan)
-    g_prev = gap(np.full((height, width), steps[0]), dirs_r)
+    hi = np.full(width * height, np.nan)
+    ray = np.arange(width * height)  # rays not yet crossed, with their directions
+    d = dirs_r
+    g_prev = gap(steps[0], d)
     for s in steps[1:]:
-        g_cur = gap(np.full((height, width), s), dirs_r)
-        crossing = np.isnan(lo) & (g_prev < 0.0) & (g_cur >= 0.0)
-        lo[crossing] = s - (steps[1] - steps[0])
-        hi[crossing] = s
+        g_cur = gap(s, d)
+        crossing = (g_prev < 0.0) & (g_cur >= 0.0)
+        if crossing.any():
+            hi[ray[crossing]] = s
+            keep = ~crossing
+            ray, d, g_cur = ray[keep], d[:, keep], g_cur[keep]
         g_prev = g_cur
-    valid = np.isfinite(lo)
-    lo, hi, dirs_v = lo[valid], hi[valid], dirs_r[valid]
+    valid = np.isfinite(hi)
+    hi = hi[valid]
+    lo = hi - (steps[1] - steps[0])
+    dirs_v = dirs_r[:, valid]
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         below = ~(gap(mid, dirs_v) >= 0.0)  # NaN mid-samples keep searching outward
@@ -239,7 +246,8 @@ def render_depth_map(
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
-    depth = np.full((height, width), np.nan)
+    depth = np.full(width * height, np.nan)
     depth[valid] = 0.5 * (lo + hi)
     valid[valid] = np.isfinite(gap(depth[valid], dirs_v))
-    return OpticalDepthMap(depth=np.where(valid, depth, np.nan), valid=valid)
+    depth[~valid] = np.nan
+    return OpticalDepthMap(depth=depth.reshape(height, width), valid=valid.reshape(height, width))

@@ -142,6 +142,33 @@ class TestPrior:
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "camera", "calibration": str(bad)})
         assert main(["prior", "-c", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("intrinsics, message", [
+        ({"f_u": 100.0, "f_v": 100.0, "c_u": 32.0}, "missing key 'c_v'"),
+        ({"f_u": 100.0, "f_v": 100.0, "c_u": 32.0, "c_v": 32.0, "skew": 0.0},
+         "unknown intrinsics key(s) ['skew']"),
+    ], ids=["missing", "unknown"])
+    def test_calibration_intrinsics_keys_exit_1(self, tmp_path, caplog, intrinsics, message):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({
+            "intrinsics": intrinsics,
+            "extrinsics": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0]},
+        }))
+        cfg = write_config(tmp_path / "cfg.json", prior={"mode": "camera", "calibration": str(cal)})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: {cal}: {message}" in caplog.text
+
+    def test_prior_grid_without_axis_exits_1(self, tmp_path, caplog):
+        # a grid document that gives the x axis only as origin and pitch
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["prior", "-c", str(cfg)]) == 0
+        grid_path = tmp_path / "grid.json"
+        doc = mio.load_json(tmp_path / "out" / "prior_grid.json")
+        del doc["x"]
+        mio.dump_json(grid_path, doc)
+        cfg = write_config(tmp_path / "cfg.json", prior={"mode": "file", "path": str(grid_path)})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: {grid_path}: missing key 'x'" in caplog.text
+
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "telepathy"})
         assert main(["prior", "-c", str(cfg)]) == 1

@@ -72,6 +72,12 @@ def reference_render(kind, params, intrinsics, extrinsics, width, height,
     return np.where(valid, depth, np.nan), valid
 
 
+# (intrinsics, width, height) of the renderer comparisons: a small camera,
+# and the benchmark's 240 x 240 calibration (focal 3 px per pixel of width)
+SMALL_CAMERA = (CameraIntrinsics(f_u=150.0, f_v=160.0, c_u=23.5, c_v=20.0), 48, 40)
+BENCH_CAMERA = (CameraIntrinsics(f_u=720.0, f_v=720.0, c_u=119.5, c_v=119.5), 240, 240)
+
+
 def single_target(pos, amp=1.0, phase=0.0):
     return Scene(np.asarray([pos], dtype=float), np.array([amp], dtype=complex), np.array([phase]))
 
@@ -223,21 +229,46 @@ class TestRenderDepthMap:
         assert np.abs(gap).max() < 1e-6
 
     @pytest.mark.parametrize(
-        "kind, params",
+        "kind, params, camera",
         [
-            ("plane", {"depth": 0.31, "extent": 0.12, "tilt_x": 0.06, "tilt_y": -0.03}),
-            ("sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.12}),
-            ("step", {"levels": [0.28, 0.31], "split": 0.003, "extent": 0.08}),
+            pytest.param("plane", {"depth": 0.31, "extent": 0.12, "tilt_x": 0.06, "tilt_y": -0.03},
+                         SMALL_CAMERA, id="plane-params0"),
+            pytest.param("sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.12},
+                         SMALL_CAMERA, id="sphere-cap-params1"),
+            pytest.param("step", {"levels": [0.28, 0.31], "split": 0.003, "extent": 0.08},
+                         SMALL_CAMERA, id="step-params2"),
+            # rays cross in 16 different coarse step intervals, between 0.3 and 1.25 m
+            pytest.param("plane", {"depth": 0.5, "extent": 0.2, "tilt_x": 8.0},
+                         SMALL_CAMERA, id="steep-tilt"),
+            # the surface lies 4 cm in front of the camera: every crossing is in
+            # the first step interval
+            pytest.param("plane", {"depth": 0.03, "extent": 0.008, "center": (0.01, 0.005)},
+                         SMALL_CAMERA, id="first-interval"),
+            # every crossing is in the last step interval, from 2.95 to 3 m
+            pytest.param("plane", {"depth": 2.97, "extent": 0.6},
+                         SMALL_CAMERA, id="last-interval"),
+            # the camera sits beside the footprint, so every ray starts with a
+            # NaN gap; some enter in front of the surface and cross it, others
+            # enter behind it and stay invalid
+            pytest.param("plane", {"depth": 0.3, "extent": 0.04, "center": (0.04, 0.0), "tilt_x": 0.5},
+                         SMALL_CAMERA, id="enters-footprint"),
+            # rays that cross the near level at x < 0.02 go on into the far
+            # level's half, in front of it, and cross again: the first
+            # crossing must stay the bracket
+            pytest.param("step", {"levels": [0.1, 0.6], "split": 0.02, "extent": 0.2},
+                         SMALL_CAMERA, id="crosses-twice"),
+            pytest.param("step", {"levels": [0.285, 0.315], "split": 0.003, "extent": 0.08},
+                         BENCH_CAMERA, id="bench-camera-step"),
         ],
     )
     @pytest.mark.parametrize("iterations", [60, 20])
-    def test_matches_fixed_step_bisection(self, kind, params, iterations):
-        intr = CameraIntrinsics(f_u=150.0, f_v=160.0, c_u=23.5, c_v=20.0)
+    def test_matches_fixed_step_bisection(self, kind, params, camera, iterations):
+        intr, width, height = camera
         ang = np.deg2rad(2.0)
         rot = np.array([[np.cos(ang), 0, np.sin(ang)], [0, 1, 0], [-np.sin(ang), 0, np.cos(ang)]])
         ext = Extrinsics(rot, np.array([0.01, 0.005, -0.01]))
-        dm = render_depth_map(kind, params, intr, ext, 48, 40, iterations=iterations)
-        depth, valid = reference_render(kind, params, intr, ext, 48, 40, iterations=iterations)
+        dm = render_depth_map(kind, params, intr, ext, width, height, iterations=iterations)
+        depth, valid = reference_render(kind, params, intr, ext, width, height, iterations=iterations)
         assert valid.any() and not valid.all()
         assert np.array_equal(dm.valid, valid)
         assert dm.depth.tobytes() == depth.tobytes()

@@ -6,12 +6,17 @@ phasor over all TX-RX pairs: measurement times conjugated hypothesis,
 averaged. The hypothesis of a pair factorizes into a TX phasor and an RX
 phasor, so per carrier the pair sum is a row dot of (E_tx @ D) with E_rx:
 one (points x T) by (T x R) complex GEMM over one-way distance tables (T + R
-norms per point instead of T*R). Points go through the GEMM in blocks of a
-fixed 256 rows, zero-padded at the end, with block boundaries at multiples
-of 256 of the global point index; each worker takes a contiguous run of
-whole blocks. BLAS therefore sees the same block shape for every point, and
-the result is bit-identical no matter how candidates are split across
-workers or BLAS threads.
+distances per point instead of T*R). The tables are built axis by axis as
+sqrt((dx*dx + dy*dy) + dz*dz) on (points x T) arrays. That is the summation
+order of ``np.linalg.norm``, so the bits are the same without its
+(points x T x 3) temporary. ``phasor_table`` turns a table into exp(j b d)
+by writing b*d into the imaginary half of a complex buffer and taking
+``exp`` in place; the forward model builds its tables with it too. Points
+go through the GEMM in blocks of a fixed 256 rows, zero-padded at the end,
+with block boundaries at multiples of 256 of the global point index; each
+worker takes a contiguous run of whole blocks. BLAS therefore sees the same
+block shape for every point, and the result is bit-identical no matter how
+candidates are split across workers or BLAS threads.
 
 Complex ``exp`` of the phasor tables, not the GEMM, dominates a block with
 many carriers. When three or more carriers lie on a uniform grid (every
@@ -122,10 +127,34 @@ def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     ``p`` is one point ``(3,)`` or a batch ``(N, 3)``; the tables have shape
     ``(T,)``, ``(R,)`` or ``(N, T)``, ``(N, R)``.
     """
-    p = np.expand_dims(np.asarray(p, dtype=np.float64), -2)
-    tx_dists = np.linalg.norm(array.tx_positions - p, axis=-1)
-    rx_dists = np.linalg.norm(p - array.rx_positions, axis=-1)
-    return tx_dists, rx_dists
+    p = np.asarray(p, dtype=np.float64)
+    return _distances(p, array.tx_positions), _distances(p, array.rx_positions)
+
+
+def _distances(p: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each point of ``p`` to each element, built
+    axis by axis as sqrt((dx*dx + dy*dy) + dz*dz) in two table-sized
+    buffers. That is the summation order of ``np.linalg.norm`` over the
+    last axis, so the bits match it without its (N, T, 3) temporary."""
+    acc = np.subtract(p[..., 0, None], elements[:, 0])
+    acc *= acc
+    diff = np.empty_like(acc)
+    for axis in (1, 2):
+        np.subtract(p[..., axis, None], elements[:, axis], out=diff)
+        diff *= diff
+        acc += diff
+    return np.sqrt(acc, out=acc)
+
+
+def phasor_table(b: float, d: np.ndarray) -> np.ndarray:
+    """exp(j*b*d) for a real wavenumber ``b`` and a distance table ``d``:
+    b*d goes into the imaginary half of a zeroed complex buffer and ``exp``
+    runs in place, so ``d`` is never promoted to complex. The bits equal
+    ``np.exp(complex(0, b) * d)`` except at d == 0 with b < 0 (the forward
+    model's sign), which gives exp(-0j) for exp(+0j)."""
+    out = np.zeros(d.shape, dtype=np.complex128)
+    np.multiply(d, b, out=out.imag)
+    return np.exp(out, out=out)
 
 
 def _uniform_step(carriers) -> float | None:
@@ -141,22 +170,22 @@ def _uniform_step(carriers) -> float | None:
     return step
 
 
-def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, carriers) -> np.ndarray:
+def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers,
+                  step_wavenumber: float | None) -> np.ndarray:
     """Mean pair phasors of one block of points; ``cube`` is the baseband
-    as contiguous (F, T, R) slices so each GEMM reads one carrier. On a
-    uniform carrier grid the tables between anchors come from the carrier
-    recurrence described in the module docstring."""
+    as contiguous (F, T, R) slices so each GEMM reads one carrier, and
+    ``wavenumbers`` are 2 pi f_k / c (conjugated hypothesis:
+    exp(+j 2 pi f rho / c)). With a ``step_wavenumber`` the tables between
+    anchors come from the carrier recurrence described in the module
+    docstring."""
     n_f, n_t, n_r = cube.shape
     dtx, drx = precompute_distance_tables(points, array)
-    step = _uniform_step(carriers)
-    if step is not None:
-        w_step = 2j * np.pi * step / SPEED_OF_LIGHT
-        step_tx, step_rx = np.exp(w_step * dtx), np.exp(w_step * drx)
+    if step_wavenumber is not None:
+        step_tx, step_rx = phasor_table(step_wavenumber, dtx), phasor_table(step_wavenumber, drx)
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
-    for k, f in enumerate(carriers):
-        if step is None or k % _ANCHOR_EVERY == 0:
-            w = 2j * np.pi * f / SPEED_OF_LIGHT  # conjugated hypothesis: exp(+j 2 pi f rho / c)
-            e_tx, e_rx = np.exp(w * dtx), np.exp(w * drx)
+    for k, b in enumerate(wavenumbers):
+        if step_wavenumber is None or k % _ANCHOR_EVERY == 0:
+            e_tx, e_rx = phasor_table(b, dtx), phasor_table(b, drx)
         else:
             e_tx *= step_tx
             e_rx *= step_rx
@@ -185,12 +214,15 @@ def mean_pair_phasors(
     padded = np.zeros((n_blocks * _BLOCK_ROWS, 3))
     padded[:n] = pts
     cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
+    wavenumbers = 2 * np.pi * np.asarray(freqs.frequencies) / SPEED_OF_LIGHT
+    step = _uniform_step(freqs.frequencies)
+    step_wavenumber = None if step is None else 2 * np.pi * step / SPEED_OF_LIGHT
     out = np.empty((padded.shape[0], len(freqs)), dtype=np.complex128)
 
     def run(lo: int, hi: int) -> None:
         for start in range(lo * _BLOCK_ROWS, hi * _BLOCK_ROWS, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            out[rows] = _phasor_block(padded[rows], cube, array, freqs.frequencies)
+            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers, step_wavenumber)
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(int(n_workers), n_blocks))

@@ -13,6 +13,7 @@ import hashlib
 import json
 import struct
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -132,36 +133,34 @@ def read_ply(path):
 
 def save_candidate_grid(path, grid: CandidateGrid) -> None:
     """Persist a prior grid as a JSON document embedding geometry and the
-    per-pixel prior (NaN encodes invalid pixels).
+    per-pixel prior (null marks the pixels without one).
 
     The axes ``x`` and ``y`` are stored value by value, so they load back
     bit for bit. ``width``, ``height``, ``x0``, ``y0``, ``dx`` and ``dy``
     describe the same axes for readers that rebuild them from origin and
     pitch, such as the benchmark's output check; the loader ignores them.
     """
+    prior = grid.prior_depth.astype(object)
+    prior[~np.isfinite(grid.prior_depth)] = None
     doc = {
         "width": grid.width,
         "height": grid.height,
-        "x": [float(v) for v in grid.x],
-        "y": [float(v) for v in grid.y],
+        "x": grid.x.tolist(),
+        "y": grid.y.tolist(),
         "x0": float(grid.x[0]),
         "y0": float(grid.y[0]),
         "dx": grid.spacing[0],
         "dy": grid.spacing[1],
-        "prior_depth": [
-            [None if not np.isfinite(v) else float(v) for v in row]
-            for row in grid.prior_depth
-        ],
+        "prior_depth": prior.tolist(),
     }
     dump_json(path, doc)
 
 
 def load_candidate_grid(path) -> CandidateGrid:
     doc = load_json(path)
-    x, y, rows = (_require(doc, key, path) for key in ("x", "y", "prior_depth"))
-    prior = np.array([[np.nan if v is None else float(v) for v in row] for row in rows])
-    return CandidateGrid(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
-                         prior, np.isfinite(prior))
+    x, y = (_numbers(doc, key, path, 1) for key in ("x", "y"))
+    prior = _numbers(doc, "prior_depth", path, 2, nulls=True)
+    return CandidateGrid(x, y, prior, np.isfinite(prior))
 
 
 def save_calibration(path, intrinsics: CameraIntrinsics, extrinsics: Extrinsics) -> None:
@@ -184,15 +183,12 @@ def load_calibration(path):
     doc = load_json(path)
     intr_doc = _require(doc, "intrinsics", path)
     names = [f.name for f in fields(CameraIntrinsics)]
-    values = {k: float(_require(intr_doc, k, path)) for k in names}
+    values = {k: float(_numbers(intr_doc, k, path, 0)) for k in names}
     unknown = sorted(set(intr_doc) - set(names))
     if unknown:
         raise ConfigurationError(f"{path}: unknown intrinsics key(s) {unknown}; allowed: {names}")
     ext_doc = _require(doc, "extrinsics", path)
-    ext = Extrinsics(
-        np.asarray(_require(ext_doc, "rotation", path), dtype=np.float64),
-        np.asarray(_require(ext_doc, "translation", path), dtype=np.float64),
-    )
+    ext = Extrinsics(_numbers(ext_doc, "rotation", path, 2), _numbers(ext_doc, "translation", path, 1))
     return CameraIntrinsics(**values), ext
 
 
@@ -202,6 +198,22 @@ def _require(doc, key, path):
     if not isinstance(doc, dict) or key not in doc:
         raise ConfigurationError(f"{path}: missing key {key!r}")
     return doc[key]
+
+
+def _numbers(doc, key, path, ndim: int, nulls: bool = False) -> np.ndarray:
+    """``doc[key]`` as float64: a JSON number (``ndim`` 0), a list of
+    numbers (1) or a list of equal-length rows of numbers (2); with
+    ``nulls`` a null stands for NaN. Any other JSON type or shape is a
+    validation error that names the file and the key."""
+    value = _require(doc, key, path)
+    rows = [[value]] if ndim == 0 else [value] if ndim == 1 else value
+    allowed = {int, float, type(None)} if nulls else {int, float}  # bool is not int here
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1
+            and set(map(type, chain.from_iterable(rows))) <= allowed):
+        what = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
+        raise ConfigurationError(f"{path}: {key!r} must be {what}{' or null' if nulls else ''}")
+    return np.array(value, dtype=np.float64)
 
 
 def export_radar_image(outdir, stem: str, image: RadarImage) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import precompute_distance_tables
+from .correlate import phasor_table, precompute_distance_tables
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap
 from .errors import ConfigurationError
 from .signal_core import (
@@ -155,7 +155,7 @@ def simulate_baseband(
     n_t, n_r, n_f = array.n_tx, array.n_rx, len(freqs)
 
     data = np.zeros((n_t, n_r, n_f), dtype=np.complex128)
-    wavenumbers = [-2j * np.pi * f / SPEED_OF_LIGHT for f in freqs.frequencies]
+    wavenumbers = -2 * np.pi * np.asarray(freqs.frequencies) / SPEED_OF_LIGHT
 
     for start in range(0, scene.n_targets, _TARGET_CHUNK):
         sl = slice(start, start + _TARGET_CHUNK)
@@ -163,10 +163,10 @@ def simulate_baseband(
         amp = scene.reflectivities[sl] * np.exp(1j * scene.phase_offsets[sl])
         # (T, C) and (R, C) copies, so the einsum sums over contiguous targets
         dtx, drx = (np.ascontiguousarray(d.T) for d in precompute_distance_tables(pos, array))
-        for k, wk in enumerate(wavenumbers):
-            et = np.exp(wk * dtx) * amp[None, :]
-            er = np.exp(wk * drx)
-            data[:, :, k] += np.einsum("tc,rc->tr", et, er)
+        for k, b in enumerate(wavenumbers):
+            et = phasor_table(b, dtx)
+            et *= amp
+            data[:, :, k] += np.einsum("tc,rc->tr", et, phasor_table(b, drx))
 
     if noise.enabled:
         power = float(np.mean(np.abs(data) ** 2))

@@ -169,6 +169,43 @@ class TestPrior:
         assert main(["prior", "-c", str(cfg)]) == 1
         assert f"validation: {grid_path}: missing key 'x'" in caplog.text
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("intrinsics", "f_u", None, "'f_u' must be a number"),
+        ("intrinsics", "f_u", "100.0", "'f_u' must be a number"),
+        ("extrinsics", "rotation", [[1, 0, 0], [0, None, 0], [0, 0, 1]],
+         "'rotation' must be a list of equal-length rows of numbers"),
+    ], ids=["null", "string", "null-in-rotation"])
+    def test_calibration_value_of_wrong_type_exits_1(self, tmp_path, caplog, section, key, value, message):
+        doc = {
+            "intrinsics": {"f_u": 100.0, "f_v": 100.0, "c_u": 32.0, "c_v": 32.0},
+            "extrinsics": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 0]},
+        }
+        doc[section][key] = value
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "cfg.json", prior={"mode": "camera", "calibration": str(cal)})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: {cal}: {message}" in caplog.text
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("x", lambda v: v[:1] + [None] + v[2:], "'x' must be a list of numbers"),
+        ("y", lambda v: [None] + v[1:], "'y' must be a list of numbers"),
+        ("prior_depth", lambda v: v[0], "'prior_depth' must be a list of equal-length rows"),
+        ("prior_depth", lambda v: 0.3, "'prior_depth' must be a list of equal-length rows"),
+        ("prior_depth", lambda v: [v[0], v[1][:-1]] + v[2:], "'prior_depth' must be a list of equal-length rows"),
+        ("prior_depth", lambda v: [["0.3"] + v[0][1:]] + v[1:], "'prior_depth' must be a list of equal-length rows"),
+    ], ids=["null-in-x", "null-in-y", "flat-prior", "scalar-prior", "ragged-prior", "string-in-prior"])
+    def test_prior_grid_of_wrong_type_exits_1(self, tmp_path, caplog, key, edit, message):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["prior", "-c", str(cfg)]) == 0
+        grid_path = tmp_path / "grid.json"
+        doc = mio.load_json(tmp_path / "out" / "prior_grid.json")
+        doc[key] = edit(doc[key])
+        mio.dump_json(grid_path, doc)
+        cfg = write_config(tmp_path / "cfg.json", prior={"mode": "file", "path": str(grid_path)})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: {grid_path}: {message}" in caplog.text
+
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "telepathy"})
         assert main(["prior", "-c", str(cfg)]) == 1

@@ -21,7 +21,7 @@ from mmfsk import (
     precompute_distance_tables,
     simulate_baseband,
 )
-from mmfsk.correlate import _uniform_step
+from mmfsk.correlate import _uniform_step, phasor_table
 from mmfsk.errors import InsufficientDataError, StructuralError
 
 
@@ -43,6 +43,13 @@ def reference_correlation(baseband, grid, array, freqs):
                         acc += baseband.data[t, r, k] * np.exp(2j * np.pi * f * rho / SPEED_OF_LIGHT)
                 out[v, u, k] = acc / array.n_pairs
     return out
+
+
+def norm_distance_tables(p, array):
+    """Distance-table reference: ``np.linalg.norm`` over (..., T, 3)
+    differences."""
+    p = np.expand_dims(np.asarray(p, dtype=np.float64), -2)
+    return np.linalg.norm(array.tx_positions - p, axis=-1), np.linalg.norm(p - array.rx_positions, axis=-1)
 
 
 def reference_phasor_block(points, cube, array, carriers):
@@ -264,10 +271,29 @@ class TestDistanceTables:
             one_tx, one_rx = precompute_distance_tables(p, desk_array)
             assert np.array_equal(one_tx, tx_row) and np.array_equal(one_rx, rx_row)
 
+    @pytest.mark.parametrize("case", ["point", "batch", "generic-array", "full-profile"])
+    def test_equals_norm_reference(self, desk_array, case):
+        rng = np.random.default_rng(8)
+        array = desk_array
+        if case == "point":
+            p = rng.uniform(-0.05, 0.05, 3) + [0, 0, 0.3]
+        elif case == "generic-array":
+            # elements off the z=0 cross, with nonzero y and z on both sides
+            array = AntennaArray(rng.uniform(-0.1, 0.1, (9, 3)), rng.uniform(-0.1, 0.1, (7, 3)))
+            p = rng.uniform(-0.3, 0.3, (50, 3))
+        else:
+            if case == "full-profile":
+                array = mimo_cross_array(94, 94, 0.5)
+            p = rng.uniform(-0.1, 0.1, (300, 3)) + [0, 0, 0.3]
+        tx_d, rx_d = precompute_distance_tables(p, array)
+        ref_tx, ref_rx = norm_distance_tables(p, array)
+        assert tx_d.shape == ref_tx.shape and rx_d.shape == ref_rx.shape
+        assert np.array_equal(tx_d, ref_tx) and np.array_equal(rx_d, ref_rx)
+
     def test_caching_speedup(self):
-        # One-way tables replace T*R per-pair norms with T+R norms; the
+        # One-way tables replace T*R per-pair norms with T+R distances; the
         # correlation kernel consumes the tables directly, so the benchmark
-        # compares exactly the work the cache removes.
+        # times the library's tables against the per-pair norms they remove.
         array = mimo_cross_array(94, 94, 0.5)
         rng = np.random.default_rng(2)
         points = rng.uniform(-0.1, 0.1, (256, 3)) + [0, 0, 0.4]
@@ -275,8 +301,7 @@ class TestDistanceTables:
 
         t0 = time.perf_counter()
         for _ in range(3):
-            dt = np.linalg.norm(points[:, None, :] - tx[None], axis=-1)
-            dr = np.linalg.norm(points[:, None, :] - rx[None], axis=-1)
+            dt, dr = precompute_distance_tables(points, array)
         cached_time = time.perf_counter() - t0
 
         # Without the cache every (tx, rx) pair recomputes both of its norms.
@@ -292,6 +317,22 @@ class TestDistanceTables:
         cached = (dt[:, :, None] + dr[:, None, :]).reshape(len(points), array.n_pairs)
         assert np.abs(cached - full).max() < 1e-12
         assert naive_time >= 5.0 * cached_time
+
+
+class TestPhasorTable:
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["correlator", "forward-model"])
+    def test_equals_complex_promotion(self, sign):
+        rng = np.random.default_rng(9)
+        d = rng.uniform(1e-4, 1.0, (256, 94))
+        for f in (72e9, 77.3e9, 82e9):
+            w = sign * 2j * np.pi * f / SPEED_OF_LIGHT
+            assert np.array_equal(phasor_table(w.imag, d), np.exp(w * d))
+
+    def test_zero_distance_keeps_sign_of_phase(self):
+        d = np.array([0.0, 0.5])
+        for sign in (1.0, -1.0):
+            got = phasor_table(sign * 1500.0, d)
+            assert got[0] == 1.0 and np.signbit(got[0].imag) == (sign < 0)
 
 
 class TestMeanPairPhasors:

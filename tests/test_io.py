@@ -238,6 +238,28 @@ class TestGridAndCalibration:
         assert np.array_equal(back.x, grid.x)
         assert np.array_equal(back.y, grid.y)
 
+    def test_grid_bytes_match_reference_writer(self, tmp_path):
+        # The per-pixel writer the array pass replaced, kept as the reference.
+        def reference_save_candidate_grid(path, grid):
+            mio.dump_json(path, {
+                "width": grid.width, "height": grid.height,
+                "x": [float(v) for v in grid.x], "y": [float(v) for v in grid.y],
+                "x0": float(grid.x[0]), "y0": float(grid.y[0]),
+                "dx": grid.spacing[0], "dy": grid.spacing[1],
+                "prior_depth": [[None if not np.isfinite(v) else float(v) for v in row]
+                                for row in grid.prior_depth],
+            })
+
+        rng = np.random.default_rng(14)
+        prior = rng.uniform(0.2, 0.4, (37, 41))
+        prior[rng.random(prior.shape) < 0.2] = np.nan
+        prior[0, :3] = [np.inf, -np.inf, -0.0]
+        prior[1, :2] = [1e300, 5e-324]
+        grid = CandidateGrid.regular(41, 37, 0.001, center=(0.003, -0.002)).with_prior(prior)
+        mio.save_candidate_grid(tmp_path / "new.json", grid)
+        reference_save_candidate_grid(tmp_path / "ref.json", grid)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
     def test_calibration_round_trip(self, tmp_path):
         intr = CameraIntrinsics(200.0, 210.0, 32.0, 24.0)
         ang = 0.3

@@ -11,11 +11,13 @@ from mmfsk import (
     Scene,
     make_scene,
     mimo_cross_array,
+    precompute_distance_tables,
     render_depth_map,
     simulate_baseband,
     surface_depth,
 )
 from mmfsk.errors import ConfigurationError
+from mmfsk.simulate import _TARGET_CHUNK
 
 
 def reference_baseband(scene, array, freqs):
@@ -114,6 +116,26 @@ class TestSimulateBaseband:
         got = simulate_baseband(scene, array, freqs).data
         want = reference_baseband(scene, array, freqs)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+    def test_bits_match_promoted_exp_tables(self):
+        # The chunked einsum over phasors built as exp(w * d) with the
+        # distances promoted to complex: the forward model's bits before its
+        # tables were written through phasor_table.
+        array = mimo_cross_array(9, 7, 0.1)
+        freqs = FrequencySet((72e9, 77.3e9, 82e9))
+        rng = np.random.default_rng(12)
+        n = 2 * _TARGET_CHUNK + 76  # three target chunks, the last one short
+        scene = Scene(rng.uniform(-0.05, 0.05, (n, 3)) + [0, 0, 0.3],
+                      rng.normal(1.0, 0.2, n) + 0j, rng.uniform(-np.pi, np.pi, n))
+        want = np.zeros((array.n_tx, array.n_rx, len(freqs)), dtype=np.complex128)
+        for start in range(0, n, _TARGET_CHUNK):
+            sl = slice(start, start + _TARGET_CHUNK)
+            amp = scene.reflectivities[sl] * np.exp(1j * scene.phase_offsets[sl])
+            dtx, drx = (np.ascontiguousarray(d.T) for d in precompute_distance_tables(scene.positions[sl], array))
+            for k, f in enumerate(freqs.frequencies):
+                w = -2j * np.pi * f / SPEED_OF_LIGHT
+                want[:, :, k] += np.einsum("tc,rc->tr", np.exp(w * dtx) * amp[None, :], np.exp(w * drx))
+        assert np.array_equal(simulate_baseband(scene, array, freqs).data, want)
 
     def test_linearity_of_unions(self, tiny_array):
         freqs = FrequencySet((76e9, 78e9))

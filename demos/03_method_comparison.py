@@ -58,7 +58,7 @@ bb = simulate_baseband(scene, array, pair)
 t0 = time.perf_counter()
 img = fsk2_reconstruct(bb, grid.with_scalar_prior(scalar_prior), array, pair)
 timings["2fsk"] = time.perf_counter() - t0
-reports.append(evaluate_image(magnitude_filter(img), kind, params, grid, label="2fsk@d10.0"))
+reports.append(evaluate_image(magnitude_filter(img), kind, params, label="2fsk@d10.0"))
 
 # =============================================================================
 # Three carriers: the close pair (0.55 GHz apart) fixes the scalar prior
@@ -68,7 +68,7 @@ bb3 = simulate_baseband(scene, array, triple)
 t0 = time.perf_counter()
 img = fsk3_reconstruct(bb3, grid.with_scalar_prior(scalar_prior), array, triple)
 timings["3fsk"] = time.perf_counter() - t0
-reports.append(evaluate_image(magnitude_filter(img), kind, params, grid, label="3fsk@t0.5-10.0"))
+reports.append(evaluate_image(magnitude_filter(img), kind, params, label="3fsk@t0.5-10.0"))
 
 # =============================================================================
 # The multimodal route: per-pixel camera priors, same two carriers.
@@ -76,7 +76,7 @@ reports.append(evaluate_image(magnitude_filter(img), kind, params, grid, label="
 t0 = time.perf_counter()
 img = mm2fsk_reconstruct(bb, camera_prior, array, pair)
 timings["mm2fsk"] = time.perf_counter() - t0
-reports.append(evaluate_image(magnitude_filter(img), kind, params, grid, label="mm2fsk@d10.0"))
+reports.append(evaluate_image(magnitude_filter(img), kind, params, label="mm2fsk@d10.0"))
 
 # =============================================================================
 # Backprojection with sixteen carriers for reference.
@@ -86,9 +86,7 @@ spec = VoxelGridSpec((0.064, 0.064, 0.05), (65, 65, 26), (0.0, 0.0, 0.295))
 t0 = time.perf_counter()
 img = backproject(bb16, spec, array, wideband)
 timings["bp"] = time.perf_counter() - t0
-bp_grid = CandidateGrid(spec.axis(0), spec.axis(1),
-                        np.full((65, 65), np.nan), np.zeros((65, 65), dtype=bool))
-reports.append(evaluate_image(magnitude_filter(img), kind, params, bp_grid, label="bp@16f"))
+reports.append(evaluate_image(magnitude_filter(img), kind, params, label="bp@16f"))
 
 # =============================================================================
 

@@ -28,9 +28,9 @@ from scipy.stats import spearmanr
 from . import __version__
 from . import io as mio
 from .correlate import CandidateGrid
-from .depth_prior import CameraIntrinsics, Extrinsics, build_prior
-from .errors import ConfigurationError, NumericalError, ValidationError
-from .metrics import EvalReport, evaluate_image, report_table
+from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap, build_prior
+from .errors import ConfigurationError, NumericalError
+from .metrics import SCORES, EvalReport, evaluate_image, report_table
 from .reconstruct import (
     DEFAULT_FILTER_DB,
     RadarImage,
@@ -42,7 +42,7 @@ from .reconstruct import (
     mm2fsk_reconstruct,
 )
 from .signal_core import FrequencySet, mimo_cross_array
-from .simulate import NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
+from .simulate import SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
 
 log = logging.getLogger("mmfsk")
 
@@ -139,8 +139,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for name, default in DEFAULT_CONFIG.items():
         if name in SECTION_KEYS and not (cfg[name] is None and default is None):
             cfg[name] = _check_section(name, cfg[name], SECTION_KEYS[name])
-    if isinstance(cfg["scene"].get("params"), dict):
-        cfg["scene"]["params"] = _Section("scene.params", cfg["scene"]["params"])
+    scene = cfg["scene"]
+    if "params" in scene:
+        kind = scene["kind"]
+        if kind not in SCENE_PARAMS:
+            raise ConfigurationError(f"config scene: unknown kind {kind!r}; allowed: {list(SCENE_PARAMS)}")
+        scene["params"] = _check_section("scene.params", scene["params"], dict.fromkeys(SCENE_PARAMS[kind]))
     runs = (cfg["sweep"] or {}).get("runs") or []
     for i, run in enumerate(runs):
         runs[i] = run = _check_section(f"sweep.runs[{i}]", run, SECTION_KEYS["sweep.runs"])
@@ -150,7 +154,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _build_array(cfg: dict):
-    spec = cfg.get("array") or {}
+    spec = cfg["array"]
     if "profile" in spec:
         try:
             n_tx, n_rx, aperture = ARRAY_PROFILES[spec["profile"]]
@@ -162,7 +166,7 @@ def _build_array(cfg: dict):
 
 
 def _build_freqs(cfg: dict) -> FrequencySet:
-    spec = cfg.get("frequencies") or {}
+    spec = cfg["frequencies"]
     if "pair" in spec:
         return FrequencySet.from_pair_name(spec["pair"])
     if "triple" in spec:
@@ -181,7 +185,7 @@ def _build_grid(cfg: dict) -> CandidateGrid:
 
 
 def _voxel_spec(cfg: dict) -> VoxelGridSpec:
-    v = cfg.get("voxel")
+    v = cfg["voxel"]
     if v is None:
         # default volume: grid footprint, 20 cm of depth around the scene
         g = cfg["grid"]
@@ -196,15 +200,14 @@ def _voxel_spec(cfg: dict) -> VoxelGridSpec:
 
 
 def _noise(cfg: dict) -> NoiseSpec:
-    n = cfg.get("noise")
+    n = cfg["noise"]
     if not n or n.get("snr_db") in (None, "none"):
         return NoiseSpec()
-    return NoiseSpec(snr_db=float(n["snr_db"]), seed=int(n.get("seed", cfg.get("seed", 0))))
+    return NoiseSpec(snr_db=float(n["snr_db"]), seed=int(n.get("seed", cfg["seed"])))
 
 
-def _outdir(cfg: dict, args) -> Path:
-    out = getattr(args, "output_dir", None) or os.environ.get("MMFSK_OUT") or cfg["output_dir"]
-    path = Path(out)
+def _outdir(cfg: dict) -> Path:
+    path = Path(cfg["output_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -219,12 +222,12 @@ def _snapshot(cfg: dict, outdir: Path, command: str) -> None:
     }
     mio.dump_json(outdir / f"{command}_config.json", resolved)
     log.info("%s: version=%s seed=%s config_hash=%s", command, __version__,
-             cfg.get("seed"), resolved["_meta"]["config_hash"])
+             cfg["seed"], resolved["_meta"]["config_hash"])
 
 
-def _default_calibration():
-    """Synthetic camera slightly offset from the aperture, covering the grid."""
-    width = height = 72
+def _default_calibration(width: int, height: int):
+    """Synthetic camera of the configured size, slightly offset from the
+    aperture, covering the grid."""
     focal = 3.0 * width
     intr = CameraIntrinsics(f_u=focal, f_v=focal, c_u=(width - 1) / 2.0, c_v=(height - 1) / 2.0)
     angle = np.deg2rad(2.0)
@@ -236,15 +239,15 @@ def _default_calibration():
         ]
     )
     ext = Extrinsics(rot, np.array([0.01, 0.005, -0.01]))
-    return intr, ext, width, height
+    return intr, ext
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    outdir = _outdir(cfg, args)
+def cmd_simulate(cfg: dict) -> int:
+    outdir = _outdir(cfg)
     scene_cfg = cfg["scene"]
     scene = make_scene(scene_cfg["kind"], scene_cfg["params"])
     array = _build_array(cfg)
@@ -261,22 +264,22 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_prior(cfg: dict, args) -> int:
-    outdir = _outdir(cfg, args)
+def cmd_prior(cfg: dict) -> int:
+    outdir = _outdir(cfg)
     grid = _build_grid(cfg)
     spec = cfg["prior"]
     mode = spec["mode"]
     if mode == "scalar":
         prior = grid.with_scalar_prior(float(spec["value"]))
     elif mode == "camera":
+        width, height = int(spec["width"]), int(spec["height"])
         if spec.get("calibration"):
             intr, ext = mio.load_calibration(spec["calibration"])
-            width, height = int(spec["width"]), int(spec["height"])
         else:
-            intr, ext, width, height = _default_calibration()
+            intr, ext = _default_calibration(width, height)
         scene_cfg = cfg["scene"]
         depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, width, height)
-        depth_map = _degrade_depth_map(depth_map, spec, int(cfg.get("seed", 0)))
+        depth_map = _degrade_depth_map(depth_map, spec, int(cfg["seed"]))
         mio.write_pfm(outdir / "optical_depth.pfm", np.where(depth_map.valid, depth_map.depth, np.nan))
         prior = build_prior(depth_map, intr, ext, grid)
     elif mode == "file":
@@ -291,8 +294,6 @@ def cmd_prior(cfg: dict, args) -> int:
 
 def _degrade_depth_map(depth_map, spec: dict, seed: int):
     """Optional sensor imperfections: per-pixel depth noise and dropout."""
-    from .depth_prior import OpticalDepthMap
-
     noise_mm = float(spec["noise_mm"])
     dropout = float(spec["dropout"])
     if noise_mm <= 0.0 and dropout <= 0.0:
@@ -307,22 +308,22 @@ def _degrade_depth_map(depth_map, spec: dict, seed: int):
     return OpticalDepthMap(np.where(valid, depth, np.nan), valid)
 
 
-def _load_prior_grid(cfg: dict, outdir: Path) -> CandidateGrid:
+def _load_prior_grid(outdir: Path) -> CandidateGrid:
     path = outdir / "prior_grid.json"
     if not path.exists():
         raise FileNotFoundError(f"prior grid not found: {path} (run 'prior' first)")
     return mio.load_candidate_grid(path)
 
 
-def cmd_reconstruct(cfg: dict, args) -> int:
-    outdir = _outdir(cfg, args)
+def cmd_reconstruct(cfg: dict) -> int:
+    outdir = _outdir(cfg)
     bb_path = outdir / "baseband.fskt"
     if not bb_path.exists():
         raise FileNotFoundError(f"baseband tensor not found: {bb_path} (run 'simulate' first)")
     baseband = mio.read_baseband(bb_path)
     array = _build_array(cfg)
     freqs = _build_freqs(cfg)
-    workers = cfg.get("workers")
+    workers = cfg["workers"]
     methods = cfg["methods"]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -331,7 +332,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         if method == "bp":
             image = backproject(baseband, _voxel_spec(cfg), array, freqs, workers=workers)
         else:
-            grid = _load_prior_grid(cfg, outdir)
+            grid = _load_prior_grid(outdir)
             recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}[method]
             image = recon(baseband, grid, array, freqs, workers=workers)
         image = magnitude_filter(image, float(cfg["filter_db"]))
@@ -341,29 +342,23 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     return 0
 
 
-def _eval_grid(cfg: dict, method: str) -> CandidateGrid:
-    """Lateral grid a method's image lives on: the candidate grid for the
-    correction methods, the voxel volume's lateral axes for backprojection."""
-    if method == "bp":
-        spec = _voxel_spec(cfg)
-        x, y = spec.axis(0), spec.axis(1)
-        shape = (y.size, x.size)
-        return CandidateGrid(x, y, np.full(shape, np.nan), np.zeros(shape, dtype=bool))
-    return _build_grid(cfg)
-
-
 def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
     depth = mio.read_pfm(outdir / f"{method}_depth.pfm")
     mag = mio.read_pfm(outdir / f"{method}_magnitude.pfm")
     joint = mio.read_pfm(outdir / f"{method}_joint_magnitude.pfm")
-    grid = _eval_grid(cfg, method)
+    if method == "bp":
+        spec = _voxel_spec(cfg)
+        x, y = spec.axis(0), spec.axis(1)
+    else:
+        grid = _build_grid(cfg)
+        x, y = grid.x, grid.y
     valid = np.isfinite(depth)
-    return RadarImage(x=grid.x, y=grid.y, depth=depth, magnitude=np.where(valid, mag, np.nan),
+    return RadarImage(x=x, y=y, depth=depth, magnitude=np.where(valid, mag, np.nan),
                       joint_magnitude=np.where(valid, joint, np.nan), valid=valid)
 
 
-def cmd_eval(cfg: dict, args) -> int:
-    outdir = _outdir(cfg, args)
+def cmd_eval(cfg: dict) -> int:
+    outdir = _outdir(cfg)
     scene_cfg = cfg["scene"]
     erode = int(cfg["eval"]["erode"])
     reports = []
@@ -373,8 +368,7 @@ def cmd_eval(cfg: dict, args) -> int:
             raise FileNotFoundError(f"reconstruction not found: {path} (run 'reconstruct' first)")
         image = _load_image(outdir, method, cfg)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
-        report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"],
-                                _eval_grid(cfg, method), erode=erode, label=label)
+        report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=erode, label=label)
         reports.append(report)
         mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")
@@ -393,32 +387,31 @@ def _freq_label(spec: dict) -> str:
     return "custom"
 
 
-def _sweep_runs(cfg: dict) -> list:
+def _sweep_runs(sweep: dict, methods: list) -> list:
     """Normalize the sweep section into explicit run specs.
 
     The shorthand form sweeps one method over two-frequency configurations;
     the general form lists runs, each naming a method, a ``pair`` or
     ``triple``, and optionally a prior override.
     """
-    sweep = cfg.get("sweep") or {}
     if sweep.get("runs"):
         return sweep["runs"]
-    method = sweep.get("method", cfg["methods"][0])
+    method = sweep.get("method", methods[0])
     pairs = sweep.get("pairs")
     if not pairs:
         raise ConfigurationError("sweep needs 'pairs' or explicit 'runs'")
     return [{"method": method, "pair": p} for p in pairs]
 
 
-def cmd_sweep(cfg: dict, args) -> int:
+def cmd_sweep(cfg: dict) -> int:
     """Run simulate->prior->reconstruct->eval per configuration, aggregate
     seed medians, and judge the error-vs-bandwidth trend."""
-    outdir = _outdir(cfg, args)
-    sweep = cfg.get("sweep") or {}
-    seeds = sweep.get("seeds", [cfg.get("seed", 0)])
+    outdir = _outdir(cfg)
+    sweep = cfg["sweep"] or {}
+    seeds = sweep.get("seeds", [cfg["seed"]])
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    runs = _sweep_runs(cfg)
+    runs = _sweep_runs(sweep, cfg["methods"])
 
     records = []
     for run in runs:
@@ -431,28 +424,24 @@ def cmd_sweep(cfg: dict, args) -> int:
                 **cfg,
                 "methods": [method],
                 "seed": seed,
-                "noise": (dict(cfg["noise"], seed=seed) if cfg.get("noise") else None),
+                "noise": (dict(cfg["noise"], seed=seed) if cfg["noise"] else None),
                 "output_dir": str(outdir / label.replace("@", "_") / f"seed_{seed}"),
                 "frequencies": freq_spec,
             }
             if run.get("prior"):
                 sub["prior"] = run["prior"]
-            run_args = argparse.Namespace(output_dir=sub["output_dir"])
-            cmd_simulate(sub, run_args)
+            cmd_simulate(sub)
             if method != "bp":
-                cmd_prior(sub, run_args)
-            cmd_reconstruct(sub, run_args)
-            cmd_eval(sub, run_args)
+                cmd_prior(sub)
+            cmd_reconstruct(sub)
+            cmd_eval(sub)
             per_seed.append(mio.load_json(Path(sub["output_dir"]) / f"eval_{method}.json"))
         freqs = _build_freqs({"frequencies": freq_spec})
         record = {
             "label": label,
             "method": method,
             "delta_f_hz": freqs.delta(),
-            "median_p_eroded": float(np.median([r["p_eroded"] for r in per_seed])),
-            "median_p_masked": float(np.median([r["p_masked"] for r in per_seed])),
-            "median_c_gt_to_r": float(np.median([r["c_gt_to_r"] for r in per_seed])),
-            "median_c_r_to_gt": float(np.median([r["c_r_to_gt"] for r in per_seed])),
+            **{f"median_{k}": float(np.median([r[k] for r in per_seed])) for k in SCORES},
             "runs": per_seed,
         }
         records.append(record)
@@ -474,24 +463,15 @@ def cmd_sweep(cfg: dict, args) -> int:
         verdict = f"best configuration: {best['label']}"
     doc = {"records": records, "spearman": rho, "verdict": verdict}
     mio.dump_json(outdir / "sweep_report.json", doc)
-    reports = [
-        EvalReport(
-            c_gt_to_r=r["median_c_gt_to_r"],
-            c_r_to_gt=r["median_c_r_to_gt"],
-            p_masked=r["median_p_masked"],
-            p_eroded=r["median_p_eroded"],
-            label=r["label"],
-        )
-        for r in records
-    ]
+    reports = [EvalReport(label=r["label"], **{k: r[f"median_{k}"] for k in SCORES}) for r in records]
     (outdir / "sweep_table.txt").write_text(report_table(reports) + f"\n{verdict}\n", encoding="utf-8")
     _snapshot(cfg, outdir, "sweep")
     log.info("sweep: %s", verdict)
     return 0
 
 
-def cmd_report(cfg: dict, args) -> int:
-    outdir = _outdir(cfg, args)
+def cmd_report(cfg: dict) -> int:
+    outdir = _outdir(cfg)
     records = []
     for path in sorted(outdir.rglob("eval_*.json")):
         if path.name == "eval_config.json":  # run snapshot, not a record
@@ -547,11 +527,12 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "workers": args.workers,
         "methods": args.methods,
+        "output_dir": args.output_dir or os.environ.get("MMFSK_OUT") or None,
     }
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg, args)
-    except (ValidationError, ValueError) as exc:
+        return COMMANDS[args.command](cfg)
+    except ValueError as exc:
         log.error("validation: %s", exc)
         return 1
     except OSError as exc:

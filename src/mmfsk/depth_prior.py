@@ -297,14 +297,7 @@ def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
     front-most candidate per pixel replaces the buffer only when strictly
     nearer, so chunk boundaries never change the result.
     """
-    if grid.width > 1:
-        dx = grid.x[1] - grid.x[0]
-    else:
-        dx = 1.0
-    if grid.height > 1:
-        dy = grid.y[1] - grid.y[0]
-    else:
-        dy = 1.0
+    dx, dy = (step or 1.0 for step in grid.spacing)  # a one-pixel axis has no pitch
     x0, y0 = grid.x[0], grid.y[0]
 
     tri = mesh.triangles

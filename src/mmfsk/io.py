@@ -160,7 +160,10 @@ def load_candidate_grid(path) -> CandidateGrid:
     doc = load_json(path)
     x, y = (_numbers(doc, key, path, 1) for key in ("x", "y"))
     prior = _numbers(doc, "prior_depth", path, 2, nulls=True)
-    return CandidateGrid(x, y, prior, np.isfinite(prior))
+    try:
+        return CandidateGrid(x, y, prior, np.isfinite(prior))
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}") from None
 
 
 def save_calibration(path, intrinsics: CameraIntrinsics, extrinsics: Extrinsics) -> None:

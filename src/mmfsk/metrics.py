@@ -24,6 +24,9 @@ from .simulate import make_scene, surface_depth
 # 4-neighborhood erosion structure
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# the four scores of an evaluation record, in meters
+SCORES = ("c_gt_to_r", "c_r_to_gt", "p_masked", "p_eroded")
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -42,7 +45,7 @@ class EvalReport:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("c_gt_to_r", "c_r_to_gt", "p_masked", "p_eroded"):
+        for name in SCORES:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0.0:
                 raise StructuralError(f"{name} must be finite and non-negative")
@@ -138,35 +141,36 @@ def evaluate_image(
     image: RadarImage,
     kind: str,
     params: dict,
-    grid: CandidateGrid,
     erode: int = 1,
     label: str = "",
 ) -> EvalReport:
     """Score one reconstruction against its scene's ground truth.
 
-    The ground-truth cloud is resampled near the radar pixel pitch so both
-    clouds have comparable density; the projective error uses the analytic
-    ground-truth depth on the same grid. A ``random-cloud`` scene has no
-    surface: its ground-truth depth is binned points, isolated pixels that
-    any erosion would remove, so ``erode`` is ignored there and the eroded
-    values equal the masked ones.
+    The image's own axes are the grid: the ground-truth cloud is resampled
+    near its pixel pitch so both clouds have comparable density, and the
+    projective error uses the analytic ground-truth depth on its pixels. A
+    ``random-cloud`` scene has no surface: its ground-truth depth is binned
+    points, isolated pixels that any erosion would remove, so ``erode`` is
+    ignored there and the eroded values equal the masked ones.
     """
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
+    grid = CandidateGrid(image.x, image.y, image.depth, image.valid)
     gt_cloud = resample_gt_cloud(kind, params, _pitch(grid))
     gt_depth = resample_gt_depth(kind, params, grid)
-    if kind == "random-cloud":
-        erode = 0
+    # the image's depth is finite wherever valid, so this is projective_error's mask
+    joint = np.isfinite(gt_depth) & image.valid
+    eroded = erode_mask(joint, 0 if kind == "random-cloud" else erode)
     return EvalReport(
         c_gt_to_r=chamfer_one_way(gt_cloud, recon_cloud),
         c_r_to_gt=chamfer_one_way(recon_cloud, gt_cloud),
-        p_masked=projective_error(np.where(image.valid, image.depth, np.nan), gt_depth),
-        p_eroded=projective_error(np.where(image.valid, image.depth, np.nan), gt_depth, erode=erode),
+        p_masked=projective_error(image.depth, gt_depth, joint),
+        p_eroded=projective_error(image.depth, gt_depth, eroded),
         n_points_recon=recon_cloud.shape[0],
         n_points_gt=gt_cloud.shape[0],
-        n_pixels_masked=int((np.isfinite(gt_depth) & image.valid).sum()),
-        n_pixels_eroded=int(erode_mask(np.isfinite(gt_depth) & image.valid, erode).sum()),
+        n_pixels_masked=int(joint.sum()),
+        n_pixels_eroded=int(eroded.sum()),
         label=label,
     )
 

@@ -221,9 +221,7 @@ def phase_to_depth_correction(phase, f_eff: float):
     """
     if f_eff <= 0.0:
         raise ConfigurationError("effective frequency must be positive")
-    phase = np.asarray(phase, dtype=np.float64)
-    out = SPEED_OF_LIGHT / (4.0 * np.pi * f_eff) * phase
-    return float(out) if np.ndim(out) == 0 else out
+    return SPEED_OF_LIGHT / (4.0 * np.pi * f_eff) * np.asarray(phase, dtype=np.float64)
 
 
 def differential_phasor(c1, c2):
@@ -235,11 +233,7 @@ def differential_phasor(c1, c2):
 def principal_phase(z):
     """Angle of a complex value in (-pi, pi]; exact ties resolve to +pi."""
     ang = np.angle(z)
-    if np.ndim(ang) == 0:
-        return float(np.pi) if ang == -np.pi else float(ang)
-    ang = np.asarray(ang)
-    ang[ang == -np.pi] = np.pi
-    return ang
+    return np.where(ang == -np.pi, np.pi, ang)[()]
 
 
 def residual_phase(z):

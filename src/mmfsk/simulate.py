@@ -26,7 +26,14 @@ from .signal_core import (
     Scene,
 )
 
-SCENE_KINDS = ("plane", "sphere-cap", "step", "random-cloud")
+# The parameters each scene kind reads; the CLI rejects any other key.
+_SURFACE = ("center", "extent", "spacing", "amplitude", "phase_offset")
+SCENE_PARAMS = {
+    "plane": (*_SURFACE, "depth", "tilt_x", "tilt_y"),
+    "sphere-cap": (*_SURFACE, "radius", "center_z"),
+    "step": (*_SURFACE, "levels", "split"),
+    "random-cloud": ("n", "bounds", "seed", "amplitude", "phase_offset"),
+}
 
 # Targets are accumulated in fixed-size chunks with a fixed-order einsum so
 # the result never depends on threading or scheduling.
@@ -107,8 +114,8 @@ def make_scene(kind: str, params: dict) -> Scene:
     optional params: ``amplitude`` (default 1.0) and ``phase_offset``
     radians (default 0.0).
     """
-    if kind not in SCENE_KINDS:
-        raise ConfigurationError(f"unknown scene kind {kind!r} (known: {', '.join(SCENE_KINDS)})")
+    if kind not in SCENE_PARAMS:
+        raise ConfigurationError(f"unknown scene kind {kind!r} (known: {', '.join(SCENE_PARAMS)})")
 
     amp = complex(params.get("amplitude", 1.0))
     phi = float(params.get("phase_offset", 0.0))

@@ -65,6 +65,10 @@ class TestSimulate:
         ({"sweep": {"runs": [{"method": "mm2fsk", "pair": "10.0", "prior": {"mode": "camera", "nosie_mm": 1}}]}},
          "nosie_mm"),
         ({"eval": 3}, "eval"),
+        ({"scene": {"kind": "plane", "params": {"depth": 0.3, "spacng": 0.002}}}, "spacng"),
+        ({"scene": {"kind": "step", "params": {"levels": [0.28, 0.32], "tilt_x": 0.1}}}, "tilt_x"),
+        ({"scene": {"kind": "random-cloud", "params": {"n": 8, "spacing": 0.002}}}, "spacing"),
+        ({"scene": {"kind": "torus", "params": {"depth": 0.3}}}, "torus"),
     ])
     def test_misspelled_section_key_exits_1(self, tmp_path, caplog, overrides, key):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -133,6 +137,15 @@ class TestPrior:
         assert 0.28 in levels and 0.32 in levels
         assert (tmp_path / "out" / "optical_depth.pfm").exists()
 
+    def test_camera_size_without_calibration(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           scene={"kind": "step", "params": {"levels": [0.28, 0.32], "extent": 0.1, "spacing": 0.002}},
+                           prior={"mode": "camera", "width": 40, "height": 30})
+        assert main(["prior", "-c", str(cfg)]) == 0
+        depth = mio.read_pfm(tmp_path / "out" / "optical_depth.pfm")
+        assert depth.shape == (30, 40)
+        assert np.isfinite(depth).sum() > 100
+
     def test_invalid_calibration_exits_1(self, tmp_path):
         bad = tmp_path / "cal.json"
         bad.write_text(json.dumps({
@@ -194,7 +207,10 @@ class TestPrior:
         ("prior_depth", lambda v: 0.3, "'prior_depth' must be a list of equal-length rows"),
         ("prior_depth", lambda v: [v[0], v[1][:-1]] + v[2:], "'prior_depth' must be a list of equal-length rows"),
         ("prior_depth", lambda v: [["0.3"] + v[0][1:]] + v[1:], "'prior_depth' must be a list of equal-length rows"),
-    ], ids=["null-in-x", "null-in-y", "flat-prior", "scalar-prior", "ragged-prior", "string-in-prior"])
+        ("x", lambda v: v[:-1], "prior_depth and valid must have shape (H, W)"),
+        ("y", lambda v: v[::-1], "grid spacing must be uniform and increasing"),
+    ], ids=["null-in-x", "null-in-y", "flat-prior", "scalar-prior", "ragged-prior", "string-in-prior",
+            "short-axis", "reversed-axis"])
     def test_prior_grid_of_wrong_type_exits_1(self, tmp_path, caplog, key, edit, message):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["prior", "-c", str(cfg)]) == 0
@@ -298,6 +314,23 @@ class TestReconstructAndEval:
         assert main(["simulate", "-c", str(cfg)]) == 0
         assert (tmp_path / "envout" / "baseband.fskt").exists()
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_snapshot_records_output_dir(self, tmp_path, monkeypatch, via):
+        cfg = write_config(tmp_path / "cfg.json")
+        moved = tmp_path / "moved"
+        if via == "env":
+            monkeypatch.setenv("MMFSK_OUT", str(moved))
+        for cmd in ("simulate", "prior", "reconstruct", "eval"):
+            assert main([cmd, "-c", str(cfg)] + (["-o", str(moved)] if via == "flag" else [])) == 0
+        monkeypatch.delenv("MMFSK_OUT", raising=False)
+        for cmd in ("simulate", "prior", "reconstruct", "eval"):
+            snapshot = moved / f"{cmd}_config.json"
+            assert mio.load_json(snapshot)["output_dir"] == str(moved)
+            (moved / "eval_table.txt").unlink()
+            assert main(["eval", "-c", str(snapshot)]) == 0
+            assert (moved / "eval_table.txt").exists()
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepAndReport:
     def test_ablation_sweep_trend(self, tmp_path):
@@ -375,7 +408,7 @@ class TestExitCodes:
         from mmfsk import cli
         from mmfsk.errors import EmptyImageError
 
-        def boom(cfg, args):
+        def boom(cfg):
             raise EmptyImageError("nothing left")
 
         monkeypatch.setitem(cli.COMMANDS, "report", boom)

@@ -124,6 +124,7 @@ class TestDifferentialPhasor:
 class TestPhaseToDepthCorrection:
     def test_zero_phase(self):
         assert phase_to_depth_correction(0.0, 10e9) == 0.0
+        assert type(phase_to_depth_correction(0.0, 10e9)) is np.float64
 
     def test_boundary_equals_window(self):
         assert phase_to_depth_correction(np.pi, 10e9) == pytest.approx(max_unambiguous_depth(10e9))
@@ -148,6 +149,8 @@ class TestPrincipalPhase:
     def test_tie_at_pi_is_positive(self):
         assert principal_phase(complex(-1.0, 0.0)) == pytest.approx(np.pi)
         assert principal_phase(complex(-1.0, -0.0)) == pytest.approx(np.pi)
+        assert type(principal_phase(complex(-1.0, -0.0))) is np.float64
+        assert type(principal_phase(1j)) is np.float64
 
     def test_array_form(self):
         vals = np.array([1 + 0j, 1j, complex(-1.0, -0.0)])

@@ -41,8 +41,7 @@ print(f"camera sees {depth_map.valid.sum()} valid pixels of {depth_map.valid.siz
 # Knock out 25% of the pixels, the way glossy or dark patches would.
 rng = np.random.default_rng(4)
 keep = rng.random(depth_map.depth.shape) >= 0.25
-holey = OpticalDepthMap(np.where(depth_map.valid & keep, depth_map.depth, np.nan),
-                        depth_map.valid & keep)
+holey = OpticalDepthMap(np.where(depth_map.valid & keep, depth_map.depth, np.nan))
 print(f"after dropout: {holey.valid.sum()} pixels remain")
 
 # =============================================================================

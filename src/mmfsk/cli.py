@@ -153,6 +153,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _checked(where: str, value, ok, what: str):
+    """A config value that must pass ``ok``; anything else is a validation
+    error naming the key."""
+    if not ok(value):
+        raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
+    return value
+
+
 def _build_array(cfg: dict):
     spec = cfg["array"]
     if "profile" in spec:
@@ -272,15 +280,20 @@ def cmd_prior(cfg: dict) -> int:
     if mode == "scalar":
         prior = grid.with_scalar_prior(float(spec["value"]))
     elif mode == "camera":
-        width, height = int(spec["width"]), int(spec["height"])
+        width, height = (_checked(f"prior.{key}", spec[key], lambda v: type(v) is int and v >= 1,
+                                  "an integer >= 1") for key in ("width", "height"))
+        noise_mm = _checked("prior.noise_mm", float(spec["noise_mm"]), lambda v: 0.0 <= v < np.inf,
+                            "a finite number >= 0")
+        dropout = _checked("prior.dropout", float(spec["dropout"]), lambda v: 0.0 <= v < 1.0,
+                           "a number in [0, 1)")
         if spec.get("calibration"):
             intr, ext = mio.load_calibration(spec["calibration"])
         else:
             intr, ext = _default_calibration(width, height)
         scene_cfg = cfg["scene"]
         depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, width, height)
-        depth_map = _degrade_depth_map(depth_map, spec, int(cfg["seed"]))
-        mio.write_pfm(outdir / "optical_depth.pfm", np.where(depth_map.valid, depth_map.depth, np.nan))
+        depth_map = _degrade_depth_map(depth_map, noise_mm, dropout, int(cfg["seed"]))
+        mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
         prior = build_prior(depth_map, intr, ext, grid)
     elif mode == "file":
         prior = mio.load_candidate_grid(spec["path"])
@@ -292,20 +305,18 @@ def cmd_prior(cfg: dict) -> int:
     return 0
 
 
-def _degrade_depth_map(depth_map, spec: dict, seed: int):
-    """Optional sensor imperfections: per-pixel depth noise and dropout."""
-    noise_mm = float(spec["noise_mm"])
-    dropout = float(spec["dropout"])
-    if noise_mm <= 0.0 and dropout <= 0.0:
+def _degrade_depth_map(depth_map, noise_mm: float, dropout: float, seed: int):
+    """Optional sensor imperfections: per-pixel depth noise (standard
+    deviation in mm) and dropout (the share of pixels turned into holes)."""
+    if noise_mm == 0.0 and dropout == 0.0:
         return depth_map
     rng = np.random.Generator(np.random.Philox(seed))
-    depth = depth_map.depth.copy()
-    valid = depth_map.valid.copy()
+    depth = depth_map.depth
     if noise_mm > 0.0:
         depth = depth + rng.normal(0.0, noise_mm / 1000.0, depth.shape)
     if dropout > 0.0:
-        valid &= rng.random(valid.shape) >= dropout
-    return OpticalDepthMap(np.where(valid, depth, np.nan), valid)
+        depth = np.where(rng.random(depth.shape) >= dropout, depth, np.nan)
+    return OpticalDepthMap(depth)
 
 
 def _load_prior_grid(outdir: Path) -> CandidateGrid:
@@ -316,6 +327,7 @@ def _load_prior_grid(outdir: Path) -> CandidateGrid:
 
 
 def cmd_reconstruct(cfg: dict) -> int:
+    filter_db = _checked("filter_db", float(cfg["filter_db"]), lambda v: v <= 0.0, "a number <= 0 (dB)")
     outdir = _outdir(cfg)
     bb_path = outdir / "baseband.fskt"
     if not bb_path.exists():
@@ -335,7 +347,7 @@ def cmd_reconstruct(cfg: dict) -> int:
             grid = _load_prior_grid(outdir)
             recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}[method]
             image = recon(baseband, grid, array, freqs, workers=workers)
-        image = magnitude_filter(image, float(cfg["filter_db"]))
+        image = magnitude_filter(image, filter_db)
         mio.export_radar_image(outdir, method, image)
         log.info("reconstruct[%s]: %d valid pixels", method, image.n_valid)
     _snapshot(cfg, outdir, "reconstruct")
@@ -343,18 +355,15 @@ def cmd_reconstruct(cfg: dict) -> int:
 
 
 def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
-    depth = mio.read_pfm(outdir / f"{method}_depth.pfm")
-    mag = mio.read_pfm(outdir / f"{method}_magnitude.pfm")
-    joint = mio.read_pfm(outdir / f"{method}_joint_magnitude.pfm")
     if method == "bp":
         spec = _voxel_spec(cfg)
         x, y = spec.axis(0), spec.axis(1)
     else:
         grid = _build_grid(cfg)
         x, y = grid.x, grid.y
-    valid = np.isfinite(depth)
-    return RadarImage(x=x, y=y, depth=depth, magnitude=np.where(valid, mag, np.nan),
-                      joint_magnitude=np.where(valid, joint, np.nan), valid=valid)
+    planes = {name: mio.read_pfm(outdir / f"{method}_{name}.pfm")
+              for name in ("depth", "magnitude", "joint_magnitude")}
+    return RadarImage(x=x, y=y, **planes)
 
 
 def cmd_eval(cfg: dict) -> int:

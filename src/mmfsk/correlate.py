@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,32 +51,30 @@ class CandidateGrid:
     """Regular lateral grid of candidate points with per-pixel depth priors.
 
     ``x`` runs along width (columns), ``y`` along height (rows);
-    ``prior_depth[v, u]`` is the depth guess at (x[u], y[v]) and ``valid``
-    marks pixels that actually carry one.
+    ``prior_depth[v, u]`` is the depth guess at (x[u], y[v]), NaN where a
+    pixel has none. ``valid`` is derived, not passed: the read-only mask of
+    finite priors.
     """
 
     x: np.ndarray            # (W,)
     y: np.ndarray            # (H,)
     prior_depth: np.ndarray  # (H, W)
-    valid: np.ndarray        # (H, W) bool
+    valid: np.ndarray = field(init=False)  # (H, W) bool, np.isfinite(prior_depth)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         prior = np.asarray(self.prior_depth, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
         if x.ndim != 1 or y.ndim != 1:
             raise StructuralError("grid axes must be 1-D")
-        if prior.shape != (y.size, x.size) or valid.shape != prior.shape:
-            raise StructuralError("prior_depth and valid must have shape (H, W)")
+        if prior.shape != (y.size, x.size):
+            raise StructuralError("prior_depth must have shape (H, W)")
         for axis in (x, y):
             if axis.size > 1:
                 steps = np.diff(axis)
                 if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) or steps[0] <= 0:
                     raise StructuralError("grid spacing must be uniform and increasing")
-        if not np.isfinite(prior[valid]).all():
-            raise StructuralError("prior depth must be finite wherever valid")
-        freeze(self, x=x, y=y, prior_depth=prior, valid=valid)
+        freeze(self, x=x, y=y, prior_depth=prior, valid=np.isfinite(prior))
 
     @property
     def width(self) -> int:
@@ -99,18 +97,17 @@ class CandidateGrid:
             raise StructuralError("grid needs positive dimensions and spacing")
         x = center[0] + (np.arange(width) - (width - 1) / 2.0) * spacing
         y = center[1] + (np.arange(height) - (height - 1) / 2.0) * spacing
-        return cls(x, y, np.full((height, width), np.nan), np.zeros((height, width), dtype=bool))
+        return cls(x, y, np.full((height, width), np.nan))
 
     def with_scalar_prior(self, depth: float) -> "CandidateGrid":
         """Broadcast one depth guess to every pixel (the radar-only mode)."""
-        full = np.full((self.height, self.width), float(depth))
-        return replace(self, prior_depth=full, valid=np.ones_like(full, dtype=bool))
+        if not np.isfinite(depth):
+            raise StructuralError("scalar prior depth must be finite")
+        return self.with_prior(np.full((self.height, self.width), float(depth)))
 
-    def with_prior(self, prior_depth: np.ndarray, valid: np.ndarray | None = None) -> "CandidateGrid":
-        prior = np.asarray(prior_depth, dtype=np.float64)
-        if valid is None:
-            valid = np.isfinite(prior)
-        return replace(self, prior_depth=prior, valid=np.asarray(valid, dtype=bool))
+    def with_prior(self, prior_depth: np.ndarray) -> "CandidateGrid":
+        """The same geometry with new priors; NaN marks a pixel without one."""
+        return replace(self, prior_depth=prior_depth)
 
     def points(self) -> np.ndarray:
         """Valid candidates as (N, 3) rows in row-major pixel order."""

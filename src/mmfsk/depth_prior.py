@@ -24,7 +24,7 @@ candidate per pixel. The result does not depend on where chunks split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -83,20 +83,21 @@ class Extrinsics:
 
 @dataclass(frozen=True)
 class OpticalDepthMap:
-    """Per-pixel depth from the secondary sensor; invalid pixels are the
-    holes real depth cameras produce on dark or reflective material."""
+    """Per-pixel depth from the secondary sensor. NaN marks the holes real
+    depth cameras produce on dark or reflective material; every other
+    pixel must hold a positive, finite depth. ``valid`` is derived, not
+    passed: the read-only mask of the non-NaN pixels."""
 
-    depth: np.ndarray  # (H, W) meters
-    valid: np.ndarray  # (H, W) bool
+    depth: np.ndarray  # (H, W) meters, NaN in holes
+    valid: np.ndarray = field(init=False)  # (H, W) bool, np.isfinite(depth)
 
     def __post_init__(self):
         depth = np.asarray(self.depth, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if depth.ndim != 2 or valid.shape != depth.shape:
-            raise StructuralError("depth and valid must be matching (H, W) arrays")
-        ok = depth[valid]
-        if ok.size and not (np.isfinite(ok).all() and (ok > 0.0).all()):
-            raise StructuralError("valid depth pixels must be positive and finite")
+        if depth.ndim != 2:
+            raise StructuralError("depth must be an (H, W) array")
+        valid = np.isfinite(depth)
+        if np.isinf(depth).any() or (depth[valid] <= 0.0).any():
+            raise StructuralError("depth pixels must be positive and finite, or NaN in holes")
         freeze(self, depth=depth, valid=valid)
 
 
@@ -348,9 +349,8 @@ def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
         nearer = z < zbuf[pix]
         zbuf[pix[nearer]] = z[nearer]
 
-    zbuf = zbuf.reshape(grid.height, grid.width)
-    valid = np.isfinite(zbuf)
-    return grid.with_prior(np.where(valid, zbuf, np.nan), valid)
+    zbuf[np.isinf(zbuf)] = np.nan  # pixels no triangle covered
+    return grid.with_prior(zbuf.reshape(grid.height, grid.width))
 
 
 def build_prior(

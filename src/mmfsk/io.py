@@ -141,7 +141,7 @@ def save_candidate_grid(path, grid: CandidateGrid) -> None:
     pitch, such as the benchmark's output check; the loader ignores them.
     """
     prior = grid.prior_depth.astype(object)
-    prior[~np.isfinite(grid.prior_depth)] = None
+    prior[~grid.valid] = None
     doc = {
         "width": grid.width,
         "height": grid.height,
@@ -161,7 +161,7 @@ def load_candidate_grid(path) -> CandidateGrid:
     x, y = (_numbers(doc, key, path, 1) for key in ("x", "y"))
     prior = _numbers(doc, "prior_depth", path, 2, nulls=True)
     try:
-        return CandidateGrid(x, y, prior, np.isfinite(prior))
+        return CandidateGrid(x, y, prior)
     except StructuralError as exc:
         raise StructuralError(f"{path}: {exc}") from None
 
@@ -220,20 +220,16 @@ def _numbers(doc, key, path, ndim: int, nulls: bool = False) -> np.ndarray:
 
 
 def export_radar_image(outdir, stem: str, image: RadarImage) -> list:
-    """Write an image as depth + magnitude PFM planes and a PLY cloud of
-    its valid pixels; returns the created paths."""
+    """Write an image as depth + magnitude PFM planes (NaN where a pixel
+    has no value) and a PLY cloud of its valid pixels; returns the created
+    paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    depth = np.where(image.valid, image.depth, np.nan)
-    mag = np.where(image.valid, image.magnitude, np.nan)
-    joint = np.where(image.valid, image.joint_magnitude, np.nan)
-    paths = [outdir / f"{stem}_depth.pfm", outdir / f"{stem}_magnitude.pfm",
-             outdir / f"{stem}_joint_magnitude.pfm", outdir / f"{stem}_cloud.ply"]
-    write_pfm(paths[0], depth)
-    write_pfm(paths[1], mag)
-    write_pfm(paths[2], joint)
-    cloud, mags = image.points()
-    write_ply(paths[3], cloud, mags)
+    planes = ("depth", "magnitude", "joint_magnitude")
+    paths = [outdir / f"{stem}_{name}.pfm" for name in planes] + [outdir / f"{stem}_cloud.ply"]
+    for name, path in zip(planes, paths):
+        write_pfm(path, getattr(image, name))
+    write_ply(paths[3], *image.points())
     return paths
 
 

@@ -156,10 +156,9 @@ def evaluate_image(
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
-    grid = CandidateGrid(image.x, image.y, image.depth, image.valid)
+    grid = CandidateGrid(image.x, image.y, image.depth)
     gt_cloud = resample_gt_cloud(kind, params, _pitch(grid))
     gt_depth = resample_gt_depth(kind, params, grid)
-    # the image's depth is finite wherever valid, so this is projective_error's mask
     joint = np.isfinite(gt_depth) & image.valid
     eroded = erode_mask(joint, 0 if kind == "random-cloud" else erode)
     return EvalReport(

@@ -13,7 +13,7 @@ needs no prior but two to three orders of magnitude more work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class RadarImage:
     magnitudes; ``joint_magnitude`` is the magnitude of the mean phasor over
     carriers *and* pairs (the quantity the clutter filter thresholds). For
     backprojection both fields hold the max-projected voxel magnitude.
+    NaN depth marks a pixel without a value, and all three planes read NaN
+    there; ``valid`` is derived, not passed: the mask of finite depths. The
+    planes and the mask are stored read-only.
     """
 
     x: np.ndarray                # (W,)
@@ -47,24 +50,26 @@ class RadarImage:
     depth: np.ndarray            # (H, W)
     magnitude: np.ndarray        # (H, W)
     joint_magnitude: np.ndarray  # (H, W)
-    valid: np.ndarray            # (H, W) bool
+    valid: np.ndarray = field(init=False)  # (H, W) bool, np.isfinite(depth)
 
     def __post_init__(self):
-        shape = (np.asarray(self.y).size, np.asarray(self.x).size)
-        for name in ("depth", "magnitude", "joint_magnitude", "valid"):
-            if np.asarray(getattr(self, name)).shape != shape:
+        shape = (np.size(self.y), np.size(self.x))
+        planes = {name: np.asarray(getattr(self, name), dtype=np.float64)
+                  for name in ("depth", "magnitude", "joint_magnitude")}
+        for name, plane in planes.items():
+            if plane.shape != shape:
                 raise StructuralError(f"{name} must have shape {shape}")
-        if not np.isfinite(np.asarray(self.depth)[np.asarray(self.valid, bool)]).all():
-            raise StructuralError("depth must be finite wherever valid")
+        valid = np.isfinite(planes["depth"])
+        freeze(self, valid=valid, **{name: np.where(valid, plane, np.nan) for name, plane in planes.items()})
 
     @property
     def n_valid(self) -> int:
-        return int(np.asarray(self.valid, bool).sum())
+        return int(self.valid.sum())
 
     def points(self) -> tuple:
         """Valid pixels as an (N, 3) cloud plus their magnitudes."""
         gx, gy = np.meshgrid(self.x, self.y)
-        m = np.asarray(self.valid, bool)
+        m = self.valid
         cloud = np.column_stack([gx[m], gy[m], self.depth[m]])
         return cloud, self.magnitude[m]
 
@@ -99,16 +104,15 @@ def _corrected_image(grid: CandidateGrid, phasors: np.ndarray, diff: np.ndarray,
     """Add the depth correction of the differential phasor ``diff`` at the
     effective difference frequency ``f_eff`` to the grid's priors. The
     magnitudes come from the per-carrier ``phasors``, which are NaN off the
-    prior like ``diff``."""
+    prior like ``diff``, so the corrected depth is NaN there too."""
     with np.errstate(invalid="ignore"):
         correction = phase_to_depth_correction(residual_phase(diff), f_eff)
     return RadarImage(
-        x=grid.x.copy(),
-        y=grid.y.copy(),
-        depth=np.where(grid.valid, grid.prior_depth + correction, np.nan),
+        x=grid.x,
+        y=grid.y,
+        depth=grid.prior_depth + correction,
         magnitude=np.abs(phasors).mean(axis=-1),
         joint_magnitude=np.abs(phasors.mean(axis=-1)),
-        valid=grid.valid.copy(),
     )
 
 
@@ -174,7 +178,7 @@ def fsk3_reconstruct(
     i, j = pairs[coarse]
     coarse_band = BasebandTensor(baseband.data[..., [i, j]])
     stage1 = fsk2_reconstruct(coarse_band, grid, array, FrequencySet((freqs[i], freqs[j])), workers=workers)
-    refined = grid.with_prior(stage1.depth, stage1.valid)
+    refined = grid.with_prior(stage1.depth)
 
     # Stage two averages the fine pairs' differential phasors; their
     # effective difference frequency is the mean of the pair differences.
@@ -215,18 +219,18 @@ def backproject(
         x=xs,
         y=ys,
         depth=best_z,
-        magnitude=best_mag.copy(),
+        magnitude=best_mag,
         joint_magnitude=best_mag,
-        valid=np.ones(gx.shape, dtype=bool),
     )
 
 
 def magnitude_filter(image: RadarImage, threshold_db: float = DEFAULT_FILTER_DB) -> RadarImage:
-    """Invalidate pixels whose joint mean-phasor magnitude falls below
-    ``threshold_db`` relative to the image maximum."""
-    valid = np.asarray(image.valid, bool)
-    if not valid.any():
+    """Drop pixels whose joint mean-phasor magnitude falls below
+    ``threshold_db`` (at most 0) relative to the image maximum: their depth
+    becomes NaN."""
+    if not threshold_db <= 0.0:
+        raise ConfigurationError(f"filter threshold must be a number <= 0 dB, got {threshold_db!r}")
+    if not image.valid.any():
         raise EmptyImageError("cannot filter an image with no valid pixels")
-    floor = float(np.nanmax(image.joint_magnitude[valid])) * 10.0 ** (threshold_db / 20.0)
-    keep = valid & (image.joint_magnitude >= floor)
-    return replace(image, valid=keep)
+    floor = float(np.nanmax(image.joint_magnitude[image.valid])) * 10.0 ** (threshold_db / 20.0)
+    return replace(image, depth=np.where(image.joint_magnitude >= floor, image.depth, np.nan))

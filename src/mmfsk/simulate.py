@@ -199,14 +199,14 @@ def render_depth_map(
     Casts one ray per pixel from a camera whose pose maps camera
     coordinates into the radar frame (p_radar = R p_cam + t) and intersects
     it with the analytic surface by bisection on camera depth. Pixels whose
-    rays miss the surface footprint come back invalid, which is exactly how
+    rays miss the surface footprint come back NaN, which is exactly how
     real depth cameras fail.
 
     The bracket comes from a coarse scan of 64 camera depths from 1 cm to
     3 m. The scan carries only the rays that have not yet crossed from in
     front of the surface to behind it: a ray leaves at its first crossing,
     and a ray that never crosses is scanned to the end and comes back
-    invalid. Bisection then runs on the bracketed rays alone.
+    NaN. Bisection then runs on the bracketed rays alone.
     """
     u = np.arange(width, dtype=np.float64)
     v = np.arange(height, dtype=np.float64)
@@ -253,8 +253,7 @@ def render_depth_map(
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
+    mid = 0.5 * (lo + hi)
     depth = np.full(width * height, np.nan)
-    depth[valid] = 0.5 * (lo + hi)
-    valid[valid] = np.isfinite(gap(depth[valid], dirs_v))
-    depth[~valid] = np.nan
-    return OpticalDepthMap(depth=depth.reshape(height, width), valid=valid.reshape(height, width))
+    depth[valid] = np.where(np.isfinite(gap(mid, dirs_v)), mid, np.nan)
+    return OpticalDepthMap(depth.reshape(height, width))

@@ -45,7 +45,7 @@ def recovery_run(array, grid: CandidateGrid, seed: int, pair: str | None = None,
     truth = surface_depth(kind, params, gx, gy)
     ok = np.isfinite(truth)
     prior = truth + rng.uniform(-margin * window, margin * window, truth.shape)
-    prior_grid = grid.with_prior(np.where(ok, prior, np.nan), ok)
+    prior_grid = grid.with_prior(np.where(ok, prior, np.nan))
     baseband = simulate_baseband(make_scene(kind, params), array, freqs)
     image = mm2fsk_reconstruct(baseband, prior_grid, array, freqs)
     kept = magnitude_filter(image).valid & ok

@@ -207,7 +207,7 @@ class TestPrior:
         ("prior_depth", lambda v: 0.3, "'prior_depth' must be a list of equal-length rows"),
         ("prior_depth", lambda v: [v[0], v[1][:-1]] + v[2:], "'prior_depth' must be a list of equal-length rows"),
         ("prior_depth", lambda v: [["0.3"] + v[0][1:]] + v[1:], "'prior_depth' must be a list of equal-length rows"),
-        ("x", lambda v: v[:-1], "prior_depth and valid must have shape (H, W)"),
+        ("x", lambda v: v[:-1], "prior_depth must have shape (H, W)"),
         ("y", lambda v: v[::-1], "grid spacing must be uniform and increasing"),
     ], ids=["null-in-x", "null-in-y", "flat-prior", "scalar-prior", "ragged-prior", "string-in-prior",
             "short-axis", "reversed-axis"])
@@ -225,6 +225,26 @@ class TestPrior:
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "telepathy"})
         assert main(["prior", "-c", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scalar_prior_exits_1(self, tmp_path, caplog, value):
+        cfg = write_config(tmp_path / "cfg.json", prior={"mode": "scalar", "value": value})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert "prior depth must be finite" in caplog.text
+        assert not (tmp_path / "out" / "prior_grid.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("width", 0), ("width", 40.5), ("height", -3), ("height", True),
+        ("noise_mm", -1.0), ("noise_mm", float("nan")),
+        ("dropout", -0.1), ("dropout", 1.0),
+    ])
+    def test_camera_setting_out_of_range_exits_1(self, tmp_path, caplog, key, value):
+        cfg = write_config(tmp_path / "cfg.json",
+                           scene={"kind": "step", "params": {"levels": [0.28, 0.32], "extent": 0.1, "spacing": 0.002}},
+                           prior={"mode": "camera", "width": 40, "height": 30, key: value})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: config prior.{key} must be" in caplog.text
+        assert not (tmp_path / "out" / "optical_depth.pfm").exists()
 
 
 class TestReconstructAndEval:
@@ -286,6 +306,15 @@ class TestReconstructAndEval:
         main(["simulate", "-c", str(cfg)])
         main(["prior", "-c", str(cfg)])
         assert main(["reconstruct", "-c", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("filter_db", [5.0, float("nan")])
+    def test_filter_db_above_zero_or_nan_exits_1(self, tmp_path, caplog, filter_db):
+        cfg = write_config(tmp_path / "cfg.json", filter_db=filter_db)
+        for cmd in ("simulate", "prior"):
+            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        assert main(["reconstruct", "-c", str(cfg)]) == 1
+        assert "validation: config filter_db must be" in caplog.text
+        assert not (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
 
     def test_reconstruct_without_baseband_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

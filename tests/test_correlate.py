@@ -114,7 +114,7 @@ class TestCorrelateGrid:
         bb = simulate_baseband(single_target(target), desk_array, freqs)
         grid = CandidateGrid(
             np.array([target[0]]), np.array([target[1]]),
-            np.array([[target[2]]]), np.array([[True]]),
+            np.array([[target[2]]]),
         )
         phasors = correlate_grid(bb, grid, desk_array, freqs)
         assert np.abs(phasors[0, 0] - 1.0).max() < 1e-9
@@ -170,7 +170,7 @@ class TestCorrelateGrid:
         grid = CandidateGrid.regular(4, 4, 0.002).with_scalar_prior(0.3)
         valid = grid.valid.copy()
         valid[0, :] = False
-        grid = grid.with_prior(np.where(valid, grid.prior_depth, np.nan), valid)
+        grid = grid.with_prior(np.where(valid, grid.prior_depth, np.nan))
         phasors = correlate_grid(bb, grid, tiny_array, freqs)
         assert np.isnan(phasors[0]).all()
         assert np.isfinite(phasors[1:]).all()

@@ -158,7 +158,7 @@ def reference_rasterize(mesh, grid):
         sub[upd] = z[upd]
 
     valid = np.isfinite(zbuf)
-    return grid.with_prior(np.where(valid, zbuf, np.nan), valid)
+    return grid.with_prior(np.where(valid, zbuf, np.nan))
 
 
 def random_mesh(rng, grid, spacing, n_tri, snapped=False):
@@ -206,22 +206,18 @@ class TestBackprojectDepth:
     def test_principal_point_maps_to_axis(self):
         intr = CameraIntrinsics(100.0, 100.0, 32.0, 24.0)
         depth = np.full((48, 64), np.nan)
-        valid = np.zeros((48, 64), dtype=bool)
         for u, v in [(32, 24), (10, 5), (60, 40)]:
             depth[v, u] = 0.5
-            valid[v, u] = True
-        pts, pix = backproject_depth(OpticalDepthMap(depth, valid), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(depth), intr)
         on_axis = pts[(pix[:, 0] == 32) & (pix[:, 1] == 24)][0]
         assert on_axis == pytest.approx([0.0, 0.0, 0.5])
 
     def test_unit_tangent(self):
         intr = CameraIntrinsics(100.0, 100.0, 32.0, 24.0)
         depth = np.full((48, 164), np.nan)
-        valid = np.zeros((48, 164), dtype=bool)
         for u, v in [(132, 24), (0, 0), (5, 40)]:
             depth[v, u] = 1.0
-            valid[v, u] = True
-        pts, pix = backproject_depth(OpticalDepthMap(depth, valid), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(depth), intr)
         tangent = pts[(pix[:, 0] == 132) & (pix[:, 1] == 24)][0]
         assert tangent == pytest.approx([1.0, 0.0, 1.0])
 
@@ -231,7 +227,7 @@ class TestBackprojectDepth:
         h, w = 48, 56
         depth = rng.uniform(0.2, 1.5, (h, w))
         valid = rng.random((h, w)) < 0.3
-        pts, pix = backproject_depth(OpticalDepthMap(np.where(valid, depth, np.nan), valid), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(np.where(valid, depth, np.nan)), intr)
         u = intr.f_u * pts[:, 0] / pts[:, 2] + intr.c_u
         v = intr.f_v * pts[:, 1] / pts[:, 2] + intr.c_v
         assert np.abs(u - pix[:, 0]).max() < 1e-9
@@ -241,11 +237,9 @@ class TestBackprojectDepth:
     def test_too_few_pixels(self):
         intr = CameraIntrinsics(100.0, 100.0, 8.0, 8.0)
         depth = np.full((16, 16), np.nan)
-        valid = np.zeros((16, 16), dtype=bool)
         depth[3, 3] = 0.4
-        valid[3, 3] = True
         with pytest.raises(InsufficientDataError):
-            backproject_depth(OpticalDepthMap(depth, valid), intr)
+            backproject_depth(OpticalDepthMap(depth), intr)
 
 
 class TestTriangulate:
@@ -388,7 +382,7 @@ class TestRasterizePrior:
         mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
         grid = CandidateGrid(
             np.array([verts[:, 0].mean()]), np.array([verts[:, 1].mean()]),
-            np.full((1, 1), np.nan), np.zeros((1, 1), dtype=bool),
+            np.full((1, 1), np.nan),
         )
         out = rasterize_prior(mesh, grid)
         assert out.valid[0, 0]
@@ -530,7 +524,7 @@ class TestBuildPrior:
         dm = render_depth_map("plane", params, intr, ext, 72, 72)
         rng = np.random.default_rng(0)
         keep = rng.random(dm.depth.shape) >= 0.2
-        holes = OpticalDepthMap(np.where(dm.valid & keep, dm.depth, np.nan), dm.valid & keep)
+        holes = OpticalDepthMap(np.where(dm.valid & keep, dm.depth, np.nan))
         grid = CandidateGrid.regular(64, 64, 0.001)
         full = build_prior(dm, intr, ext, grid)
         holey = build_prior(holes, intr, ext, grid)
@@ -556,7 +550,7 @@ class TestBuildPrior:
         params = {"depth": 0.30, "extent": 0.12, "spacing": 0.0015, "tilt_x": 0.2, "tilt_y": -0.1}
         dm = render_depth_map("plane", params, intr, ext, 72, 72)
         keep = dm.valid & (np.random.default_rng(3).random(dm.depth.shape) >= 0.15)
-        holes = OpticalDepthMap(np.where(keep, dm.depth, np.nan), keep)
+        holes = OpticalDepthMap(np.where(keep, dm.depth, np.nan))
         grid = CandidateGrid.regular(64, 64, 0.001)
         got = build_prior(holes, intr, ext, grid)
         pts, pix = backproject_depth(holes, intr)

@@ -289,7 +289,7 @@ class TestImageExport:
         mag = np.where(valid, rng.uniform(0.5, 1.0, (h, w)), np.nan)
         image = RadarImage(
             x=np.arange(w) * 0.001, y=np.arange(h) * 0.001,
-            depth=depth, magnitude=mag, joint_magnitude=mag, valid=valid,
+            depth=depth, magnitude=mag, joint_magnitude=mag,
         )
         paths = mio.export_radar_image(tmp_path, "test", image)
         assert all(p.exists() for p in paths)

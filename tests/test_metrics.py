@@ -194,8 +194,7 @@ class TestEvaluateImage:
     def _perfect_image(self, grid, depth):
         d = np.full((grid.height, grid.width), depth)
         ones = np.ones_like(d)
-        return RadarImage(x=grid.x, y=grid.y, depth=d, magnitude=ones,
-                          joint_magnitude=ones, valid=np.ones_like(d, dtype=bool))
+        return RadarImage(x=grid.x, y=grid.y, depth=d, magnitude=ones, joint_magnitude=ones)
 
     def test_perfect_reconstruction_scores_zero_projective(self):
         grid = CandidateGrid.regular(21, 21, 0.002)

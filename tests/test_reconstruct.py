@@ -160,7 +160,7 @@ class TestPerPixelPrior:
         dm = render_depth_map("plane", params, intr, ext, 72, 72)
         rng = np.random.default_rng(1)
         keep = rng.random(dm.depth.shape) >= 0.2
-        holes = OpticalDepthMap(np.where(dm.valid & keep, dm.depth, np.nan), dm.valid & keep)
+        holes = OpticalDepthMap(np.where(dm.valid & keep, dm.depth, np.nan))
         prior = build_prior(holes, intr, ext, desk_grid)
         assert prior.valid.mean() > 0.95
 
@@ -339,7 +339,6 @@ class TestMagnitudeFilter:
         return RadarImage(
             x=np.arange(w, dtype=float), y=np.arange(h, dtype=float),
             depth=np.full((h, w), 0.3), magnitude=mags, joint_magnitude=mags,
-            valid=np.ones((h, w), dtype=bool),
         )
 
     def test_uniform_keeps_everything(self):
@@ -357,10 +356,23 @@ class TestMagnitudeFilter:
         img = magnitude_filter(self._image(mags))
         assert img.valid.all()
 
+    def test_dropped_pixel_reads_nan(self):
+        mags = np.array([[1.0, 0.05], [0.9, 1.0]])
+        img = magnitude_filter(self._image(mags))
+        for plane in (img.depth, img.magnitude, img.joint_magnitude):
+            assert np.isnan(plane[0, 1])
+            assert np.isfinite(np.delete(plane.ravel(), 1)).all()
+        assert not img.valid[0, 1] and img.n_valid == 3
+
+    @pytest.mark.parametrize("threshold_db", [5.0, 1e-9, np.nan])
+    def test_positive_or_nan_threshold_rejected(self, threshold_db):
+        with pytest.raises(ConfigurationError, match="filter threshold"):
+            magnitude_filter(self._image(np.ones((2, 2))), threshold_db=threshold_db)
+
     def test_all_invalid_rejected(self):
         img = self._image(np.ones((2, 2)))
-        img = RadarImage(x=img.x, y=img.y, depth=img.depth, magnitude=img.magnitude,
-                         joint_magnitude=img.joint_magnitude, valid=np.zeros((2, 2), dtype=bool))
+        img = RadarImage(x=img.x, y=img.y, depth=np.full((2, 2), np.nan), magnitude=img.magnitude,
+                         joint_magnitude=img.joint_magnitude)
         with pytest.raises(EmptyImageError):
             magnitude_filter(img)
 

@@ -224,9 +224,7 @@ class TestFrozenInputs:
 
     def test_with_prior_leaves_caller_arrays_writable(self):
         prior = np.full((3, 4), 0.3)
-        valid = np.ones((3, 4), dtype=bool)
-        grid = CandidateGrid.regular(4, 3, 0.001).with_prior(prior, valid)
-        prior[0, 0] = 0.5
-        valid[0, 0] = False
+        grid = CandidateGrid.regular(4, 3, 0.001).with_prior(prior)
+        prior[0, 0] = np.nan
         assert grid.prior_depth[0, 0] == 0.3 and grid.valid[0, 0]
         assert not grid.prior_depth.flags.writeable and not grid.valid.flags.writeable

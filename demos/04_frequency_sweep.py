@@ -9,7 +9,6 @@ the eroded projective error fall as the difference frequency grows.
 """
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from mmfsk import (
     FREQUENCY_PAIRS,
@@ -23,6 +22,7 @@ from mmfsk import (
     simulate_baseband,
     surface_depth,
 )
+from mmfsk.metrics import spearman_rho
 from mmfsk.simulate import NoiseSpec
 
 array = mimo_cross_array(16, 16, 0.20)
@@ -50,7 +50,7 @@ for name in sorted(FREQUENCY_PAIRS, key=float):
     medians.append(float(np.median(errs)))
     print(f"{name:>6} {window * 1000:10.2f} {medians[-1] * 1000:20.4f}")
 
-rho = float(spearmanr(deltas, medians).statistic)
+rho = spearman_rho(deltas, medians)
 print(f"\nspearman(delta_f, median error) = {rho:.2f}")
 assert rho <= -0.8
 print("monotone improvement: the widest carrier separation is the most accurate,")

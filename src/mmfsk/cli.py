@@ -23,14 +23,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import __version__
 from . import io as mio
 from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap, build_prior
 from .errors import ConfigurationError, NumericalError
-from .metrics import SCORES, EvalReport, evaluate_image, report_table
+from .metrics import SCORES, EvalReport, evaluate_image, report_table, spearman_rho
 from .reconstruct import (
     DEFAULT_FILTER_DB,
     RadarImage,
@@ -153,12 +152,19 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _checked(where: str, value, ok, what: str):
-    """A config value that must pass ``ok``; anything else is a validation
-    error naming the key."""
-    if not ok(value):
+def _number(where: str, value, ok=lambda v: True, what: str = "", kind=float):
+    """A numeric config value as ``kind``: a JSON number (an integer when
+    ``kind`` is int; never a bool or null) that passes ``ok``. Anything
+    else is a validation error naming the key."""
+    types = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
+        what = what or ("an integer" if kind is int else "a number")
         raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
-    return value
+    return kind(value)
+
+
+def _count(where: str, value) -> int:
+    return _number(where, value, lambda v: v >= 1, "an integer >= 1", kind=int)
 
 
 def _build_array(cfg: dict):
@@ -169,8 +175,9 @@ def _build_array(cfg: dict):
         except KeyError:
             raise ConfigurationError(f"unknown array profile {spec['profile']!r}")
     else:
-        n_tx, n_rx, aperture = spec["n_tx"], spec["n_rx"], spec["aperture"]
-    return mimo_cross_array(int(n_tx), int(n_rx), float(aperture))
+        n_tx, n_rx = _count("array.n_tx", spec["n_tx"]), _count("array.n_rx", spec["n_rx"])
+        aperture = _number("array.aperture", spec["aperture"])
+    return mimo_cross_array(n_tx, n_rx, aperture)
 
 
 def _build_freqs(cfg: dict) -> FrequencySet:
@@ -181,28 +188,32 @@ def _build_freqs(cfg: dict) -> FrequencySet:
         low, high = spec["triple"]
         return FrequencySet.triple_from_pair_names(low, high)
     if "values_ghz" in spec:
-        return FrequencySet(tuple(float(v) * 1e9 for v in spec["values_ghz"]))
+        return FrequencySet(tuple(_number(f"frequencies.values_ghz[{i}]", v) * 1e9
+                                  for i, v in enumerate(spec["values_ghz"])))
     raise ConfigurationError("frequencies must give 'pair', 'triple', or 'values_ghz'")
 
 
-def _build_grid(cfg: dict) -> CandidateGrid:
+def _grid_size(cfg: dict) -> tuple:
+    """The grid's width and height in pixels and its spacing in meters."""
     g = cfg["grid"]
-    return CandidateGrid.regular(
-        int(g["width"]), int(g["height"]), float(g["spacing"]), tuple(g["center"]),
-    )
+    return (_count("grid.width", g["width"]), _count("grid.height", g["height"]),
+            _number("grid.spacing", g["spacing"]))
+
+
+def _build_grid(cfg: dict) -> CandidateGrid:
+    return CandidateGrid.regular(*_grid_size(cfg), tuple(cfg["grid"]["center"]))
 
 
 def _voxel_spec(cfg: dict) -> VoxelGridSpec:
     v = cfg["voxel"]
     if v is None:
         # default volume: grid footprint, 20 cm of depth around the scene
-        g = cfg["grid"]
-        w = int(g["width"]) * float(g["spacing"])
-        h = int(g["height"]) * float(g["spacing"])
+        width, height, spacing = _grid_size(cfg)
+        center = cfg["grid"]["center"]
         return VoxelGridSpec(
-            extents=(w, h, 0.20),
-            resolution=(int(g["width"]), int(g["height"]), 201),
-            center=(g["center"][0], g["center"][1], 0.30),
+            extents=(width * spacing, height * spacing, 0.20),
+            resolution=(width, height, 201),
+            center=(center[0], center[1], 0.30),
         )
     return VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
 
@@ -211,7 +222,8 @@ def _noise(cfg: dict) -> NoiseSpec:
     n = cfg["noise"]
     if not n or n.get("snr_db") in (None, "none"):
         return NoiseSpec()
-    return NoiseSpec(snr_db=float(n["snr_db"]), seed=int(n.get("seed", cfg["seed"])))
+    seed = _number("noise.seed" if "seed" in n else "seed", n.get("seed", cfg["seed"]), kind=int)
+    return NoiseSpec(snr_db=_number("noise.snr_db", n["snr_db"]), seed=seed)
 
 
 def _outdir(cfg: dict) -> Path:
@@ -278,21 +290,18 @@ def cmd_prior(cfg: dict) -> int:
     spec = cfg["prior"]
     mode = spec["mode"]
     if mode == "scalar":
-        prior = grid.with_scalar_prior(float(spec["value"]))
+        prior = grid.with_scalar_prior(_number("prior.value", spec["value"]))
     elif mode == "camera":
-        width, height = (_checked(f"prior.{key}", spec[key], lambda v: type(v) is int and v >= 1,
-                                  "an integer >= 1") for key in ("width", "height"))
-        noise_mm = _checked("prior.noise_mm", float(spec["noise_mm"]), lambda v: 0.0 <= v < np.inf,
-                            "a finite number >= 0")
-        dropout = _checked("prior.dropout", float(spec["dropout"]), lambda v: 0.0 <= v < 1.0,
-                           "a number in [0, 1)")
+        width, height = _count("prior.width", spec["width"]), _count("prior.height", spec["height"])
+        noise_mm = _number("prior.noise_mm", spec["noise_mm"], lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+        dropout = _number("prior.dropout", spec["dropout"], lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
         if spec.get("calibration"):
             intr, ext = mio.load_calibration(spec["calibration"])
         else:
             intr, ext = _default_calibration(width, height)
         scene_cfg = cfg["scene"]
         depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, width, height)
-        depth_map = _degrade_depth_map(depth_map, noise_mm, dropout, int(cfg["seed"]))
+        depth_map = _degrade_depth_map(depth_map, noise_mm, dropout, _number("seed", cfg["seed"], kind=int))
         mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
         prior = build_prior(depth_map, intr, ext, grid)
     elif mode == "file":
@@ -327,7 +336,7 @@ def _load_prior_grid(outdir: Path) -> CandidateGrid:
 
 
 def cmd_reconstruct(cfg: dict) -> int:
-    filter_db = _checked("filter_db", float(cfg["filter_db"]), lambda v: v <= 0.0, "a number <= 0 (dB)")
+    filter_db = _number("filter_db", cfg["filter_db"], lambda v: v <= 0.0, "a number <= 0 (dB)")
     outdir = _outdir(cfg)
     bb_path = outdir / "baseband.fskt"
     if not bb_path.exists():
@@ -369,7 +378,7 @@ def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
 def cmd_eval(cfg: dict) -> int:
     outdir = _outdir(cfg)
     scene_cfg = cfg["scene"]
-    erode = int(cfg["eval"]["erode"])
+    erode = _number("eval.erode", cfg["eval"]["erode"], kind=int)
     reports = []
     for method in cfg["methods"]:
         path = outdir / f"{method}_depth.pfm"
@@ -464,7 +473,7 @@ def cmd_sweep(cfg: dict) -> int:
     if len(records) >= 2 and same_method:
         deltas = [r["delta_f_hz"] for r in records]
         meds = [r["median_p_eroded"] for r in records]
-        rho = float(spearmanr(deltas, meds).statistic)
+        rho = spearman_rho(deltas, meds)
         trend = "non-increasing" if rho <= -0.8 else "not monotone"
         verdict = f"error vs frequency difference is {trend} (spearman={rho:.3f})"
     elif len(records) >= 2:

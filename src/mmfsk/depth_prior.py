@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .correlate import CandidateGrid
 from .errors import (
@@ -242,6 +241,11 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
     cells, remainder, covered = _lattice_cells(pixels)
     subset = np.flatnonzero(remainder)
+    # scipy is imported where it is used, here and in metrics, so that a
+    # process that never reaches Qhull, a KD-tree or an erosion (simulate,
+    # reconstruct, a scalar or file prior) starts on numpy alone.
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tri = Delaunay(pixels[subset])
     except QhullError as exc:

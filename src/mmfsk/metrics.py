@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_erosion
-from scipy.spatial import cKDTree
 
 from .correlate import CandidateGrid
 from .depth_prior import front_most_per_pixel
@@ -62,6 +60,8 @@ def chamfer_one_way(src: np.ndarray, dst: np.ndarray) -> float:
         raise InsufficientDataError("point clouds must be non-empty")
     if src.shape[1] != 3 or dst.shape[1] != 3:
         raise StructuralError("point clouds must be (N, 3)")
+    from scipy.spatial import cKDTree  # deferred import: see depth_prior.triangulate
+
     d, _ = cKDTree(dst).query(src, k=1)
     return float(d.mean())
 
@@ -71,6 +71,8 @@ def erode_mask(mask: np.ndarray, iterations: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if iterations <= 0:
         return mask.copy()
+    from scipy.ndimage import binary_erosion  # deferred import: see depth_prior.triangulate
+
     return binary_erosion(mask, structure=_CROSS, iterations=iterations, border_value=0)
 
 
@@ -172,6 +174,28 @@ def evaluate_image(
         n_pixels_eroded=int(eroded.sum()),
         label=label,
     )
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[group]
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman rank correlation of two equal-length samples: the Pearson
+    correlation of their average ranks. NaN for fewer than two
+    observations, a constant sample or a NaN value. The arithmetic is that
+    of ``scipy.stats.spearmanr`` (``np.corrcoef`` of the stacked ranks,
+    element ``[1, 0]``), so the value agrees with it bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size < 2 or np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def report_table(reports) -> str:

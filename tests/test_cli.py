@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,3 +450,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("reconstruct", {"filter_db": None}, "filter_db"),
+        ("prior", {"prior": {"mode": "camera", "noise_mm": None}}, "prior.noise_mm"),
+        ("prior", {"prior": {"mode": "scalar", "value": None}}, "prior.value"),
+    ])
+    def test_null_number_exits_1(self, tmp_path, caplog, command, overrides, key):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "-c", str(cfg)]) == 0
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: config {key} must be" in caplog.text
+
+
+def _scipy_modules_after(script: str) -> list:
+    """The scipy modules a fresh interpreter holds after running ``script``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestImports:
+    """A process that never triangulates, evaluates or sweeps starts on
+    numpy alone: scipy loads only where it is used."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_modules_after("import mmfsk.cli") == []
+
+    def test_simulate_and_scalar_prior_2fsk_load_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", methods=["2fsk"],
+                           grid={"width": 8, "height": 8, "spacing": 0.002})
+        script = ("from mmfsk.cli import main\n"
+                  "for cmd in ('simulate', 'prior', 'reconstruct'):\n"
+                  f"    assert main([cmd, '-c', {str(cfg)!r}]) == 0, cmd\n")
+        assert _scipy_modules_after(script) == []
+        assert (tmp_path / "out" / "2fsk_depth.pfm").exists()

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from mmfsk import (
     CandidateGrid,
@@ -10,7 +13,7 @@ from mmfsk import (
     resample_gt_depth,
 )
 from mmfsk.errors import InsufficientDataError, StructuralError
-from mmfsk.metrics import EvalReport, _bin_cloud_depth, erode_mask, report_table
+from mmfsk.metrics import EvalReport, _bin_cloud_depth, erode_mask, report_table, spearman_rho
 from mmfsk.reconstruct import RadarImage
 
 
@@ -225,3 +228,24 @@ class TestEvaluateImage:
         assert len(lines) == 4
         assert len({len(ln) for ln in lines}) == 1  # aligned columns
         assert "0.720" in table and "0.190" in table
+
+
+def test_spearman_rho_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = [
+        ([1.0, 2.0], [3.0, 1.0]),  # n = 2
+        ([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]),  # a constant sample: NaN
+        ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+        ([0.0, -0.0, 1.0, 1.0, 2.0], [3.0, 1.0, 1.0, 2.0, 2.0]),  # ties in both
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),  # NaN propagates
+        ([1.0], [2.0]),  # one observation: NaN
+    ]
+    for n in range(2, 40):
+        cases.append((rng.normal(size=n), rng.normal(size=n)))
+        cases.append((rng.integers(0, 3, n).astype(float), rng.normal(size=n).round(1)))
+    for a, b in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on constant input
+            expected = float(spearmanr(a, b).statistic)
+        got = spearman_rho(a, b)
+        assert got == expected or (np.isnan(got) and np.isnan(expected)), (a, b, got, expected)

@@ -144,6 +144,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if kind not in SCENE_PARAMS:
             raise ConfigurationError(f"config scene: unknown kind {kind!r}; allowed: {list(SCENE_PARAMS)}")
         scene["params"] = _check_section("scene.params", scene["params"], dict.fromkeys(SCENE_PARAMS[kind]))
+        _check_scene_params(scene["params"])
     runs = (cfg["sweep"] or {}).get("runs") or []
     for i, run in enumerate(runs):
         runs[i] = run = _check_section(f"sweep.runs[{i}]", run, SECTION_KEYS["sweep.runs"])
@@ -167,6 +168,34 @@ def _count(where: str, value) -> int:
     return _number(where, value, lambda v: v >= 1, "an integer >= 1", kind=int)
 
 
+def _list(where: str, value, length: int | None = None, item=_number) -> list:
+    """A list-valued config value: a JSON list (of ``length`` items where
+    the key has a fixed length), each item checked by ``item`` under the
+    name ``where[i]``. Anything else is a validation error naming the key."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        what = "a list" if length is None else f"a list of {length} items"
+        raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
+    return [item(f"{where}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _check_scene_params(params: dict) -> None:
+    """The scene builders read their parameters with bare ``float``/``int``,
+    so each given value must have its JSON shape before any of them runs."""
+    for key, value in params.items():
+        where = f"scene.params.{key}"
+        if key in ("center", "levels"):
+            _list(where, value, 2)
+        elif key == "bounds":  # three (min, max) intervals
+            _list(where, value, 3, lambda w, interval: _list(w, interval, 2))
+        else:
+            _number(where, value, kind=int if key in ("n", "seed") else float)
+
+
+def _triple(spec: dict) -> list:
+    """The two bundled pair names a three-carrier set is built from."""
+    return _list("frequencies.triple", spec["triple"], 2, lambda where, name: name)
+
+
 def _build_array(cfg: dict):
     spec = cfg["array"]
     if "profile" in spec:
@@ -185,11 +214,9 @@ def _build_freqs(cfg: dict) -> FrequencySet:
     if "pair" in spec:
         return FrequencySet.from_pair_name(spec["pair"])
     if "triple" in spec:
-        low, high = spec["triple"]
-        return FrequencySet.triple_from_pair_names(low, high)
+        return FrequencySet.triple_from_pair_names(*_triple(spec))
     if "values_ghz" in spec:
-        return FrequencySet(tuple(_number(f"frequencies.values_ghz[{i}]", v) * 1e9
-                                  for i, v in enumerate(spec["values_ghz"])))
+        return FrequencySet(tuple(v * 1e9 for v in _list("frequencies.values_ghz", spec["values_ghz"])))
     raise ConfigurationError("frequencies must give 'pair', 'triple', or 'values_ghz'")
 
 
@@ -201,7 +228,7 @@ def _grid_size(cfg: dict) -> tuple:
 
 
 def _build_grid(cfg: dict) -> CandidateGrid:
-    return CandidateGrid.regular(*_grid_size(cfg), tuple(cfg["grid"]["center"]))
+    return CandidateGrid.regular(*_grid_size(cfg), tuple(_list("grid.center", cfg["grid"]["center"], 2)))
 
 
 def _voxel_spec(cfg: dict) -> VoxelGridSpec:
@@ -209,13 +236,15 @@ def _voxel_spec(cfg: dict) -> VoxelGridSpec:
     if v is None:
         # default volume: grid footprint, 20 cm of depth around the scene
         width, height, spacing = _grid_size(cfg)
-        center = cfg["grid"]["center"]
+        center = _list("grid.center", cfg["grid"]["center"], 2)
         return VoxelGridSpec(
             extents=(width * spacing, height * spacing, 0.20),
             resolution=(width, height, 201),
             center=(center[0], center[1], 0.30),
         )
-    return VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
+    return VoxelGridSpec(tuple(_list("voxel.extents", v["extents"], 3)),
+                         tuple(_list("voxel.resolution", v["resolution"], 3, _count)),
+                         tuple(_list("voxel.center", v["center"], 3)))
 
 
 def _noise(cfg: dict) -> NoiseSpec:
@@ -401,7 +430,7 @@ def _freq_label(spec: dict) -> str:
     if "pair" in spec:
         return f"d{spec['pair']}"
     if "triple" in spec:
-        return f"t{spec['triple'][0]}-{spec['triple'][1]}"
+        return "t{}-{}".format(*_triple(spec))
     return "custom"
 
 

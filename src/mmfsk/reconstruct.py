@@ -30,6 +30,7 @@ from .signal_core import (
 )
 
 DEFAULT_FILTER_DB = -14.0
+_BP_RUN_POINTS = 4096  # voxels per backproject correlation call, rounded down to whole planes (one at least)
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,13 @@ class VoxelGridSpec:
     center: tuple     # (cx, cy, cz) meters
 
     def __post_init__(self):
-        if len(self.extents) != 3 or any(e <= 0 for e in self.extents):
-            raise ConfigurationError("extents must be three positive lengths")
-        if len(self.resolution) != 3 or any(int(n) < 1 for n in self.resolution):
-            raise ConfigurationError("resolution must be three counts >= 1")
+        if len(self.extents) != 3 or not all(0.0 < e < np.inf for e in self.extents):
+            raise ConfigurationError("extents must be three finite positive lengths")
+        if len(self.resolution) != 3 or any(isinstance(n, bool) or n != int(n) or n < 1
+                                            for n in self.resolution):
+            raise ConfigurationError("resolution must be three integer counts >= 1")
+        if len(self.center) != 3 or not np.isfinite(self.center).all():
+            raise ConfigurationError("center must be three finite coordinates")
         freeze(self, extents=tuple(float(e) for e in self.extents),
                resolution=tuple(int(n) for n in self.resolution),
                center=tuple(float(c) for c in self.center))
@@ -199,22 +203,22 @@ def backproject(
     Every voxel scores the magnitude of its mean residual phasor over all
     pairs and carriers; each lateral column keeps the depth of its strongest
     voxel (ties resolve to the smallest depth). Works with any number of
-    carriers and no prior, at full voxel-grid cost.
+    carriers and no prior, at full voxel-grid cost; the volume is
+    correlated in runs of whole depth planes of at most ``_BP_RUN_POINTS``
+    voxels (or one plane), which bounds the memory of each call.
     """
     xs, ys, zs = spec.axis(0), spec.axis(1), spec.axis(2)
-    gx, gy = np.meshgrid(xs, ys)
-    lateral = np.column_stack([gx.ravel(), gy.ravel()])
-    best_mag = np.full(gx.shape, -1.0)
-    best_z = np.full(gx.shape, zs[0])
-    pts = np.empty((lateral.shape[0], 3))
-    pts[:, :2] = lateral
-    for z in zs:  # ascending, so strict improvement keeps the smallest depth
-        pts[:, 2] = z
+    best_mag = np.full((len(ys), len(xs)), -1.0)
+    best_z = np.full(best_mag.shape, zs[0])
+    per_run = max(1, _BP_RUN_POINTS // best_mag.size)
+    for lo in range(0, len(zs), per_run):  # ascending runs of whole depth planes
+        run_z = zs[lo:lo + per_run]
+        pts = np.stack(np.meshgrid(run_z, ys, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 3)  # plane-major
         vals = mean_pair_phasors(pts, baseband, array, freqs, workers=workers)
-        score = np.abs(vals.mean(axis=1)).reshape(gx.shape)
-        upd = score > best_mag
-        best_mag[upd] = score[upd]
-        best_z[upd] = z
+        score = np.abs(vals.mean(axis=1)).reshape((len(run_z),) + best_mag.shape)
+        first, run_best = score.argmax(axis=0), score.max(axis=0)  # argmax: the first, smallest-depth maximum
+        upd = run_best > best_mag  # strict, so an earlier run keeps a tie
+        best_mag, best_z = np.where(upd, run_best, best_mag), np.where(upd, run_z[first], best_z)
     return RadarImage(
         x=xs,
         y=ys,

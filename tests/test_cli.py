@@ -340,6 +340,22 @@ class TestReconstructAndEval:
             assert main([cmd, "-c", str(cfg2), "--workers", "3"]) == 0
         assert tree_digest(tmp_path / "w1") == tree_digest(tmp_path / "w3")
 
+    def test_bp_worker_count_does_not_change_bp_bytes(self, tmp_path):
+        # 33x33x9 voxels: three runs of three planes, 13 blocks each, so
+        # two and three workers split every run's blocks differently.
+        digests = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            cfg = write_config(tmp_path / f"cfg{workers}.json", output_dir=str(out), methods=["bp"],
+                               frequencies={"values_ghz": list(np.linspace(72, 82, 8))},
+                               voxel={"extents": [0.064, 0.064, 0.016], "resolution": [33, 33, 9],
+                                      "center": [0, 0, 0.30]})
+            for cmd in ("simulate", "reconstruct"):
+                assert main([cmd, "-c", str(cfg), "--workers", workers]) == 0, cmd
+            digests.append({k: v for k, v in tree_digest(out).items() if k.startswith("bp_")})
+        assert len(digests[0]) == 4
+        assert digests[0] == digests[1] == digests[2]
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MMFSK_OUT", str(tmp_path / "envout"))
         cfg = write_config(tmp_path / "cfg.json")
@@ -459,6 +475,41 @@ class TestExitCodes:
     def test_null_number_exits_1(self, tmp_path, caplog, command, overrides, key):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["simulate", "-c", str(cfg)]) == 0
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: config {key} must be" in caplog.text
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("reconstruct", {"voxel": {"extents": None, "resolution": [5, 5, 5], "center": [0, 0, 0.3]}},
+         "voxel.extents"),
+        ("reconstruct", {"voxel": {"extents": ["0.01", 0.01, 0.01], "resolution": [5, 5, 5], "center": [0, 0, 0.3]}},
+         "voxel.extents[0]"),
+        ("reconstruct", {"voxel": {"extents": [0.01] * 3, "resolution": [5, 5, 2.7], "center": [0, 0, 0.3]}},
+         "voxel.resolution[2]"),
+        ("reconstruct", {"voxel": {"extents": [0.01] * 3, "resolution": [5, 5, True], "center": [0, 0, 0.3]}},
+         "voxel.resolution[2]"),
+        ("reconstruct", {"voxel": {"extents": [0.01] * 3, "resolution": [5, 5, 5], "center": None}},
+         "voxel.center"),
+        ("reconstruct", {"voxel": {"extents": [0.01] * 3, "resolution": [5, 5, 5], "center": [0, 0.3]}},
+         "voxel.center"),
+        ("simulate", {"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": None}}, "grid.center"),
+        ("simulate", {"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [0, None]}}, "grid.center[1]"),
+        ("simulate", {"frequencies": {"values_ghz": None}}, "frequencies.values_ghz"),
+        ("simulate", {"frequencies": {"values_ghz": [72, "77"]}}, "frequencies.values_ghz[1]"),
+        ("simulate", {"frequencies": {"triple": None}}, "frequencies.triple"),
+        ("simulate", {"frequencies": {"triple": ["0.5", "10.0", "2.0"]}}, "frequencies.triple"),
+        ("simulate", {"scene": {"kind": "plane", "params": {"depth": None}}}, "scene.params.depth"),
+        ("simulate", {"scene": {"kind": "plane", "params": {"depth": 0.3, "center": [0.0]}}}, "scene.params.center"),
+        ("simulate", {"scene": {"kind": "step", "params": {"levels": [0.3, None]}}}, "scene.params.levels[1]"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 6.5}}}, "scene.params.n"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, 1], [0]]}}},
+         "scene.params.bounds[2]"),
+    ])
+    def test_bad_list_or_scene_value_exits_1(self, tmp_path, caplog, command, overrides, key):
+        if command == "reconstruct":
+            overrides["methods"] = ["bp"]
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        if command != "simulate":
+            assert main(["simulate", "-c", str(cfg)]) == 0
         assert main([command, "-c", str(cfg)]) == 1
         assert f"validation: config {key} must be" in caplog.text
 

@@ -260,7 +260,70 @@ class TestMethodsAgree:
         assert abs(d2 - 0.30) < 1e-9
 
 
+def reference_backproject(baseband, spec, array, freqs, workers=None):
+    """The per-plane loop: one correlation call per depth plane, in
+    ascending depth, where a strictly larger score takes the column."""
+    xs, ys, zs = spec.axis(0), spec.axis(1), spec.axis(2)
+    gx, gy = np.meshgrid(xs, ys)
+    best_mag = np.full(gx.shape, -1.0)
+    best_z = np.full(gx.shape, zs[0])
+    pts = np.empty((gx.size, 3))
+    pts[:, 0], pts[:, 1] = gx.ravel(), gy.ravel()
+    for z in zs:
+        pts[:, 2] = z
+        vals = reconstruct.mean_pair_phasors(pts, baseband, array, freqs, workers=workers)
+        score = np.abs(vals.mean(axis=1)).reshape(gx.shape)
+        upd = score > best_mag
+        best_mag[upd] = score[upd]
+        best_z[upd] = z
+    return best_z, best_mag
+
+
+@pytest.fixture(scope="module")
+def bp_volume():
+    """A noisy two-level step under a 33x33x40 volume at 16 carriers:
+    1,089 points per plane, so runs of three planes and a short last run."""
+    array = mimo_cross_array(16, 16, 0.20)
+    freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 16)))
+    scene = make_scene("step", {"levels": [0.2835, 0.3145], "split": 0.001, "extent": 0.08, "spacing": 0.0015})
+    bb = simulate_baseband(scene, array, freqs, NoiseSpec(snr_db=25.0, seed=5))
+    spec = VoxelGridSpec((0.064, 0.064, 0.078), (33, 33, 40), (0.0, 0.0, 0.30))
+    return bb, spec, array, freqs, reference_backproject(bb, spec, array, freqs, workers=1)
+
+
 class TestBackprojection:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_runs_of_planes_match_per_plane_loop(self, bp_volume, workers):
+        bb, spec, array, freqs, (ref_z, ref_mag) = bp_volume
+        assert spec.resolution[2] % (reconstruct._BP_RUN_POINTS // (33 * 33)) != 0  # a short last run
+        img = backproject(bb, spec, array, freqs, workers=workers)
+        assert np.array_equal(img.depth, ref_z)
+        assert np.array_equal(img.magnitude, ref_mag)
+        assert np.array_equal(img.joint_magnitude, ref_mag)
+        assert len(np.unique(img.depth)) > 2  # columns pick depths from several runs
+
+    @pytest.mark.parametrize("resolution", [(33, 33, 40), (13, 13, 30), (1, 1, 9000), (70, 70, 3), (301, 2, 5)])
+    def test_calls_are_runs_of_whole_planes_within_budget(self, monkeypatch, monostatic, resolution):
+        # Record each call's points: every call is a run of whole planes of
+        # at most the budget (or one plane over it), and the calls together
+        # visit every voxel once, plane by plane in ascending depth.
+        freqs = FrequencySet((76e9, 77e9))
+        calls = []
+
+        def record(pts, *args, **kwargs):
+            calls.append(np.array(pts))
+            return np.zeros((len(pts), len(freqs)), dtype=complex)
+
+        monkeypatch.setattr(reconstruct, "mean_pair_phasors", record)
+        spec = VoxelGridSpec((0.01, 0.01, 0.05), resolution, (0.0, 0.0, 0.3))
+        backproject(BasebandTensor(np.zeros((1, 1, 2), dtype=complex)), spec, monostatic, freqs)
+        plane = resolution[0] * resolution[1]
+        for pts in calls:
+            assert len(pts) % plane == 0
+            assert len(pts) <= reconstruct._BP_RUN_POINTS or len(pts) == plane
+        gz, gy, gx = np.meshgrid(spec.axis(2), spec.axis(1), spec.axis(0), indexing="ij")
+        assert np.array_equal(np.concatenate(calls), np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()]))
+
     def test_single_target_localization(self, desk_array):
         freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 16)))
         target = (0.004, -0.007, 0.303)
@@ -330,6 +393,32 @@ class TestBackprojection:
         spec = VoxelGridSpec((0.01, 0.01, 0.05), (3, 3, 11), (0.0, 0.0, 0.3))
         img = backproject(bb, spec, monostatic, freqs)
         assert np.all(img.depth == spec.axis(2)[0])
+
+    def test_tie_across_runs_breaks_to_smallest_depth(self, monostatic):
+        # 1,000 planes of 3x3 voxels take three runs; the equal scores of
+        # later runs must not displace the first plane.
+        freqs = FrequencySet((76e9,))
+        bb = BasebandTensor(np.zeros((1, 1, 1), dtype=complex))
+        spec = VoxelGridSpec((0.01, 0.01, 0.05), (3, 3, 1000), (0.0, 0.0, 0.3))
+        assert spec.resolution[2] > reconstruct._BP_RUN_POINTS // 9
+        img = backproject(bb, spec, monostatic, freqs)
+        assert np.all(img.depth == spec.axis(2)[0])
+        assert np.all(img.magnitude == 0.0)
+
+    @pytest.mark.parametrize("extents, resolution, center", [
+        ((0.01, 0.01, 0.05), (5, 5, 2.7), (0.0, 0.0, 0.3)),
+        ((0.01, 0.01, 0.05), (5, 5, True), (0.0, 0.0, 0.3)),
+        ((0.01, 0.01, 0.05), (5, 5, "5"), (0.0, 0.0, 0.3)),
+        ((0.01, 0.01, 0.05), (5, 5, 5), (0.0, 0.3)),
+        ((0.01, 0.01, 0.05), (5, 5, 5), (0.0, 0.0, np.inf)),
+        ((np.nan, 0.01, 0.05), (5, 5, 5), (0.0, 0.0, 0.3)),
+        ((0.01, np.inf, 0.05), (5, 5, 5), (0.0, 0.0, 0.3)),
+    ])
+    def test_voxel_spec_rejects_bad_counts_extents_and_center(self, extents, resolution, center):
+        # int() would read 2.7 and True as 2 and 1 planes, and a non-finite
+        # extent or center would give NaN voxel axes.
+        with pytest.raises(ConfigurationError):
+            VoxelGridSpec(extents, resolution, center)
 
 
 class TestMagnitudeFilter:

@@ -366,6 +366,7 @@ def _load_prior_grid(outdir: Path) -> CandidateGrid:
 
 def cmd_reconstruct(cfg: dict) -> int:
     filter_db = _number("filter_db", cfg["filter_db"], lambda v: v <= 0.0, "a number <= 0 (dB)")
+    workers = None if cfg["workers"] is None else _count("workers", cfg["workers"])  # None: CPU count
     outdir = _outdir(cfg)
     bb_path = outdir / "baseband.fskt"
     if not bb_path.exists():
@@ -373,7 +374,6 @@ def cmd_reconstruct(cfg: dict) -> int:
     baseband = mio.read_baseband(bb_path)
     array = _build_array(cfg)
     freqs = _build_freqs(cfg)
-    workers = cfg["workers"]
     methods = cfg["methods"]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:

@@ -19,16 +19,21 @@ block shape for every point, and the result is bit-identical no matter how
 candidates are split across workers or BLAS threads.
 
 Complex ``exp`` of the phasor tables, not the GEMM, dominates a block with
-many carriers. When three or more carriers lie on a uniform grid (every
-f_k within one ulp of the top carrier of f_0 + k*step, with the mean step
-(f_last - f_0)/(F - 1)), only carriers whose index is a multiple of 4 take
-an exact ``exp``; each carrier in between is the previous table times one
-step table exp(j 2 pi step d / c). The mean step, not f_1 - f_0, keeps the
-rounding of a linspace-built f_1 out of the chain, and the anchors keep the
-chain at three multiplies for any F, so the tables are as exact as the
-per-carrier ``exp``. Two carriers and non-uniform sets (2fsk, mm2fsk, the
-3fsk triples) keep the per-carrier ``exp``: a step would save nothing
-there, and their bytes stay as they were.
+many carriers. ``carrier_phasors`` yields the tables of one distance table
+carrier by carrier, for the correlator here and for the forward model (with
+negative wavenumbers). When three or more carriers lie on a uniform grid
+(every f_k within one ulp of the top carrier of f_0 + k*step, with the mean
+step (f_last - f_0)/(F - 1)), only carrier 0 takes an exact ``exp``; each
+later table is the previous one times one step table exp(j 2 pi step d / c),
+so a table costs two ``exp`` passes for any F. The mean step, not
+f_1 - f_0, keeps the rounding of a linspace-built f_1 out of the chain.
+Against phases reduced mod 1 in exact rational arithmetic (desk array, 12
+seeds of 6 points, carriers spanning 72-82 GHz), the worst relative error
+of the mean pair phasors was 0.4e-13 to 1.5e-13 for F = 3, 16, 17, 64, 128
+and 256, and 0.4e-13 to 2.5e-13 with an exact table at every 4th carrier
+instead. Two carriers and non-uniform sets (2fsk, mm2fsk, the 3fsk
+triples) keep the per-carrier ``exp``: a step would save nothing there, and
+their bytes stay as they were.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .errors import InsufficientDataError, StructuralError
 from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet, freeze
 
 _BLOCK_ROWS = 256  # GEMM block height: fixed, so every point rounds the same way
-_ANCHOR_EVERY = 4  # carriers per exact exp on a uniform grid; the rest step from the anchor
 
 
 @dataclass(frozen=True)
@@ -167,25 +171,44 @@ def _uniform_step(carriers) -> float | None:
     return step
 
 
-def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers,
-                  step_wavenumber: float | None) -> np.ndarray:
+def carrier_wavenumbers(freqs: FrequencySet, sign: float = 1.0) -> tuple:
+    """Wavenumbers for ``carrier_phasors``: sign * 2 pi f_k / c for every
+    carrier of ``freqs``, and sign * 2 pi step / c on a uniform set
+    (``_uniform_step``), else None."""
+    scale = sign * 2 * np.pi
+    step = _uniform_step(freqs.frequencies)
+    return (scale * np.asarray(freqs.frequencies) / SPEED_OF_LIGHT,
+            None if step is None else scale * step / SPEED_OF_LIGHT)
+
+
+def carrier_phasors(d: np.ndarray, wavenumbers, step_wavenumber: float | None):
+    """Yield exp(j*b_k*d) for each wavenumber b_k in turn. Without a
+    ``step_wavenumber`` each table is an exact ``phasor_table``. With one,
+    only the first is; each later table is the previous one times
+    exp(j*step*d), updated in place, so a yielded table is valid only until
+    the next one is drawn, and must not be written to."""
+    if step_wavenumber is None:
+        yield from (phasor_table(b, d) for b in wavenumbers)
+        return
+    table, step = phasor_table(wavenumbers[0], d), phasor_table(step_wavenumber, d)
+    yield table
+    for _ in wavenumbers[1:]:
+        table *= step
+        yield table
+
+
+def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers) -> np.ndarray:
     """Mean pair phasors of one block of points; ``cube`` is the baseband
     as contiguous (F, T, R) slices so each GEMM reads one carrier, and
-    ``wavenumbers`` are 2 pi f_k / c (conjugated hypothesis:
-    exp(+j 2 pi f rho / c)). With a ``step_wavenumber`` the tables between
-    anchors come from the carrier recurrence described in the module
-    docstring."""
+    ``wavenumbers`` come from ``carrier_wavenumbers`` (conjugated
+    hypothesis: exp(+j 2 pi f rho / c))."""
     n_f, n_t, n_r = cube.shape
     dtx, drx = precompute_distance_tables(points, array)
-    if step_wavenumber is not None:
-        step_tx, step_rx = phasor_table(step_wavenumber, dtx), phasor_table(step_wavenumber, drx)
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
-    for k, b in enumerate(wavenumbers):
-        if step_wavenumber is None or k % _ANCHOR_EVERY == 0:
-            e_tx, e_rx = phasor_table(b, dtx), phasor_table(b, drx)
-        else:
-            e_tx *= step_tx
-            e_rx *= step_rx
+    # Both tables are drawn before the GEMM: drawing the RX table between
+    # the GEMM and the product ran a 16-carrier block 3.5x slower (AVX-512 Xeon).
+    tables = zip(carrier_phasors(dtx, *wavenumbers), carrier_phasors(drx, *wavenumbers))
+    for k, (e_tx, e_rx) in enumerate(tables):
         out[:, k] = ((e_tx @ cube[k]) * e_rx).sum(axis=1)
     return out / (n_t * n_r)
 
@@ -211,15 +234,13 @@ def mean_pair_phasors(
     padded = np.zeros((n_blocks * _BLOCK_ROWS, 3))
     padded[:n] = pts
     cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
-    wavenumbers = 2 * np.pi * np.asarray(freqs.frequencies) / SPEED_OF_LIGHT
-    step = _uniform_step(freqs.frequencies)
-    step_wavenumber = None if step is None else 2 * np.pi * step / SPEED_OF_LIGHT
+    wavenumbers = carrier_wavenumbers(freqs)
     out = np.empty((padded.shape[0], len(freqs)), dtype=np.complex128)
 
     def run(lo: int, hi: int) -> None:
         for start in range(lo * _BLOCK_ROWS, hi * _BLOCK_ROWS, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers, step_wavenumber)
+            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers)
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(int(n_workers), n_blocks))

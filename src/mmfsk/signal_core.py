@@ -55,6 +55,8 @@ class FrequencySet:
         freqs = tuple(float(f) for f in self.frequencies)
         if len(freqs) < 1:
             raise ConfigurationError("frequency set must contain at least one carrier")
+        if not np.isfinite(freqs).all():
+            raise ConfigurationError(f"carrier frequencies must be finite, got {freqs}")
         if any(f <= 0.0 for f in freqs):
             raise ConfigurationError("carrier frequencies must be positive")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):

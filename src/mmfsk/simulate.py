@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import phasor_table, precompute_distance_tables
+from .correlate import carrier_phasors, carrier_wavenumbers, precompute_distance_tables
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap
 from .errors import ConfigurationError
 from .signal_core import (
-    SPEED_OF_LIGHT,
     AntennaArray,
     BasebandTensor,
     FrequencySet,
@@ -162,7 +161,7 @@ def simulate_baseband(
     n_t, n_r, n_f = array.n_tx, array.n_rx, len(freqs)
 
     data = np.zeros((n_t, n_r, n_f), dtype=np.complex128)
-    wavenumbers = -2 * np.pi * np.asarray(freqs.frequencies) / SPEED_OF_LIGHT
+    wavenumbers = carrier_wavenumbers(freqs, sign=-1.0)
 
     for start in range(0, scene.n_targets, _TARGET_CHUNK):
         sl = slice(start, start + _TARGET_CHUNK)
@@ -170,10 +169,10 @@ def simulate_baseband(
         amp = scene.reflectivities[sl] * np.exp(1j * scene.phase_offsets[sl])
         # (T, C) and (R, C) copies, so the einsum sums over contiguous targets
         dtx, drx = (np.ascontiguousarray(d.T) for d in precompute_distance_tables(pos, array))
-        for k, b in enumerate(wavenumbers):
-            et = phasor_table(b, dtx)
-            et *= amp
-            data[:, :, k] += np.einsum("tc,rc->tr", et, phasor_table(b, drx))
+        # next() binds no name to a table, so no table outlives its einsum
+        e_tx, e_rx = carrier_phasors(dtx, *wavenumbers), carrier_phasors(drx, *wavenumbers)
+        for k in range(n_f):
+            data[:, :, k] += np.einsum("tc,rc->tr", next(e_tx) * amp, next(e_rx))
 
     if noise.enabled:
         power = float(np.mean(np.abs(data) ** 2))

@@ -356,6 +356,23 @@ class TestReconstructAndEval:
         assert len(digests[0]) == 4
         assert digests[0] == digests[1] == digests[2]
 
+    @pytest.mark.parametrize("where, value", [
+        ("config", "two"), ("config", 1.5), ("config", True), ("config", 0), ("config", -3),
+        ("flag", "0"), ("flag", "-3"),
+    ])
+    def test_bad_worker_count_exits_1(self, tmp_path, caplog, where, value):
+        cfg = write_config(tmp_path / "cfg.json", **({"workers": value} if where == "config" else {}))
+        flag = ["--workers", value] if where == "flag" else []
+        for cmd in ("simulate", "prior"):
+            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        assert main(["reconstruct", "-c", str(cfg), *flag]) == 1
+        assert "validation: config workers must be an integer >= 1" in caplog.text
+        assert not (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
+
+    def test_null_worker_count_means_cpu_count(self, tmp_path):
+        self.run_pipeline(tmp_path, workers=None)
+        assert (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MMFSK_OUT", str(tmp_path / "envout"))
         cfg = write_config(tmp_path / "cfg.json")
@@ -477,6 +494,14 @@ class TestExitCodes:
         assert main(["simulate", "-c", str(cfg)]) == 0
         assert main([command, "-c", str(cfg)]) == 1
         assert f"validation: config {key} must be" in caplog.text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_carrier_exits_1(self, tmp_path, caplog, bad):
+        # json reads NaN and Infinity: the set must fail before the forward model runs.
+        cfg = write_config(tmp_path / "cfg.json", frequencies={"values_ghz": [72, bad]})
+        assert main(["simulate", "-c", str(cfg)]) == 1
+        assert "validation: carrier frequencies must be finite" in caplog.text
+        assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
 
     @pytest.mark.parametrize("command, overrides, key", [
         ("reconstruct", {"voxel": {"extents": None, "resolution": [5, 5, 5], "center": [0, 0, 0.3]}},

@@ -186,6 +186,13 @@ class TestFrequencySet:
         with pytest.raises(ConfigurationError):
             FrequencySet((0.0, 1e9))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_finite_only(self, bad):
+        # NaN passes every ordering test and inf the positivity test.
+        for carriers in ((72e9, bad), (bad, 72e9), (72e9, bad, 82e9)):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                FrequencySet(carriers)
+
     def test_delta(self):
         fs = FrequencySet((72e9, 82e9))
         assert fs.delta() == pytest.approx(10e9)

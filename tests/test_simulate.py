@@ -103,10 +103,12 @@ class TestSimulateBaseband:
         rhs = simulate_baseband(a, tiny_array, freqs).data + simulate_baseband(b, tiny_array, freqs).data
         assert np.array_equal(lhs, rhs)
 
-    def test_matches_nested_loop_reference(self):
-        # Reduced-scale panel: 8x8 pairs, 16 carriers spanning 72-82 GHz.
+    @pytest.mark.parametrize("n_carriers", [16, 128])
+    def test_matches_nested_loop_reference(self, n_carriers):
+        # Reduced-scale panel: 8x8 pairs, uniform carriers spanning 72-82 GHz
+        # (the carrier recurrence's path).
         array = mimo_cross_array(8, 8, 0.1)
-        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 16)))
+        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, n_carriers)))
         rng = np.random.default_rng(0)
         scene = Scene(
             rng.uniform(-0.03, 0.03, (7, 3)) + np.array([0, 0, 0.33]),

@@ -7,6 +7,10 @@ methods, ``eval`` scores reconstructions, ``sweep`` repeats the pipeline
 over frequency configurations and reports the error trend, and ``report``
 renders collected evaluation records as one table.
 
+``CONFIG`` is the one table of config keys: each key's type, range and
+default. Every subcommand checks the whole config, flags included, against
+it before it writes a file; the subcommands then read plain values.
+
 Every run is deterministic given (config, seed): a resolved-config snapshot
 with a content hash is written next to the outputs, and reruns produce
 byte-identical artifacts regardless of worker count. Exit codes: 0 success,
@@ -40,7 +44,7 @@ from .reconstruct import (
     magnitude_filter,
     mm2fsk_reconstruct,
 )
-from .signal_core import FrequencySet, mimo_cross_array
+from .signal_core import FREQUENCY_PAIRS, FrequencySet, mimo_cross_array
 from .simulate import SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
 
 log = logging.getLogger("mmfsk")
@@ -53,206 +57,213 @@ ARRAY_PROFILES = {
     "full": (94, 94, 0.50),
 }
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "workers": None,
-    "output_dir": "out",
-    "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.08, "spacing": 0.0015}},
-    "array": {"profile": "desk"},
-    "grid": {"width": 64, "height": 64, "spacing": 0.001},
-    "frequencies": {"pair": "10.0"},
-    "methods": ["mm2fsk"],
-    "prior": {"value": 0.40},
-    "noise": None,
-    "filter_db": DEFAULT_FILTER_DB,
-    "voxel": None,
-    "eval": {},
-    "sweep": None,
+# ---------------------------------------------------------------------------
+# the config table
+#
+# A check takes a key's dotted name and its value. It returns the value as
+# given, a section with its defaults filled in, or raises
+# ConfigurationError("config <key> must be <what>, got <value>"). Types are
+# compared with type(), so a bool is neither a number nor an integer.
+
+
+def _rule(test, what: str):
+    def check(where, value):
+        if not test(value):
+            raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _number(ok=lambda v: True, what: str = "a number"):
+    return _rule(lambda v: type(v) in (int, float) and ok(v), what)
+
+
+def _or_null(check):
+    return lambda where, value: None if value is None else check(where, value)
+
+
+def _one_of(names):
+    return _rule(lambda v: isinstance(v, str) and v in names, f"one of {list(names)}")
+
+
+def _list(item, n=None, least=0):
+    """A JSON list of ``n`` items (of at least ``least`` if ``n`` is None),
+    each checked by ``item`` as ``<key>[i]``."""
+    shape = _rule(lambda v: isinstance(v, list) and len(v) >= least and (n is None or len(v) == n),
+                  f"a list of {n} items" if n else "a non-empty list" if least else "a list")
+    return lambda where, value: [item(f"{where}[{i}]", v) for i, v in enumerate(shape(where, value))]
+
+
+def _section(table: str):
+    """A JSON object checked against ``CONFIG[table]``: no unknown key, keys
+    of at most one of its ``SELECTORS`` groups, every required key, then the
+    defaults filled in and every value checked."""
+    def check(where, spec):
+        keys, groups = CONFIG[table], SELECTORS.get(table, [()])
+        at = f"config {where}" if where else "config"
+        if not isinstance(spec, dict):
+            raise ConfigurationError(f"{at} must be a JSON object, got {spec!r}")
+        unknown = sorted(set(spec) - set(keys))
+        if unknown:
+            raise ConfigurationError(f"{at}: unknown key(s) {unknown}; allowed: {sorted(keys)}")
+        given = [g for g in groups if not set(g).isdisjoint(spec)] or groups[:1]
+        if len(given) > 1:
+            mixed = " and ".join(repr(k) for g in given for k in g if k in spec)
+            raise ConfigurationError(f"{at}: {mixed} exclude each other")
+        spec = {**{k: d for k, (_, d) in keys.items() if not callable(d)}, **spec}
+        excused = set().union(*groups) - set(given[0])
+        for key, (_, default) in keys.items():
+            if key not in spec and key not in excused and callable(default) and default(spec):
+                raise ConfigurationError(f"{at}: missing key {key!r}")
+        return {k: keys[k][0](f"{where}.{k}" if where else k, v) for k, v in spec.items()}
+    return check
+
+
+def _scene(where, spec):
+    """The scene section, then its params against the keys its kind reads."""
+    spec = _section("scene")(where, spec)
+    return {**spec, "params": _section(f"scene.params.{spec['kind']}")(f"{where}.params", spec["params"])}
+
+
+NUMBER = _number()
+INTEGER = _rule(lambda v: type(v) is int, "an integer")
+COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+TEXT = _rule(lambda v: isinstance(v, str), "a string")
+METHOD, PAIR = _one_of(METHODS), _one_of(FREQUENCY_PAIRS)
+REQUIRED, OPTIONAL = (lambda section: True), (lambda section: False)
+
+
+# Each section maps its keys to (check, default). A default that is a
+# function of the section (its other defaults filled in) says whether the
+# key must be given; one left out is then not filled in. Any other default
+# is filled in where the key is left out. "" is the top level.
+CONFIG = {
+    "": {
+        "seed": (INTEGER, 0),
+        "workers": (_or_null(COUNT), None),  # null: the CPU count
+        "output_dir": (TEXT, "out"),
+        "scene": (_scene, {"kind": "plane", "params": {"depth": 0.30, "extent": 0.08, "spacing": 0.0015}}),
+        "array": (_section("array"), {"profile": "desk"}),
+        "grid": (_section("grid"), {"width": 64, "height": 64, "spacing": 0.001}),
+        "frequencies": (_section("frequencies"), {"pair": "10.0"}),
+        "methods": (_list(METHOD, least=1), ["mm2fsk"]),
+        "prior": (_section("prior"), {"value": 0.40}),
+        "noise": (_or_null(_section("noise")), None),
+        "filter_db": (_number(lambda v: v <= 0.0, "a number <= 0 (dB)"), DEFAULT_FILTER_DB),
+        "voxel": (_or_null(_section("voxel")), None),  # null: the grid's footprint, 20 cm deep
+        "eval": (_section("eval"), {}),
+        "sweep": (_or_null(_section("sweep")), None),
+    },
+    "scene": {"kind": (_one_of(SCENE_PARAMS), REQUIRED), "params": (lambda where, value: value, REQUIRED)},
+    "array": {"profile": (_one_of(ARRAY_PROFILES), REQUIRED),
+              "n_tx": (COUNT, REQUIRED), "n_rx": (COUNT, REQUIRED), "aperture": (NUMBER, REQUIRED)},
+    "grid": {"width": (COUNT, REQUIRED), "height": (COUNT, REQUIRED), "spacing": (NUMBER, REQUIRED),
+             "center": (_list(NUMBER, 2), [0.0, 0.0])},
+    "frequencies": {"pair": (PAIR, REQUIRED), "triple": (_list(PAIR, 2), REQUIRED),
+                    "values_ghz": (_list(NUMBER), REQUIRED)},
+    "prior": {
+        "mode": (_one_of(("scalar", "camera", "file")), "scalar"),
+        "value": (NUMBER, lambda prior: prior["mode"] == "scalar"),
+        "path": (TEXT, lambda prior: prior["mode"] == "file"),
+        "calibration": (_or_null(TEXT), OPTIONAL),
+        "width": (COUNT, 72),
+        "height": (COUNT, 72),
+        "noise_mm": (_number(lambda v: 0.0 <= v < np.inf, "a finite number >= 0"), 0.0),
+        "dropout": (_number(lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"), 0.0),
+    },
+    "noise": {"snr_db": (_or_null(NUMBER), OPTIONAL), "seed": (INTEGER, OPTIONAL)},  # seed: else the config's
+    "voxel": {"extents": (_list(NUMBER, 3), REQUIRED), "resolution": (_list(COUNT, 3), REQUIRED),
+              "center": (_list(NUMBER, 3), REQUIRED)},
+    "eval": {"erode": (INTEGER, 1)},
+    "sweep": {  # method: the first of methods; seeds: [seed], or a count n for 0..n-1
+        "method": (METHOD, OPTIONAL),
+        "pairs": (_list(PAIR, least=1), REQUIRED),
+        "seeds": (_rule(lambda v: (type(v) is int and v >= 1
+                                   or type(v) is list and v and all(type(i) is int for i in v)),
+                        "an integer >= 1 or a non-empty list of integers"), OPTIONAL),
+        "runs": (_list(_section("sweep.runs"), least=1), REQUIRED),
+    },
+    "sweep.runs": {"method": (METHOD, REQUIRED), "pair": (PAIR, REQUIRED), "triple": (_list(PAIR, 2), REQUIRED),
+                   "prior": (_or_null(_section("prior")), OPTIONAL)},
+    # scene.params.<kind>: the keys SCENE_PARAMS says the kind reads, each a
+    # number unless named here; a surface kind needs the keys of its shape
+    **{f"scene.params.{kind}": {
+        key: ({"center": _list(NUMBER, 2), "levels": _list(NUMBER, 2), "bounds": _list(_list(NUMBER, 2), 3),
+               "n": INTEGER, "seed": INTEGER}.get(key, NUMBER),
+              REQUIRED if key in {"plane": ("depth",), "sphere-cap": ("radius", "center_z"),
+                                  "step": ("levels",)}.get(kind, ()) else OPTIONAL)
+        for key in keys} for kind, keys in SCENE_PARAMS.items()},
 }
 
-# Allowed keys of each config section, with the defaults load_config fills
-# in (None: no default). The selector sections, array and frequencies, get
-# no defaults, so their alternatives never mix.
-SECTION_KEYS = {
-    "scene": {"kind": None, "params": None},
-    "array": {"profile": None, "n_tx": None, "n_rx": None, "aperture": None},
-    "grid": {"width": None, "height": None, "spacing": None, "center": [0.0, 0.0]},
-    "frequencies": {"pair": None, "triple": None, "values_ghz": None},
-    "prior": {"mode": "scalar", "value": None, "path": None, "calibration": None,
-              "width": 72, "height": 72, "noise_mm": 0.0, "dropout": 0.0},
-    "noise": {"snr_db": None, "seed": None},
-    "voxel": {"extents": None, "resolution": None, "center": None},
-    "eval": {"erode": 1},
-    "sweep": {"method": None, "pairs": None, "seeds": None, "runs": None},
-    "sweep.runs": {"method": None, "pair": None, "triple": None, "prior": None},
+# Alternatives within a section: keys of one group only, and that group's
+# required keys (the first group's where none is given).
+SELECTORS = {
+    "array": [("profile",), ("n_tx", "n_rx", "aperture")],
+    "frequencies": [("pair",), ("triple",), ("values_ghz",)],
+    "sweep": [("method", "pairs"), ("runs",)],
+    "sweep.runs": [("pair",), ("triple",)],
 }
-
-
-class _Section(dict):
-    """One config section: reading a key it lacks is a validation error
-    that names the section and the key."""
-
-    def __init__(self, where: str, items: dict):
-        super().__init__(items)
-        self.where = where
-
-    def __missing__(self, key):
-        raise ConfigurationError(f"config {self.where}: missing key {key!r}")
-
-
-def _check_section(where: str, spec, keys: dict) -> dict:
-    """One config section with its defaults filled in; unknown keys are
-    rejected."""
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"config {where} must be a JSON object")
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise ConfigurationError(f"config {where}: unknown key(s) {unknown}; allowed: {sorted(keys)}")
-    return _Section(where, {**{k: v for k, v in keys.items() if v is not None}, **spec})
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
-    """Defaults, then the config file, then CLI flags. Sections replace
-    wholesale so that selector keys (e.g. pair vs triple) never mix; then
-    ``SECTION_KEYS`` checks each section and fills in its defaults. Unknown
-    keys exit 1 at any level, and so does a missing key once it is read;
-    the ``_meta`` block of a resolved-config snapshot is dropped, so a
-    snapshot can be fed back."""
-    cfg = dict(DEFAULT_CONFIG)
+    """The config file, then the CLI flags over it, checked as a whole
+    against ``CONFIG`` before any stage runs, with the defaults filled in.
+    A section given replaces the default section wholesale. No value is
+    converted, so a snapshot holds the values as given; the ``_meta`` block
+    of a resolved-config snapshot is dropped, so a snapshot can be fed
+    back."""
+    cfg = {}
     if path is not None:
         try:
-            loaded = mio.load_json(path)
+            cfg = mio.load_json(path)
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
         except ValueError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
+        if not isinstance(cfg, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
-        loaded.pop("_meta", None)
-        unknown = sorted(set(loaded) - set(DEFAULT_CONFIG))
-        if unknown:
-            raise ConfigurationError(f"config {path}: unknown key(s) {unknown}; "
-                                     f"allowed: {sorted(DEFAULT_CONFIG)}")
-        cfg.update(loaded)
+        cfg.pop("_meta", None)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    for name, default in DEFAULT_CONFIG.items():
-        if name in SECTION_KEYS and not (cfg[name] is None and default is None):
-            cfg[name] = _check_section(name, cfg[name], SECTION_KEYS[name])
-    scene = cfg["scene"]
-    if "params" in scene:
-        kind = scene["kind"]
-        if kind not in SCENE_PARAMS:
-            raise ConfigurationError(f"config scene: unknown kind {kind!r}; allowed: {list(SCENE_PARAMS)}")
-        scene["params"] = _check_section("scene.params", scene["params"], dict.fromkeys(SCENE_PARAMS[kind]))
-        _check_scene_params(scene["params"])
-    runs = (cfg["sweep"] or {}).get("runs") or []
-    for i, run in enumerate(runs):
-        runs[i] = run = _check_section(f"sweep.runs[{i}]", run, SECTION_KEYS["sweep.runs"])
-        if run.get("prior"):
-            run["prior"] = _check_section(f"sweep.runs[{i}].prior", run["prior"], SECTION_KEYS["prior"])
-    return cfg
-
-
-def _number(where: str, value, ok=lambda v: True, what: str = "", kind=float):
-    """A numeric config value as ``kind``: a JSON number (an integer when
-    ``kind`` is int; never a bool or null) that passes ``ok``. Anything
-    else is a validation error naming the key."""
-    types = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
-        what = what or ("an integer" if kind is int else "a number")
-        raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _count(where: str, value) -> int:
-    return _number(where, value, lambda v: v >= 1, "an integer >= 1", kind=int)
-
-
-def _list(where: str, value, length: int | None = None, item=_number) -> list:
-    """A list-valued config value: a JSON list (of ``length`` items where
-    the key has a fixed length), each item checked by ``item`` under the
-    name ``where[i]``. Anything else is a validation error naming the key."""
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        what = "a list" if length is None else f"a list of {length} items"
-        raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
-    return [item(f"{where}[{i}]", v) for i, v in enumerate(value)]
-
-
-def _check_scene_params(params: dict) -> None:
-    """The scene builders read their parameters with bare ``float``/``int``,
-    so each given value must have its JSON shape before any of them runs."""
-    for key, value in params.items():
-        where = f"scene.params.{key}"
-        if key in ("center", "levels"):
-            _list(where, value, 2)
-        elif key == "bounds":  # three (min, max) intervals
-            _list(where, value, 3, lambda w, interval: _list(w, interval, 2))
-        else:
-            _number(where, value, kind=int if key in ("n", "seed") else float)
-
-
-def _triple(spec: dict) -> list:
-    """The two bundled pair names a three-carrier set is built from."""
-    return _list("frequencies.triple", spec["triple"], 2, lambda where, name: name)
+    return _section("")("", cfg)
 
 
 def _build_array(cfg: dict):
     spec = cfg["array"]
     if "profile" in spec:
-        try:
-            n_tx, n_rx, aperture = ARRAY_PROFILES[spec["profile"]]
-        except KeyError:
-            raise ConfigurationError(f"unknown array profile {spec['profile']!r}")
-    else:
-        n_tx, n_rx = _count("array.n_tx", spec["n_tx"]), _count("array.n_rx", spec["n_rx"])
-        aperture = _number("array.aperture", spec["aperture"])
-    return mimo_cross_array(n_tx, n_rx, aperture)
+        return mimo_cross_array(*ARRAY_PROFILES[spec["profile"]])
+    return mimo_cross_array(spec["n_tx"], spec["n_rx"], spec["aperture"])
 
 
-def _build_freqs(cfg: dict) -> FrequencySet:
-    spec = cfg["frequencies"]
+def _build_freqs(spec: dict) -> FrequencySet:
     if "pair" in spec:
         return FrequencySet.from_pair_name(spec["pair"])
     if "triple" in spec:
-        return FrequencySet.triple_from_pair_names(*_triple(spec))
-    if "values_ghz" in spec:
-        return FrequencySet(tuple(v * 1e9 for v in _list("frequencies.values_ghz", spec["values_ghz"])))
-    raise ConfigurationError("frequencies must give 'pair', 'triple', or 'values_ghz'")
-
-
-def _grid_size(cfg: dict) -> tuple:
-    """The grid's width and height in pixels and its spacing in meters."""
-    g = cfg["grid"]
-    return (_count("grid.width", g["width"]), _count("grid.height", g["height"]),
-            _number("grid.spacing", g["spacing"]))
+        return FrequencySet.triple_from_pair_names(*spec["triple"])
+    return FrequencySet(tuple(v * 1e9 for v in spec["values_ghz"]))
 
 
 def _build_grid(cfg: dict) -> CandidateGrid:
-    return CandidateGrid.regular(*_grid_size(cfg), tuple(_list("grid.center", cfg["grid"]["center"], 2)))
+    g = cfg["grid"]
+    return CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
 
 
 def _voxel_spec(cfg: dict) -> VoxelGridSpec:
-    v = cfg["voxel"]
+    v, g = cfg["voxel"], cfg["grid"]
     if v is None:
         # default volume: grid footprint, 20 cm of depth around the scene
-        width, height, spacing = _grid_size(cfg)
-        center = _list("grid.center", cfg["grid"]["center"], 2)
         return VoxelGridSpec(
-            extents=(width * spacing, height * spacing, 0.20),
-            resolution=(width, height, 201),
-            center=(center[0], center[1], 0.30),
+            extents=(g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20),
+            resolution=(g["width"], g["height"], 201),
+            center=(g["center"][0], g["center"][1], 0.30),
         )
-    return VoxelGridSpec(tuple(_list("voxel.extents", v["extents"], 3)),
-                         tuple(_list("voxel.resolution", v["resolution"], 3, _count)),
-                         tuple(_list("voxel.center", v["center"], 3)))
+    return VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
 
 
 def _noise(cfg: dict) -> NoiseSpec:
     n = cfg["noise"]
-    if not n or n.get("snr_db") in (None, "none"):
+    if not n or n.get("snr_db") is None:
         return NoiseSpec()
-    seed = _number("noise.seed" if "seed" in n else "seed", n.get("seed", cfg["seed"]), kind=int)
-    return NoiseSpec(snr_db=_number("noise.snr_db", n["snr_db"]), seed=seed)
+    return NoiseSpec(snr_db=n["snr_db"], seed=n.get("seed", cfg["seed"]))
 
 
 def _outdir(cfg: dict) -> Path:
@@ -300,7 +311,7 @@ def cmd_simulate(cfg: dict) -> int:
     scene_cfg = cfg["scene"]
     scene = make_scene(scene_cfg["kind"], scene_cfg["params"])
     array = _build_array(cfg)
-    freqs = _build_freqs(cfg)
+    freqs = _build_freqs(cfg["frequencies"])
     baseband = simulate_baseband(scene, array, freqs, _noise(cfg))
     mio.write_baseband(outdir / "baseband.fskt", baseband)
     mio.write_ply(outdir / "gt_targets.ply", scene.positions, np.abs(scene.reflectivities))
@@ -317,26 +328,21 @@ def cmd_prior(cfg: dict) -> int:
     outdir = _outdir(cfg)
     grid = _build_grid(cfg)
     spec = cfg["prior"]
-    mode = spec["mode"]
-    if mode == "scalar":
-        prior = grid.with_scalar_prior(_number("prior.value", spec["value"]))
-    elif mode == "camera":
-        width, height = _count("prior.width", spec["width"]), _count("prior.height", spec["height"])
-        noise_mm = _number("prior.noise_mm", spec["noise_mm"], lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
-        dropout = _number("prior.dropout", spec["dropout"], lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+    if spec["mode"] == "scalar":
+        prior = grid.with_scalar_prior(spec["value"])
+    elif spec["mode"] == "camera":
+        size = spec["width"], spec["height"]
         if spec.get("calibration"):
             intr, ext = mio.load_calibration(spec["calibration"])
         else:
-            intr, ext = _default_calibration(width, height)
+            intr, ext = _default_calibration(*size)
         scene_cfg = cfg["scene"]
-        depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, width, height)
-        depth_map = _degrade_depth_map(depth_map, noise_mm, dropout, _number("seed", cfg["seed"], kind=int))
+        depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, *size)
+        depth_map = _degrade_depth_map(depth_map, spec["noise_mm"], spec["dropout"], cfg["seed"])
         mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
         prior = build_prior(depth_map, intr, ext, grid)
-    elif mode == "file":
-        prior = mio.load_candidate_grid(spec["path"])
     else:
-        raise ConfigurationError(f"unknown prior mode {mode!r}")
+        prior = mio.load_candidate_grid(spec["path"])
     mio.save_candidate_grid(outdir / "prior_grid.json", prior)
     _snapshot(cfg, outdir, "prior")
     log.info("prior: %d valid pixels -> %s", int(prior.valid.sum()), outdir)
@@ -365,27 +371,22 @@ def _load_prior_grid(outdir: Path) -> CandidateGrid:
 
 
 def cmd_reconstruct(cfg: dict) -> int:
-    filter_db = _number("filter_db", cfg["filter_db"], lambda v: v <= 0.0, "a number <= 0 (dB)")
-    workers = None if cfg["workers"] is None else _count("workers", cfg["workers"])  # None: CPU count
     outdir = _outdir(cfg)
     bb_path = outdir / "baseband.fskt"
     if not bb_path.exists():
         raise FileNotFoundError(f"baseband tensor not found: {bb_path} (run 'simulate' first)")
     baseband = mio.read_baseband(bb_path)
     array = _build_array(cfg)
-    freqs = _build_freqs(cfg)
-    methods = cfg["methods"]
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigurationError(f"unknown method(s) {unknown}; choose from {METHODS}")
-    for method in methods:
+    freqs = _build_freqs(cfg["frequencies"])
+    workers = cfg["workers"]  # None: the CPU count
+    for method in cfg["methods"]:
         if method == "bp":
             image = backproject(baseband, _voxel_spec(cfg), array, freqs, workers=workers)
         else:
             grid = _load_prior_grid(outdir)
             recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}[method]
             image = recon(baseband, grid, array, freqs, workers=workers)
-        image = magnitude_filter(image, filter_db)
+        image = magnitude_filter(image, cfg["filter_db"])
         mio.export_radar_image(outdir, method, image)
         log.info("reconstruct[%s]: %d valid pixels", method, image.n_valid)
     _snapshot(cfg, outdir, "reconstruct")
@@ -407,7 +408,6 @@ def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
 def cmd_eval(cfg: dict) -> int:
     outdir = _outdir(cfg)
     scene_cfg = cfg["scene"]
-    erode = _number("eval.erode", cfg["eval"]["erode"], kind=int)
     reports = []
     for method in cfg["methods"]:
         path = outdir / f"{method}_depth.pfm"
@@ -415,7 +415,8 @@ def cmd_eval(cfg: dict) -> int:
             raise FileNotFoundError(f"reconstruction not found: {path} (run 'reconstruct' first)")
         image = _load_image(outdir, method, cfg)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
-        report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=erode, label=label)
+        report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
+                               label=label)
         reports.append(report)
         mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")
@@ -430,35 +431,24 @@ def _freq_label(spec: dict) -> str:
     if "pair" in spec:
         return f"d{spec['pair']}"
     if "triple" in spec:
-        return "t{}-{}".format(*_triple(spec))
+        return "t{}-{}".format(*spec["triple"])
     return "custom"
-
-
-def _sweep_runs(sweep: dict, methods: list) -> list:
-    """Normalize the sweep section into explicit run specs.
-
-    The shorthand form sweeps one method over two-frequency configurations;
-    the general form lists runs, each naming a method, a ``pair`` or
-    ``triple``, and optionally a prior override.
-    """
-    if sweep.get("runs"):
-        return sweep["runs"]
-    method = sweep.get("method", methods[0])
-    pairs = sweep.get("pairs")
-    if not pairs:
-        raise ConfigurationError("sweep needs 'pairs' or explicit 'runs'")
-    return [{"method": method, "pair": p} for p in pairs]
 
 
 def cmd_sweep(cfg: dict) -> int:
     """Run simulate->prior->reconstruct->eval per configuration, aggregate
     seed medians, and judge the error-vs-bandwidth trend."""
+    sweep = cfg["sweep"]
+    if sweep is None:
+        raise ConfigurationError("sweep needs a 'sweep' section with 'pairs' or 'runs'")
     outdir = _outdir(cfg)
-    sweep = cfg["sweep"] or {}
     seeds = sweep.get("seeds", [cfg["seed"]])
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    runs = _sweep_runs(sweep, cfg["methods"])
+    # the shorthand form sweeps one method over bundled pairs; the general
+    # form lists runs, each with a method, a pair or triple and maybe a prior
+    runs = sweep.get("runs") or [{"method": sweep.get("method", cfg["methods"][0]), "pair": p}
+                                 for p in sweep["pairs"]]
 
     records = []
     for run in runs:
@@ -483,11 +473,10 @@ def cmd_sweep(cfg: dict) -> int:
             cmd_reconstruct(sub)
             cmd_eval(sub)
             per_seed.append(mio.load_json(Path(sub["output_dir"]) / f"eval_{method}.json"))
-        freqs = _build_freqs({"frequencies": freq_spec})
         record = {
             "label": label,
             "method": method,
-            "delta_f_hz": freqs.delta(),
+            "delta_f_hz": _build_freqs(freq_spec).delta(),
             **{f"median_{k}": float(np.median([r[k] for r in per_seed])) for k in SCORES},
             "runs": per_seed,
         }
@@ -538,6 +527,14 @@ def cmd_report(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_flag(text: str):
+    """A flag's integer, or its text for the config table to reject by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmfsk",
@@ -549,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__ or name)
         p.add_argument("-c", "--config", help="experiment config (JSON)")
         p.add_argument("-o", "--output-dir", help="output directory (overrides config and MMFSK_OUT)")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--workers", type=int, help="worker pool size (default: CPU count)")
+        p.add_argument("--seed", type=_int_flag, help="override config seed")
+        p.add_argument("--workers", type=_int_flag, help="worker pool size (default: CPU count)")
         p.add_argument("--method", action="append", dest="methods",
                        help="imaging method (repeatable): 2fsk, mm2fsk, 3fsk, bp")
     return parser

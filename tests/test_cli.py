@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from mmfsk import io as mio
-from mmfsk.cli import main
+from mmfsk.cli import CONFIG, SELECTORS, load_config, main
+from mmfsk.simulate import SCENE_PARAMS
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -91,10 +93,24 @@ class TestSimulate:
     ])
     def test_missing_section_key_exits_1(self, tmp_path, caplog, overrides, command, key):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
-        if command == "reconstruct":
-            assert main(["simulate", "-c", str(cfg)]) == 0
+        if command == "reconstruct":  # simulate checks the voxel section too
+            assert main(["simulate", "-c", str(cfg)]) == 1
         assert main([command, "-c", str(cfg)]) == 1
         assert "validation: config " in caplog.text and f"missing key '{key}'" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, where, keys", [
+        ("simulate", {"array": {"profile": "desk", "n_tx": 4}}, "array", "'profile' and 'n_tx'"),
+        ("simulate", {"frequencies": {"pair": "10.0", "values_ghz": [72.0, 82.0]}}, "frequencies",
+         "'pair' and 'values_ghz'"),
+        ("sweep", {"sweep": {"runs": [{"method": "3fsk", "pair": "10.0", "triple": ["0.5", "10.0"]}]}},
+         "sweep.runs[0]", "'pair' and 'triple'"),
+    ], ids=["array", "frequencies", "sweep-run"])
+    def test_mixed_selectors_exit_1(self, tmp_path, caplog, command, overrides, where, keys):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: config {where}: {keys} exclude each other" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_non_object_config_exits_1(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -304,6 +320,17 @@ class TestReconstructAndEval:
         assert rec["n_pixels_eroded"] == rec["n_pixels_masked"] > 0
         assert rec["p_eroded"] == rec["p_masked"]
 
+    @pytest.mark.parametrize("command, methods, message", [
+        ("reconstruct", "2fsk", "config methods must be a non-empty list, got '2fsk'"),
+        ("eval", ["hologram"], "config methods[0] must be one of ['2fsk', 'mm2fsk', '3fsk', 'bp'], got 'hologram'"),
+        ("simulate", [], "config methods must be a non-empty list, got []"),
+    ])
+    def test_methods_are_known_names_checked_on_load(self, tmp_path, caplog, command, methods, message):
+        cfg = write_config(tmp_path / "cfg.json", methods=methods)
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", methods=["hologram"])
         main(["simulate", "-c", str(cfg)])
@@ -313,11 +340,11 @@ class TestReconstructAndEval:
     @pytest.mark.parametrize("filter_db", [5.0, float("nan")])
     def test_filter_db_above_zero_or_nan_exits_1(self, tmp_path, caplog, filter_db):
         cfg = write_config(tmp_path / "cfg.json", filter_db=filter_db)
-        for cmd in ("simulate", "prior"):
-            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        for cmd in ("simulate", "prior"):  # each checks the whole config
+            assert main([cmd, "-c", str(cfg)]) == 1, cmd
         assert main(["reconstruct", "-c", str(cfg)]) == 1
         assert "validation: config filter_db must be" in caplog.text
-        assert not (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_reconstruct_without_baseband_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -358,16 +385,36 @@ class TestReconstructAndEval:
 
     @pytest.mark.parametrize("where, value", [
         ("config", "two"), ("config", 1.5), ("config", True), ("config", 0), ("config", -3),
-        ("flag", "0"), ("flag", "-3"),
+        ("flag", "0"), ("flag", "-3"), ("flag", "two"), ("flag", "1.5"),
     ])
     def test_bad_worker_count_exits_1(self, tmp_path, caplog, where, value):
         cfg = write_config(tmp_path / "cfg.json", **({"workers": value} if where == "config" else {}))
         flag = ["--workers", value] if where == "flag" else []
-        for cmd in ("simulate", "prior"):
-            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        for cmd in ("simulate", "prior"):  # a bad config value stops every subcommand
+            assert main([cmd, "-c", str(cfg)]) == (1 if where == "config" else 0), cmd
         assert main(["reconstruct", "-c", str(cfg), *flag]) == 1
         assert "validation: config workers must be an integer >= 1" in caplog.text
         assert not (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
+        if where == "config":
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate", "--seed", "x", "config seed must be an integer"),
+        ("simulate", "--seed", "1.5", "config seed must be an integer"),
+        ("reconstruct", "--workers", "two", "config workers must be an integer >= 1"),
+    ])
+    def test_bad_flag_value_exits_1_naming_the_key(self, tmp_path, caplog, command, flag, value, message):
+        # not argparse's exit 2, which the CLI keeps for I/O errors
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main([command, "-c", str(cfg), flag, value]) == 1
+        assert f"validation: {message}, got '{value}'" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_integers_reach_the_snapshot_as_integers(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "-c", str(cfg), "--seed", "11", "--workers", "2"]) == 0
+        snapshot = mio.load_json(tmp_path / "out" / "simulate_config.json")
+        assert (snapshot["seed"], snapshot["workers"]) == (11, 2)
 
     def test_null_worker_count_means_cpu_count(self, tmp_path):
         self.run_pipeline(tmp_path, workers=None)
@@ -444,6 +491,31 @@ class TestSweepAndReport:
         by_label = {r["label"]: r["median_p_eroded"] for r in report["records"]}
         assert by_label["mm2fsk@d10.0"] < by_label["2fsk@d10.0"]
 
+    @pytest.mark.parametrize("sweep, key", [
+        ({"pairs": ["10.0"], "seeds": "ab"}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "seeds": 0}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "seeds": []}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "seeds": [1, 2.5]}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "method": "hologram"}, "sweep.method"),
+        ({"pairs": []}, "sweep.pairs"),
+        ({"pairs": ["10.0", "10.5"]}, "sweep.pairs[1]"),
+        ({"runs": [{"method": "2fsk", "pair": "10.0"}, {"method": "hologram", "pair": "10.0"}]},
+         "sweep.runs[1].method"),
+        ({"runs": [{"method": "2fsk", "pair": "10.0", "prior": {"mode": "camera", "dropout": 1.0}}]},
+         "sweep.runs[0].prior.dropout"),
+    ])
+    def test_bad_sweep_value_exits_1_before_any_file(self, tmp_path, caplog, sweep, key):
+        cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert f"validation: config {key} must be" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_without_section_exits_1(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert "validation: sweep needs a 'sweep' section" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_report_collects_records(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         for cmd in ("simulate", "prior", "reconstruct", "eval"):
@@ -491,9 +563,10 @@ class TestExitCodes:
     ])
     def test_null_number_exits_1(self, tmp_path, caplog, command, overrides, key):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
-        assert main(["simulate", "-c", str(cfg)]) == 0
+        assert main(["simulate", "-c", str(cfg)]) == 1  # simulate checks the whole config
         assert main([command, "-c", str(cfg)]) == 1
         assert f"validation: config {key} must be" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_carrier_exits_1(self, tmp_path, caplog, bad):
@@ -528,15 +601,82 @@ class TestExitCodes:
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 6.5}}}, "scene.params.n"),
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, 1], [0]]}}},
          "scene.params.bounds[2]"),
+        # null means no noise; the string "none" is no alias for it
+        ("simulate", {"noise": {"snr_db": "none"}}, "noise.snr_db"),
     ])
     def test_bad_list_or_scene_value_exits_1(self, tmp_path, caplog, command, overrides, key):
         if command == "reconstruct":
             overrides["methods"] = ["bp"]
         cfg = write_config(tmp_path / "cfg.json", **overrides)
-        if command != "simulate":
-            assert main(["simulate", "-c", str(cfg)]) == 0
+        if command != "simulate":  # simulate checks the voxel section too
+            assert main(["simulate", "-c", str(cfg)]) == 1
         assert main([command, "-c", str(cfg)]) == 1
         assert f"validation: config {key} must be" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, key", [(t, k) for t, keys in CONFIG.items() for k in keys])
+    def test_wrong_json_type_of_any_table_key_exits_1(self, tmp_path, caplog, table, key):
+        cfg, name = _config_with_wrong_type(table, key)
+        out = tmp_path / "out"
+        if key != "output_dir":
+            cfg["output_dir"] = str(out)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "-c", str(path)]) == 1
+        assert f"validation: config {name}" in caplog.text
+        assert not any(p.is_file() for p in out.rglob("*"))
+
+# A config that gives every key of the CLI's config table a valid value.
+# Each selector section holds one alternative; SELECTOR_VALUES has the rest.
+FULL_CONFIG = {
+    "seed": 7, "workers": 1, "output_dir": "out",
+    "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.06, "spacing": 0.002}},
+    "array": {"n_tx": 8, "n_rx": 8, "aperture": 0.2},
+    "grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [0.0, 0.0]},
+    "frequencies": {"pair": "10.0"},
+    "methods": ["2fsk"],
+    "prior": {"mode": "scalar", "value": 0.30, "path": "grid.json", "calibration": "cal.json",
+              "width": 8, "height": 8, "noise_mm": 0.0, "dropout": 0.0},
+    "noise": {"snr_db": 25, "seed": 7},
+    "filter_db": -20.0,
+    "voxel": {"extents": [0.01, 0.01, 0.01], "resolution": [5, 5, 5], "center": [0.0, 0.0, 0.3]},
+    "eval": {"erode": 1},
+    "sweep": {"method": "2fsk", "pairs": ["10.0"], "seeds": 2},
+}
+SELECTOR_VALUES = {"profile": "desk", "n_tx": 8, "n_rx": 8, "aperture": 0.2, "pair": "10.0",
+                   "triple": ["0.5", "10.0"], "values_ghz": [72.0, 82.0], "method": "2fsk", "pairs": ["10.0"],
+                   "runs": [{"method": "3fsk", "pair": "10.0", "prior": {"value": 0.3}}]}
+SCENE_VALUES = {"center": [0.0, 0.0], "extent": 0.06, "spacing": 0.002, "amplitude": 1.0, "phase_offset": 0.0,
+                "depth": 0.30, "tilt_x": 0.1, "tilt_y": 0.0, "radius": 0.1, "center_z": 0.4,
+                "levels": [0.28, 0.32], "split": 0.0, "n": 8, "seed": 1,
+                "bounds": [[-0.01, 0.01], [-0.01, 0.01], [0.28, 0.32]]}
+
+
+def _config_with_wrong_type(table: str, key: str):
+    """FULL_CONFIG with ``key`` of ``CONFIG[table]`` given a value of the
+    wrong JSON type, and the key's dotted name."""
+    cfg = copy.deepcopy(FULL_CONFIG)
+    if table.startswith("scene.params."):
+        kind = table.removeprefix("scene.params.")
+        cfg["scene"] = {"kind": kind, "params": {k: SCENE_VALUES[k] for k in SCENE_PARAMS[kind]}}
+        path = ["scene", "params"]
+    elif table == "sweep.runs":
+        cfg["sweep"] = {"runs": copy.deepcopy(SELECTOR_VALUES["runs"])}
+        path = ["sweep", "runs", 0]
+    else:
+        path = table.split(".") if table else []
+    section = cfg
+    for step in path:
+        section = section[step]
+    group = next((g for g in SELECTORS.get(table, ()) if key in g), None)
+    if group:  # the alternative that holds the key
+        for k in [k for g in SELECTORS[table] for k in g]:
+            section.pop(k, None)
+        section.update({k: copy.deepcopy(SELECTOR_VALUES[k]) for k in group})
+    assert load_config(None, cfg)
+    section[key] = 1 if isinstance(section[key], str) else "x"
+    name = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in [*path, key]).lstrip(".")
+    return cfg, name
 
 
 def _scipy_modules_after(script: str) -> list:

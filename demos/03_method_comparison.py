@@ -26,7 +26,6 @@ from mmfsk import (
     magnitude_filter,
     make_scene,
     mimo_cross_array,
-    mm2fsk_reconstruct,
     render_depth_map,
     simulate_baseband,
 )
@@ -74,7 +73,7 @@ reports.append(evaluate_image(magnitude_filter(img), kind, params, label="3fsk@t
 # The multimodal route: per-pixel camera priors, same two carriers.
 
 t0 = time.perf_counter()
-img = mm2fsk_reconstruct(bb, camera_prior, array, pair)
+img = fsk2_reconstruct(bb, camera_prior, array, pair)
 timings["mm2fsk"] = time.perf_counter() - t0
 reports.append(evaluate_image(magnitude_filter(img), kind, params, label="mm2fsk@d10.0"))
 

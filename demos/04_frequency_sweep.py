@@ -14,10 +14,10 @@ from mmfsk import (
     FREQUENCY_PAIRS,
     CandidateGrid,
     FrequencySet,
+    fsk2_reconstruct,
     magnitude_filter,
     make_scene,
     mimo_cross_array,
-    mm2fsk_reconstruct,
     projective_error,
     simulate_baseband,
     surface_depth,
@@ -42,7 +42,7 @@ for name in sorted(FREQUENCY_PAIRS, key=float):
         rng = np.random.default_rng(100 + seed)
         prior = truth + rng.normal(0.0, 0.002, truth.shape)
         bb = simulate_baseband(scene, array, freqs, NoiseSpec(snr_db=20.0, seed=seed))
-        image = mm2fsk_reconstruct(bb, grid.with_prior(prior), array, freqs)
+        image = fsk2_reconstruct(bb, grid.with_prior(prior), array, freqs)
         kept = magnitude_filter(image)
         errs.append(projective_error(np.where(kept.valid, image.depth, np.nan), truth, erode=1))
     window = 299792458.0 / (4 * freqs.delta())

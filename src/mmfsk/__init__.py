@@ -42,7 +42,6 @@ from .reconstruct import (
     fsk2_reconstruct,
     fsk3_reconstruct,
     magnitude_filter,
-    mm2fsk_reconstruct,
 )
 from .signal_core import (
     FREQUENCY_PAIRS,
@@ -90,7 +89,6 @@ __all__ = [
     "max_unambiguous_depth",
     "mean_pair_phasors",
     "mimo_cross_array",
-    "mm2fsk_reconstruct",
     "phase_to_depth_correction",
     "precompute_distance_tables",
     "principal_phase",

@@ -9,7 +9,9 @@ renders collected evaluation records as one table.
 
 ``CONFIG`` is the one table of config keys: each key's type, range and
 default. Every subcommand checks the whole config, flags included, against
-it before it writes a file; the subcommands then read plain values.
+it, then builds the run's library objects once (``_resolve``), so every
+rule fails before the first write. Each stage reads and computes all it
+needs before it writes.
 
 Every run is deterministic given (config, seed): a resolved-config snapshot
 with a content hash is written next to the outputs, and reruns produce
@@ -42,8 +44,8 @@ from .reconstruct import (
     fsk2_reconstruct,
     fsk3_reconstruct,
     magnitude_filter,
-    mm2fsk_reconstruct,
 )
+from .reconstruct import fsk2_reconstruct as mm2fsk_reconstruct  # bench/spans.py HOOKS traces this name here
 from .signal_core import FREQUENCY_PAIRS, FrequencySet, mimo_cross_array
 from .simulate import SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
 
@@ -227,43 +229,28 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return _section("")("", cfg)
 
 
-def _build_array(cfg: dict):
-    spec = cfg["array"]
-    if "profile" in spec:
-        return mimo_cross_array(*ARRAY_PROFILES[spec["profile"]])
-    return mimo_cross_array(spec["n_tx"], spec["n_rx"], spec["aperture"])
-
-
-def _build_freqs(spec: dict) -> FrequencySet:
-    if "pair" in spec:
-        return FrequencySet.from_pair_name(spec["pair"])
-    if "triple" in spec:
-        return FrequencySet.triple_from_pair_names(*spec["triple"])
-    return FrequencySet(tuple(v * 1e9 for v in spec["values_ghz"]))
-
-
-def _build_grid(cfg: dict) -> CandidateGrid:
-    g = cfg["grid"]
-    return CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
-
-
-def _voxel_spec(cfg: dict) -> VoxelGridSpec:
-    v, g = cfg["voxel"], cfg["grid"]
-    if v is None:
-        # default volume: grid footprint, 20 cm of depth around the scene
-        return VoxelGridSpec(
-            extents=(g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20),
-            resolution=(g["width"], g["height"], 201),
-            center=(g["center"][0], g["center"][1], 0.30),
-        )
-    return VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
-
-
-def _noise(cfg: dict) -> NoiseSpec:
-    n = cfg["noise"]
-    if not n or n.get("snr_db") is None:
-        return NoiseSpec()
-    return NoiseSpec(snr_db=n["snr_db"], seed=n.get("seed", cfg["seed"]))
+def _resolve(cfg: dict) -> dict:
+    """The run's library objects, built once before any stage reads or
+    writes a file, so every rule they own fails first: the array, the
+    carriers, the candidate grid, the scalar prior (``None`` unless
+    ``prior.mode`` is scalar), the voxel volume and the noise."""
+    a, f, g, v, n = cfg["array"], cfg["frequencies"], cfg["grid"], cfg["voxel"], cfg["noise"]
+    if v is None:  # the grid's footprint, 20 cm of depth around the scene
+        v = {"extents": [g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20],
+             "resolution": [g["width"], g["height"], 201], "center": [*g["center"], 0.30]}
+    grid = CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
+    return {
+        "array": mimo_cross_array(*(ARRAY_PROFILES[a["profile"]] if "profile" in a
+                                    else (a["n_tx"], a["n_rx"], a["aperture"]))),
+        "freqs": (FrequencySet.from_pair_name(f["pair"]) if "pair" in f
+                  else FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
+                  else FrequencySet(tuple(x * 1e9 for x in f["values_ghz"]))),
+        "grid": grid,
+        "prior": grid.with_scalar_prior(cfg["prior"]["value"]) if cfg["prior"]["mode"] == "scalar" else None,
+        "voxel": VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"])),
+        "noise": (NoiseSpec(snr_db=n["snr_db"], seed=n.get("seed", cfg["seed"]))
+                  if n and n.get("snr_db") is not None else NoiseSpec()),
+    }
 
 
 def _outdir(cfg: dict) -> Path:
@@ -306,30 +293,28 @@ def _default_calibration(width: int, height: int):
 # subcommands
 
 
-def cmd_simulate(cfg: dict) -> int:
-    outdir = _outdir(cfg)
+def cmd_simulate(cfg: dict, run: dict) -> int:
     scene_cfg = cfg["scene"]
     scene = make_scene(scene_cfg["kind"], scene_cfg["params"])
-    array = _build_array(cfg)
-    freqs = _build_freqs(cfg["frequencies"])
-    baseband = simulate_baseband(scene, array, freqs, _noise(cfg))
+    baseband = simulate_baseband(scene, run["array"], run["freqs"], run["noise"])
+    gt_depth = None
+    if scene_cfg["kind"] != "random-cloud":
+        gx, gy = np.meshgrid(run["grid"].x, run["grid"].y)
+        gt_depth = surface_depth(scene_cfg["kind"], scene_cfg["params"], gx, gy)
+    outdir = _outdir(cfg)
     mio.write_baseband(outdir / "baseband.fskt", baseband)
     mio.write_ply(outdir / "gt_targets.ply", scene.positions, np.abs(scene.reflectivities))
-    grid = _build_grid(cfg)
-    if scene_cfg["kind"] != "random-cloud":
-        gx, gy = np.meshgrid(grid.x, grid.y)
-        mio.write_pfm(outdir / "gt_depth.pfm", surface_depth(scene_cfg["kind"], scene_cfg["params"], gx, gy))
+    if gt_depth is not None:
+        mio.write_pfm(outdir / "gt_depth.pfm", gt_depth)
     _snapshot(cfg, outdir, "simulate")
     log.info("simulate: %d targets, tensor %s -> %s", scene.n_targets, baseband.shape, outdir)
     return 0
 
 
-def cmd_prior(cfg: dict) -> int:
-    outdir = _outdir(cfg)
-    grid = _build_grid(cfg)
-    spec = cfg["prior"]
+def cmd_prior(cfg: dict, run: dict) -> int:
+    spec, grid, depth_map = cfg["prior"], run["grid"], None
     if spec["mode"] == "scalar":
-        prior = grid.with_scalar_prior(spec["value"])
+        prior = run["prior"]
     elif spec["mode"] == "camera":
         size = spec["width"], spec["height"]
         if spec.get("calibration"):
@@ -339,10 +324,14 @@ def cmd_prior(cfg: dict) -> int:
         scene_cfg = cfg["scene"]
         depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, *size)
         depth_map = _degrade_depth_map(depth_map, spec["noise_mm"], spec["dropout"], cfg["seed"])
-        mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
         prior = build_prior(depth_map, intr, ext, grid)
     else:
         prior = mio.load_candidate_grid(spec["path"])
+        if not (np.array_equal(prior.x, grid.x) and np.array_equal(prior.y, grid.y)):
+            raise ConfigurationError(f"{spec['path']}: x and y axes differ from the config's grid")
+    outdir = _outdir(cfg)
+    if depth_map is not None:
+        mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
     mio.save_candidate_grid(outdir / "prior_grid.json", prior)
     _snapshot(cfg, outdir, "prior")
     log.info("prior: %d valid pixels -> %s", int(prior.valid.sum()), outdir)
@@ -363,61 +352,56 @@ def _degrade_depth_map(depth_map, noise_mm: float, dropout: float, seed: int):
     return OpticalDepthMap(depth)
 
 
-def _load_prior_grid(outdir: Path) -> CandidateGrid:
-    path = outdir / "prior_grid.json"
-    if not path.exists():
-        raise FileNotFoundError(f"prior grid not found: {path} (run 'prior' first)")
-    return mio.load_candidate_grid(path)
-
-
-def cmd_reconstruct(cfg: dict) -> int:
-    outdir = _outdir(cfg)
-    bb_path = outdir / "baseband.fskt"
+def cmd_reconstruct(cfg: dict, run: dict) -> int:
+    outdir = Path(cfg["output_dir"])
+    bb_path, grid_path = outdir / "baseband.fskt", outdir / "prior_grid.json"
     if not bb_path.exists():
         raise FileNotFoundError(f"baseband tensor not found: {bb_path} (run 'simulate' first)")
     baseband = mio.read_baseband(bb_path)
-    array = _build_array(cfg)
-    freqs = _build_freqs(cfg["frequencies"])
-    workers = cfg["workers"]  # None: the CPU count
+    grid = None
+    if set(cfg["methods"]) - {"bp"}:
+        if not grid_path.exists():
+            raise FileNotFoundError(f"prior grid not found: {grid_path} (run 'prior' first)")
+        grid = mio.load_candidate_grid(grid_path)
+    # built per call, so the module names bench/spans.py wraps are looked up now
+    recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}
+    images = []
     for method in cfg["methods"]:
         if method == "bp":
-            image = backproject(baseband, _voxel_spec(cfg), array, freqs, workers=workers)
+            image = backproject(baseband, run["voxel"], run["array"], run["freqs"], workers=cfg["workers"])
         else:
-            grid = _load_prior_grid(outdir)
-            recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}[method]
-            image = recon(baseband, grid, array, freqs, workers=workers)
-        image = magnitude_filter(image, cfg["filter_db"])
+            image = recon[method](baseband, grid, run["array"], run["freqs"], workers=cfg["workers"])
+        images.append((method, magnitude_filter(image, cfg["filter_db"])))
+    for method, image in images:
         mio.export_radar_image(outdir, method, image)
         log.info("reconstruct[%s]: %d valid pixels", method, image.n_valid)
     _snapshot(cfg, outdir, "reconstruct")
     return 0
 
 
-def _load_image(outdir: Path, method: str, cfg: dict) -> RadarImage:
+def _load_image(outdir: Path, method: str, run: dict) -> RadarImage:
     if method == "bp":
-        spec = _voxel_spec(cfg)
-        x, y = spec.axis(0), spec.axis(1)
+        x, y = run["voxel"].axis(0), run["voxel"].axis(1)
     else:
-        grid = _build_grid(cfg)
-        x, y = grid.x, grid.y
+        x, y = run["grid"].x, run["grid"].y
     planes = {name: mio.read_pfm(outdir / f"{method}_{name}.pfm")
               for name in ("depth", "magnitude", "joint_magnitude")}
     return RadarImage(x=x, y=y, **planes)
 
 
-def cmd_eval(cfg: dict) -> int:
-    outdir = _outdir(cfg)
+def cmd_eval(cfg: dict, run: dict) -> int:
+    outdir = Path(cfg["output_dir"])
     scene_cfg = cfg["scene"]
     reports = []
     for method in cfg["methods"]:
         path = outdir / f"{method}_depth.pfm"
         if not path.exists():
             raise FileNotFoundError(f"reconstruction not found: {path} (run 'reconstruct' first)")
-        image = _load_image(outdir, method, cfg)
+        image = _load_image(outdir, method, run)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
-        report = evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
-                               label=label)
-        reports.append(report)
+        reports.append(evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
+                                      label=label))
+    for method, report in zip(cfg["methods"], reports):
         mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")
     _snapshot(cfg, outdir, "eval")
@@ -435,27 +419,26 @@ def _freq_label(spec: dict) -> str:
     return "custom"
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, run: dict) -> int:
     """Run simulate->prior->reconstruct->eval per configuration, aggregate
     seed medians, and judge the error-vs-bandwidth trend."""
     sweep = cfg["sweep"]
     if sweep is None:
         raise ConfigurationError("sweep needs a 'sweep' section with 'pairs' or 'runs'")
-    outdir = _outdir(cfg)
+    outdir = Path(cfg["output_dir"])
     seeds = sweep.get("seeds", [cfg["seed"]])
     if isinstance(seeds, int):
         seeds = list(range(seeds))
     # the shorthand form sweeps one method over bundled pairs; the general
     # form lists runs, each with a method, a pair or triple and maybe a prior
-    runs = sweep.get("runs") or [{"method": sweep.get("method", cfg["methods"][0]), "pair": p}
-                                 for p in sweep["pairs"]]
-
-    records = []
-    for run in runs:
-        method = run["method"]
-        freq_spec = {"triple": run["triple"]} if "triple" in run else {"pair": run["pair"]}
+    entries = sweep.get("runs") or [{"method": sweep.get("method", cfg["methods"][0]), "pair": p}
+                                    for p in sweep["pairs"]]
+    plan = []  # (method, label, [(sub-config, its resolved run) per seed]), all resolved before any run
+    for entry in entries:
+        method = entry["method"]
+        freq_spec = {"triple": entry["triple"]} if "triple" in entry else {"pair": entry["pair"]}
         label = f"{method}@{_freq_label(freq_spec)}"
-        per_seed = []
+        subs = []
         for seed in seeds:
             sub = {
                 **cfg,
@@ -465,18 +448,25 @@ def cmd_sweep(cfg: dict) -> int:
                 "output_dir": str(outdir / label.replace("@", "_") / f"seed_{seed}"),
                 "frequencies": freq_spec,
             }
-            if run.get("prior"):
-                sub["prior"] = run["prior"]
-            cmd_simulate(sub)
+            if entry.get("prior"):
+                sub["prior"] = entry["prior"]
+            subs.append((sub, _resolve(sub)))
+        plan.append((method, label, subs))
+
+    records = []
+    for method, label, subs in plan:
+        per_seed = []
+        for sub, sub_run in subs:
+            cmd_simulate(sub, sub_run)
             if method != "bp":
-                cmd_prior(sub)
-            cmd_reconstruct(sub)
-            cmd_eval(sub)
+                cmd_prior(sub, sub_run)
+            cmd_reconstruct(sub, sub_run)
+            cmd_eval(sub, sub_run)
             per_seed.append(mio.load_json(Path(sub["output_dir"]) / f"eval_{method}.json"))
         record = {
             "label": label,
             "method": method,
-            "delta_f_hz": _build_freqs(freq_spec).delta(),
+            "delta_f_hz": subs[0][1]["freqs"].delta(),
             **{f"median_{k}": float(np.median([r[k] for r in per_seed])) for k in SCORES},
             "runs": per_seed,
         }
@@ -506,8 +496,8 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def cmd_report(cfg: dict) -> int:
-    outdir = _outdir(cfg)
+def cmd_report(cfg: dict, run: dict) -> int:
+    outdir = Path(cfg["output_dir"])
     records = []
     for path in sorted(outdir.rglob("eval_*.json")):
         if path.name == "eval_config.json":  # run snapshot, not a record
@@ -575,7 +565,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg, _resolve(cfg))
     except ValueError as exc:
         log.error("validation: %s", exc)
         return 1

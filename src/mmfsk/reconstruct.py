@@ -142,20 +142,6 @@ def fsk2_reconstruct(
     return _corrected_image(grid, phasors, diff, freqs.delta())
 
 
-def mm2fsk_reconstruct(
-    baseband: BasebandTensor,
-    prior_grid: CandidateGrid,
-    array: AntennaArray,
-    freqs: FrequencySet,
-    workers: int | None = None,
-) -> RadarImage:
-    """Two-frequency correction driven by per-pixel priors from the optical
-    pipeline. Same math as the scalar-prior mode; with every per-pixel prior
-    error inside the unambiguous window the corrected depth lands on the
-    true surface regardless of its shape."""
-    return fsk2_reconstruct(baseband, prior_grid, array, freqs, workers=workers)
-
-
 def fsk3_reconstruct(
     baseband: BasebandTensor,
     grid: CandidateGrid,

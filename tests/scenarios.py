@@ -7,10 +7,10 @@ import numpy as np
 from mmfsk import (
     CandidateGrid,
     FrequencySet,
+    fsk2_reconstruct,
     magnitude_filter,
     make_scene,
     max_unambiguous_depth,
-    mm2fsk_reconstruct,
     simulate_baseband,
     surface_depth,
 )
@@ -47,6 +47,6 @@ def recovery_run(array, grid: CandidateGrid, seed: int, pair: str | None = None,
     prior = truth + rng.uniform(-margin * window, margin * window, truth.shape)
     prior_grid = grid.with_prior(np.where(ok, prior, np.nan))
     baseband = simulate_baseband(make_scene(kind, params), array, freqs)
-    image = mm2fsk_reconstruct(baseband, prior_grid, array, freqs)
+    image = fsk2_reconstruct(baseband, prior_grid, array, freqs)
     kept = magnitude_filter(image).valid & ok
     return float(np.abs(image.depth - truth)[kept].max())

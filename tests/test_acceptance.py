@@ -26,7 +26,6 @@ from mmfsk import (
     make_scene,
     max_unambiguous_depth,
     mimo_cross_array,
-    mm2fsk_reconstruct,
     projective_error,
     rasterize_prior,
     simulate_baseband,
@@ -88,7 +87,7 @@ def test_wrap_failure_ordering():
 
     rng = np.random.default_rng(0)
     prior = truth + rng.uniform(-0.002, 0.002, (48, 48))
-    img_mm = mm2fsk_reconstruct(bb_narrow, grid.with_prior(prior), DESK_ARRAY, narrow)
+    img_mm = fsk2_reconstruct(bb_narrow, grid.with_prior(prior), DESK_ARRAY, narrow)
     err_mm = float(np.abs(img_mm.depth - truth).max())
 
     ok = err_wide < 0.002 and stuck <= window + 1e-9 and err_narrow > 0.05 and err_mm < 0.002
@@ -114,7 +113,7 @@ def test_error_trend_across_windows():
             rng = np.random.default_rng(1000 + seed)
             prior = truth + rng.normal(0.0, 0.002, truth.shape)
             bb = simulate_baseband(scene, DESK_ARRAY, freqs, NoiseSpec(snr_db=20.0, seed=seed))
-            img = mm2fsk_reconstruct(bb, grid.with_prior(prior), DESK_ARRAY, freqs)
+            img = fsk2_reconstruct(bb, grid.with_prior(prior), DESK_ARRAY, freqs)
             kept = magnitude_filter(img)
             depth = np.where(kept.valid, img.depth, np.nan)
             errors.append(projective_error(depth, truth, erode=1))

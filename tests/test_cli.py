@@ -540,12 +540,99 @@ class TestSweepAndReport:
         assert main(["report", "-c", str(cfg)]) == 2
 
 
+def small_config(path: Path, **overrides) -> Path:
+    """A 4x4 array and an 8x8 grid: the smallest run each stage accepts."""
+    return write_config(path, **{"array": {"n_tx": 4, "n_rx": 4, "aperture": 0.2},
+                                 "grid": {"width": 8, "height": 8, "spacing": 0.002}, **overrides})
+
+
+def written(root: Path) -> dict:
+    """Every file under ``root`` with its bytes and modification time, so a
+    rewrite with the same bytes shows too."""
+    return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
+
+
+NAN = float("nan")
+SMALL_VOXEL = {"extents": [0.016, 0.016, 0.02], "resolution": [8, 8, 5], "center": [0.0, 0.0, 0.30]}
+
+
+class TestNothingWrittenOnFailure:
+    """Every stage resolves its run and reads and computes all of its
+    inputs before it writes, so a failure leaves no partial output."""
+
+    @pytest.mark.parametrize("command", ["simulate", "prior", "reconstruct", "eval", "report"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"width": 8, "height": 8, "spacing": -0.001}}, "grid needs positive dimensions and spacing"),
+        ({"array": {"n_tx": 4, "n_rx": 4, "aperture": -0.05}}, "array needs n_tx, n_rx >= 1 and a positive aperture"),
+        ({"frequencies": {"values_ghz": [82, 72]}}, "carrier frequencies must be strictly increasing"),
+        ({"frequencies": {"triple": ["0.5", "0.5"]}}, "pair combination does not yield three carriers"),
+        ({"voxel": {**SMALL_VOXEL, "extents": [NAN, 0.016, 0.02]}}, "extents must be three finite positive"),
+        ({"voxel": {**SMALL_VOXEL, "center": [0.0, 0.0, NAN]}}, "center must be three finite coordinates"),
+        ({"prior": {"mode": "scalar", "value": NAN}}, "scalar prior depth must be finite"),
+    ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
+            "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior"])
+    def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
+        cfg = small_config(tmp_path / "cfg.json", **overrides)
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_resolves_every_run_before_the_first(self, tmp_path, caplog):
+        cfg = small_config(tmp_path / "cfg.json", sweep={"seeds": 1, "runs": [
+            {"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "triple": ["0.5", "0.5"]}]})
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert "validation: pair combination does not yield three carriers" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, methods, stages, bad, code", [
+        ("reconstruct", ["2fsk", "bp"], ("simulate", "prior"),
+         {"voxel": {**SMALL_VOXEL, "extents": [NAN, 0.016, 0.02]}}, 1),
+        ("reconstruct", ["bp", "2fsk"], ("simulate",), {}, 2),  # no prior grid
+        ("eval", ["bp", "2fsk"], ("simulate", "reconstruct"), {}, 2),  # no 2fsk image
+    ], ids=["nan-voxel-after-2fsk", "no-prior-grid-after-bp", "no-2fsk-image-after-bp"])
+    def test_failing_method_leaves_no_output_of_the_others(self, tmp_path, command, methods, stages, bad, code):
+        good = small_config(tmp_path / "good.json", methods=[methods[0]], voxel=SMALL_VOXEL)
+        for stage in stages:
+            assert main([stage, "-c", str(good)]) == 0, stage
+        before = written(tmp_path / "out")
+        cfg = small_config(tmp_path / "cfg.json", methods=methods, **{"voxel": SMALL_VOXEL, **bad})
+        assert main([command, "-c", str(cfg)]) == code
+        assert written(tmp_path / "out") == before
+
+    def test_camera_prior_without_enough_depth_writes_no_depth_map(self, tmp_path, caplog):
+        cfg = small_config(tmp_path / "cfg.json", prior={"mode": "camera", "width": 40, "height": 30,
+                                                         "dropout": 0.9999})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert "need at least 3 valid depth pixels" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_file_prior_off_the_config_grid_exits_1(self, tmp_path, caplog):
+        # a prior grid centred 1 cm off the config's grid would be scored
+        # on the config grid's axes by eval
+        scene = {"kind": "plane", "params": {"depth": 0.30, "tilt_x": 0.1, "extent": 0.06, "spacing": 0.002}}
+        grid = {"width": 12, "height": 12, "spacing": 0.002}
+        for name, center in (("shifted", [0.01, 0.0]), ("centred", [0.0, 0.0])):
+            cfg = write_config(tmp_path / f"{name}.json", scene=scene, grid={**grid, "center": center},
+                               output_dir=str(tmp_path / name))
+            assert main(["prior", "-c", str(cfg)]) == 0
+        for name, code in (("shifted", 1), ("centred", 0)):
+            path = tmp_path / name / "prior_grid.json"
+            cfg = write_config(tmp_path / "cfg.json", scene=scene, grid={**grid, "center": [0.0, 0.0]},
+                               prior={"mode": "file", "path": str(path)}, output_dir=str(tmp_path / f"from_{name}"))
+            assert main(["prior", "-c", str(cfg)]) == code
+        assert f"validation: {tmp_path / 'shifted' / 'prior_grid.json'}: x and y axes differ" in caplog.text
+        assert not (tmp_path / "from_shifted").exists()
+        assert ((tmp_path / "from_centred" / "prior_grid.json").read_bytes()
+                == (tmp_path / "centred" / "prior_grid.json").read_bytes())
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, monkeypatch):
         from mmfsk import cli
         from mmfsk.errors import EmptyImageError
 
-        def boom(cfg):
+        def boom(cfg, run):
             raise EmptyImageError("nothing left")
 
         monkeypatch.setitem(cli.COMMANDS, "report", boom)

@@ -16,7 +16,6 @@ from mmfsk import (
     make_scene,
     max_unambiguous_depth,
     mimo_cross_array,
-    mm2fsk_reconstruct,
     simulate_baseband,
     surface_depth,
 )
@@ -133,7 +132,7 @@ class TestPerPixelPrior:
         rng = np.random.default_rng(7)
         prior = truth + rng.uniform(-0.002, 0.002, truth.shape)
 
-        per_pixel = mm2fsk_reconstruct(bb, desk_grid.with_prior(prior), desk_array, freqs)
+        per_pixel = fsk2_reconstruct(bb, desk_grid.with_prior(prior), desk_array, freqs)
         kept = magnitude_filter(per_pixel).valid
         err = np.abs(per_pixel.depth - truth)
         # Pixels within ~2 resolution cells of the jump blend both levels;
@@ -167,7 +166,7 @@ class TestPerPixelPrior:
         freqs = FrequencySet.from_pair_name("10.0")
         scene = make_scene("plane", {"depth": 0.30, "extent": 0.08, "spacing": 0.0015})
         bb = simulate_baseband(scene, desk_array, freqs)
-        img = mm2fsk_reconstruct(bb, prior, desk_array, freqs)
+        img = fsk2_reconstruct(bb, prior, desk_array, freqs)
         assert img.valid.sum() == prior.valid.sum()
         assert np.abs(img.depth - 0.30)[img.valid].max() < 0.001
 
@@ -253,7 +252,7 @@ class TestMethodsAgree:
         bb2 = simulate_baseband(single_target(target), desk_array, pair)
         bb3 = simulate_baseband(single_target(target), desk_array, triple)
         d2 = fsk2_reconstruct(bb2, grid, desk_array, pair).depth[0, 0]
-        dm = mm2fsk_reconstruct(bb2, grid, desk_array, pair).depth[0, 0]
+        dm = fsk2_reconstruct(bb2, grid, desk_array, pair).depth[0, 0]
         d3 = fsk3_reconstruct(bb3, grid, desk_array, triple).depth[0, 0]
         assert abs(d2 - dm) < 1e-12
         assert abs(d2 - d3) < 1e-6

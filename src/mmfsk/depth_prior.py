@@ -241,9 +241,9 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
     cells, remainder, covered = _lattice_cells(pixels)
     subset = np.flatnonzero(remainder)
-    # scipy is imported where it is used, here and in metrics, so that a
-    # process that never reaches Qhull, a KD-tree or an erosion (simulate,
-    # reconstruct, a scalar or file prior) starts on numpy alone.
+    # scipy is imported here, its one use in the package, so that a process
+    # that never triangulates (simulate, reconstruct, eval, report, a scalar
+    # or file prior) runs on numpy alone.
     from scipy.spatial import Delaunay, QhullError
 
     try:

@@ -5,6 +5,10 @@ against silhouette artifacts.
 Both metrics compare a reconstruction against ground truth resampled to a
 similar density: a surface point cloud for the Chamfer distances, a depth
 map rasterized on the radar grid for the projective error.
+
+Scoring runs on numpy alone. Nearest neighbours come from an exact search
+over a grid of cells (``_Buckets``, ``_nearest_sq``) that rounds every
+distance as ``scipy.spatial.cKDTree`` does, and erosion is array shifts.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .errors import InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
 
-# 4-neighborhood erosion structure
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_PAIR_CHUNK = 1 << 16  # cell rows, or (query, point) pairs, per array pass: a few MB of temporaries
+_EPS = np.finfo(np.float64).eps
 
 # the four scores of an evaluation record, in meters
 SCORES = ("c_gt_to_r", "c_r_to_gt", "p_masked", "p_eroded")
@@ -49,31 +53,199 @@ class EvalReport:
                 raise StructuralError(f"{name} must be finite and non-negative")
 
 
+def _cloud(points, name: str) -> np.ndarray:
+    """A point cloud as a finite (N, 3) float64 array."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[0] < 1:
+        raise InsufficientDataError("point clouds must be non-empty")
+    if points.shape[1] != 3:
+        raise StructuralError("point clouds must be (N, 3)")
+    if not np.isfinite(points).all():
+        raise StructuralError(f"{name} cloud has non-finite coordinates")
+    return points
+
+
+class _Buckets:
+    """A cloud sorted into square cells of side ``h`` on the two axes it
+    spreads widest along (x and y for a depth surface), about one point per
+    cell over its footprint. A point lies in the cell that the floor of its
+    unit coordinates ``(p - lo) / h``, as computed, names; searches bound
+    distances in those computed units, less a slack for their rounding.
+    """
+
+    def __init__(self, points: np.ndarray):
+        m = points.shape[0]
+        lo = np.array([points[:, k].min() for k in range(3)])  # per column: faster than axis=0
+        hi = np.array([points[:, k].max() for k in range(3)])
+        # the two axes with the widest 1st-99th percentile range of a stride
+        # of about 1,024 points, widest extent on ties: a few far-off
+        # points, such as depth outliers, cannot choose them
+        sample = points[:: max(1, m // 1024)]
+        k = sample.shape[0] // 100
+        ranked = np.partition(sample, [k, -1 - k], axis=0)
+        self.axes = np.lexsort((lo - hi, ranked[k] - ranked[-1 - k]))
+        self.lo = lo[self.axes[:2]]
+        self.third = lo[self.axes[2]], hi[self.axes[2]]
+        wa, wb = (hi - lo)[self.axes[:2]]
+        # at least the wider extent / N, so a line or a point still has at
+        # most N + 1 cells per axis and 3N + 1 in all
+        self.h = max(np.sqrt(wa * wb / m), max(wa, wb) / m) or 1.0
+        u, v = self.units(points)
+        self.nx, self.ny = int(u.max()) + 1, int(v.max()) + 1
+        self.v_max = v.max()
+        key = v.astype(np.int64) * self.nx + u.astype(np.int64)
+        # one contiguous row per axis: per-axis gathers run about twice as
+        # fast as gathering (N, 3) rows
+        self.coords = np.ascontiguousarray(points.take(np.argsort(key), axis=0).T)
+        counts = np.bincount(key, minlength=self.nx * self.ny)
+        self.start = np.concatenate([[0], np.cumsum(counts)])  # cell c holds points start[c]:start[c + 1]
+
+    def units(self, points: np.ndarray):
+        return ((points[:, self.axes[0]] - self.lo[0]) / self.h,
+                (points[:, self.axes[1]] - self.lo[1]) / self.h)
+
+    def third_gap_sq(self, points: np.ndarray) -> np.ndarray:
+        """Squared distance from each point to the cloud's range on the
+        third axis: a floor under its squared distance to any point."""
+        z = points[:, self.axes[2]]
+        gap = np.maximum(np.maximum(self.third[0] - z, z - self.third[1]), 0.0)
+        return gap * gap
+
+    def scan(self, src: np.ndarray, best: np.ndarray, q: np.ndarray, j0, j1, columns) -> None:
+        """Lower ``best[q[i]]`` to the squared distance from source point
+        ``q[i]`` to every point in cell rows ``j0[i]..j1[i]``, each row from
+        column to column as ``columns(i, row)`` gives them. ``src`` holds
+        the source points one row per axis. Queries go ``_PAIR_CHUNK`` cell
+        rows at a time, and their (query, point) pairs ``_PAIR_CHUNK`` at a
+        time."""
+        rows = j1 - j0 + 1
+        for a, b in _chunks(rows):
+            i = np.repeat(np.arange(a, b), rows[a:b])
+            row = j0[i] + np.arange(i.size) - np.repeat(np.cumsum(rows[a:b]) - rows[a:b], rows[a:b])
+            c0, c1 = columns(i, row)
+            lo, hi = self.start[row * self.nx + c0], self.start[row * self.nx + c1 + 1]
+            keep = hi > lo
+            self._pairs(src, best, q[i[keep]], lo[keep], hi[keep])
+
+    def _pairs(self, src, best, q, lo, hi) -> None:
+        """Lower ``best[q[k]]`` over the sorted points ``lo[k]:hi[k]``. Each
+        query's ranges are consecutive and every range is non-empty."""
+        length = hi - lo
+        if length.size and length.max() > _PAIR_CHUNK:  # split ranges longer than a chunk
+            pieces = -(-length // _PAIR_CHUNK)
+            k = np.repeat(np.arange(q.size), pieces)
+            lo = lo[k] + (np.arange(k.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * _PAIR_CHUNK
+            q, hi = q[k], np.minimum(hi[k], lo + _PAIR_CHUNK)
+            length = hi - lo
+        for a, b in _chunks(length):
+            n, first = length[a:b], lo[a:b]
+            start = np.cumsum(n) - n
+            step = np.ones(start[-1] + n[-1], dtype=np.int64)  # point index = cumsum(step)
+            step[start] = first - np.concatenate([[0], first[:-1] + n[:-1] - 1])
+            index, d2 = np.cumsum(step), 0.0
+            for axis in range(3):  # cKDTree's order: (dx*dx + dy*dy) + dz*dz
+                d = np.repeat(src[axis].take(q[a:b]), n)
+                d -= self.coords[axis].take(index)
+                d *= d
+                d2 = d2 + d
+            new = np.flatnonzero(q[a:b] != np.concatenate([[-1], q[a:b - 1]]))  # each query's first range
+            qs = q[a:b][new]
+            best[qs] = np.minimum(best[qs], np.minimum.reduceat(d2, start[new]))
+
+
+def _chunks(sizes: np.ndarray):
+    """Consecutive index ranges whose sizes sum to at most ``_PAIR_CHUNK``,
+    or to one size when that alone exceeds it."""
+    end = np.cumsum(sizes)
+    if not end.size or end[-1] <= _PAIR_CHUNK:
+        return [(0, sizes.size)] if end.size else []
+    group = (end - 1) // _PAIR_CHUNK
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    return zip(starts, np.append(starts[1:], sizes.size))
+
+
+def _nearest_sq(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Squared distance from each source point to its nearest destination
+    point, each summed as ``(dx*dx + dy*dy) + dz*dz``.
+
+    The destination cloud is bucketed into cells (``_Buckets``). A query
+    first searches the 3x3 cells around its own, clamped into the grid, and
+    is done when its best distance is within its distance to that square's
+    edge. A query with no point there doubles the square until it finds
+    one. Every query left then searches each cell row's column range that
+    lies within its best distance: a disk, not a square. A query off the
+    cloud's range on the third axis is at least that far from every point,
+    which narrows both the stopping test and the disk.
+    """
+    grid = _Buckets(dst)
+    u, v = grid.units(src)
+    cu = np.clip(np.floor(u), 0, grid.nx - 1).astype(np.int64)
+    cv = np.clip(np.floor(v), 0, grid.ny - 1).astype(np.int64)
+    # a generous bound, in cells, on the rounding error of unit coordinates
+    # and of the distances compared with them
+    slack = 32 * _EPS * (np.abs(u) + np.abs(v) + grid.nx + grid.ny + 1)
+    gap2 = grid.third_gap_sq(src)
+    src_axes = np.ascontiguousarray(src.T)
+    best = np.full(src.shape[0], np.inf)
+
+    todo, disk, k = np.arange(src.shape[0]), [], 1
+    while todo.size:
+        x0, x1, y0, y1 = cu[todo] - k, cu[todo] + k, cv[todo] - k, cv[todo] + k
+        grid.scan(src_axes, best, todo, np.maximum(y0, 0), np.minimum(y1, grid.ny - 1),
+                  lambda i, row: (np.maximum(x0[i], 0), np.minimum(x1[i], grid.nx - 1)))
+        ut, vt = u[todo], v[todo]
+        edge = np.minimum.reduce([  # sides on the grid's border have nothing beyond
+            np.where(x0 > 0, ut - x0, np.inf), np.where(x1 < grid.nx - 1, x1 + 1 - ut, np.inf),
+            np.where(y0 > 0, vt - y0, np.inf), np.where(y1 < grid.ny - 1, y1 + 1 - vt, np.inf),
+        ])
+        edge = np.maximum(edge - slack[todo], 0.0) * grid.h
+        found = best[todo] < np.inf
+        disk.append(todo[found & (best[todo] > (edge * edge + gap2[todo]) * (1 - 64 * _EPS))])
+        todo, k = todo[~found], 2 * k
+
+    q = np.concatenate(disk)
+    if q.size:
+        uq, vq = u[q], v[q]
+        r = np.sqrt(np.maximum(best[q] * (1 + 64 * _EPS) - gap2[q], 0.0)) / grid.h + slack[q]
+        j0 = np.clip(np.floor(vq - r), 0, grid.ny - 1).astype(np.int64)
+        j1 = np.clip(np.floor(vq + r), 0, grid.ny - 1).astype(np.int64)
+
+        def columns(i, row):
+            gap = np.maximum(np.maximum(row - vq[i], vq[i] - np.minimum(row + 1, grid.v_max)), 0.0)
+            w = np.sqrt(np.maximum(r[i] * r[i] - gap * gap, 0.0))
+            # a disk that misses the grid's columns gets an empty range (first = last + 1)
+            return (np.clip(np.floor(uq[i] - w), 0, grid.nx).astype(np.int64),
+                    np.clip(np.floor(uq[i] + w), -1, grid.nx - 1).astype(np.int64))
+
+        grid.scan(src_axes, best, q, j0, j1, columns)
+    return best
+
+
 def chamfer_one_way(src: np.ndarray, dst: np.ndarray) -> float:
     """Mean distance from every source point to its nearest destination
     point. Report it in both directions; the two values differ whenever one
-    cloud covers regions the other misses. Nearest neighbours come from a
-    KD-tree on the destination cloud."""
-    src = np.atleast_2d(np.asarray(src, dtype=np.float64))
-    dst = np.atleast_2d(np.asarray(dst, dtype=np.float64))
-    if src.shape[0] < 1 or dst.shape[0] < 1:
-        raise InsufficientDataError("point clouds must be non-empty")
-    if src.shape[1] != 3 or dst.shape[1] != 3:
-        raise StructuralError("point clouds must be (N, 3)")
-    from scipy.spatial import cKDTree  # deferred import: see depth_prior.triangulate
+    cloud covers regions the other misses.
 
-    d, _ = cKDTree(dst).query(src, k=1)
-    return float(d.mean())
+    Nearest neighbours are exact (``_nearest_sq``) and each distance is
+    rounded as ``cKDTree`` rounds it, so the value equals the mean of a
+    ``cKDTree(dst).query(src)`` bit for bit. Non-finite coordinates in
+    either cloud raise ``StructuralError`` naming the cloud."""
+    src, dst = _cloud(src, "source"), _cloud(dst, "destination")
+    return float(np.sqrt(_nearest_sq(src, dst)).mean())
 
 
 def erode_mask(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """Shrink a validity mask by 4-neighborhood erosion."""
-    mask = np.asarray(mask, dtype=bool)
-    if iterations <= 0:
-        return mask.copy()
-    from scipy.ndimage import binary_erosion  # deferred import: see depth_prior.triangulate
-
-    return binary_erosion(mask, structure=_CROSS, iterations=iterations, border_value=0)
+    """Shrink a 2-D validity mask by 4-neighborhood erosion, ``iterations``
+    times; pixels outside the mask count as invalid."""
+    out = np.array(mask, dtype=bool)
+    if iterations > 0 and out.ndim != 2:
+        raise StructuralError("masks must be 2-D")
+    for _ in range(iterations):
+        core = np.zeros_like(out)
+        core[1:-1, 1:-1] = (out[1:-1, 1:-1] & out[:-2, 1:-1] & out[2:, 1:-1]
+                            & out[1:-1, :-2] & out[1:-1, 2:])
+        out = core
+    return out
 
 
 def projective_error(

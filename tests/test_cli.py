@@ -777,17 +777,24 @@ def _scipy_modules_after(script: str) -> list:
 
 
 class TestImports:
-    """A process that never triangulates, evaluates or sweeps starts on
-    numpy alone: scipy loads only where it is used."""
+    """A process that never triangulates or sweeps starts and runs on numpy
+    alone: scipy loads only for the Qhull step of a camera prior. Scoring
+    (``eval``) needs no scipy."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import mmfsk.cli") == []
 
-    def test_simulate_and_scalar_prior_2fsk_load_no_scipy(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", methods=["2fsk"],
-                           grid={"width": 8, "height": 8, "spacing": 0.002})
+    @pytest.mark.parametrize("method,overrides", [
+        ("2fsk", {}),
+        ("bp", {"frequencies": {"values_ghz": [72.0, 75.0, 78.0, 81.0]},
+                "voxel": {"extents": [0.016, 0.016, 0.02], "resolution": [9, 9, 5], "center": [0, 0, 0.30]}}),
+    ])
+    def test_closed_loop_loads_no_scipy(self, tmp_path, method, overrides):
+        # simulate -> prior -> reconstruct -> eval; a scalar prior, and bp reads none
+        cfg = write_config(tmp_path / "cfg.json", methods=[method],
+                           grid={"width": 8, "height": 8, "spacing": 0.002}, **overrides)
         script = ("from mmfsk.cli import main\n"
-                  "for cmd in ('simulate', 'prior', 'reconstruct'):\n"
+                  "for cmd in ('simulate', 'prior', 'reconstruct', 'eval', 'report'):\n"
                   f"    assert main([cmd, '-c', {str(cfg)!r}]) == 0, cmd\n")
         assert _scipy_modules_after(script) == []
-        assert (tmp_path / "out" / "2fsk_depth.pfm").exists()
+        assert (tmp_path / "out" / f"eval_{method}.json").exists()

@@ -2,24 +2,66 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_erosion
+from scipy.spatial import cKDTree
 from scipy.stats import spearmanr
 
 from mmfsk import (
     CandidateGrid,
     chamfer_one_way,
     evaluate_image,
+    metrics,
     projective_error,
     resample_gt_cloud,
     resample_gt_depth,
 )
 from mmfsk.errors import InsufficientDataError, StructuralError
-from mmfsk.metrics import EvalReport, _bin_cloud_depth, erode_mask, report_table, spearman_rho
+from mmfsk.metrics import EvalReport, _bin_cloud_depth, _nearest_sq, erode_mask, report_table, spearman_rho
 from mmfsk.reconstruct import RadarImage
 
 
 def brute_force_chamfer(src, dst):
     d = np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=-1)
     return float(d.min(axis=1).mean())
+
+
+def lattice(n, pitch=0.001, z=0.3, shift=(0.0, 0.0)):
+    g = (np.arange(n) - n / 2) * pitch
+    x, y = np.meshgrid(g + shift[0], g + shift[1])
+    return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, z)])
+
+
+def chamfer_cases():
+    """Name -> (src, dst) clouds that stress the bucketed search: non-uniform
+    density, holes, far queries, zero-area footprints and large offsets."""
+    rng = np.random.default_rng(11)
+    a = lattice(60)
+    b = lattice(60, shift=(0.0003, 0.0004))
+    b[:, 2] += rng.normal(0.0, 1e-4, b.shape[0])
+    holed = b[np.hypot(b[:, 0], b[:, 1]) > 0.015]  # a 30 mm hole
+    blob = rng.normal(0.0, 0.01, (300, 3)) + [5.0, -3.0, 2.0]
+    t = rng.uniform(0.0, 1.0, 1500)
+    cube = rng.uniform(0.0, 1.0, (1500, 3))
+    return {
+        "random-3d": (rng.normal(size=(2000, 3)), rng.normal(size=(1500, 3))),
+        "hole-in-destination": (a, holed),
+        "hole-in-source": (holed, a),
+        "far-blob-in-source": (np.vstack([a, blob]), b),
+        "far-blob-in-destination": (b, np.vstack([a, blob])),
+        "one-destination-point": (rng.normal(size=(500, 3)), np.array([[0.1, 0.2, 0.3]])),
+        "one-source-point": (np.array([[0.1, 0.2, 0.3]]), rng.normal(size=(500, 3))),
+        "duplicates": (np.repeat(b[::7], 2, axis=0), np.repeat(rng.normal(size=(200, 3)), 5, axis=0)),
+        "all-identical-destination": (cube[:300], np.tile([[0.5, 0.5, 0.5]], (300, 1))),
+        "lateral-line": (cube, np.column_stack([t, np.zeros_like(t), rng.uniform(0.0, 1.0, t.size)])),
+        "diagonal-lateral-line": (cube, np.column_stack([t, t, np.zeros_like(t)])),
+        "lateral-point": (cube, np.column_stack([np.zeros_like(t), np.zeros_like(t), t])),
+        "depth-outliers-in-destination": (b, np.vstack([a[5:], a[:5] + [0.0, 0.0, 0.7]])),
+        "offset-1e3": (a + 1e3, b + 1e3),
+        "offset-1e3-far-apart": (a - 1e3, b + [-1e3, 1e3, 0.0]),
+    }
+
+
+CHAMFER_CASES = chamfer_cases()
 
 
 def reference_bin_cloud_depth(points, grid):
@@ -74,6 +116,32 @@ class TestChamfer:
     def test_empty_cloud_rejected(self):
         with pytest.raises(InsufficientDataError):
             chamfer_one_way(np.zeros((0, 3)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name", list(CHAMFER_CASES))
+    def test_matches_kdtree_bit_for_bit(self, name):
+        src, dst = CHAMFER_CASES[name]
+        want = cKDTree(dst).query(src, k=1)[0]
+        got = np.sqrt(_nearest_sq(src, dst))
+        assert got.tobytes() == want.tobytes()
+        assert chamfer_one_way(src, dst) == float(want.mean())
+
+    @pytest.mark.parametrize("name", ["random-3d", "hole-in-destination", "all-identical-destination"])
+    def test_chunk_size_does_not_change_distances(self, monkeypatch, name):
+        # 7 pairs per pass: cell ranges are split and queries span passes
+        src, dst = CHAMFER_CASES[name]
+        want = _nearest_sq(src, dst)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+        assert _nearest_sq(src, dst).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cloud", ["source", "destination"])
+    def test_non_finite_coordinates_rejected(self, cloud, bad):
+        pts = np.random.default_rng(2).normal(size=(20, 3))
+        broken = pts.copy()
+        broken[7, 1] = bad
+        args = (broken, pts) if cloud == "source" else (pts, broken)
+        with pytest.raises(StructuralError, match=f"{cloud} cloud has non-finite coordinates"):
+            chamfer_one_way(*args)
 
 
 class TestProjectiveError:
@@ -130,6 +198,20 @@ class TestErodeMask:
         mask[1:4, 1:4] = True
         out = erode_mask(mask, 1)
         assert out.sum() == 1 and out[2, 2]
+
+    @pytest.mark.parametrize("shape", [(13, 17), (2, 9), (1, 6), (6, 1)])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_matches_scipy_binary_erosion(self, shape, iterations):
+        cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] * 10 + iterations)
+        for density in (0.6, 0.85, 1.0):  # masks that touch the border, a full one included
+            mask = rng.random(shape) < density
+            want = binary_erosion(mask, structure=cross, iterations=iterations, border_value=0)
+            assert np.array_equal(erode_mask(mask, iterations), want)
+
+    def test_non_2d_mask_rejected(self):
+        with pytest.raises(StructuralError):
+            erode_mask(np.ones(8, dtype=bool), 1)
 
     def test_zero_iterations_is_copy(self):
         mask = np.random.default_rng(0).random((6, 6)) < 0.5

@@ -129,6 +129,7 @@ def _scene(where, spec):
 
 NUMBER = _number()
 INTEGER = _rule(lambda v: type(v) is int, "an integer")
+NATURAL = _rule(lambda v: type(v) is int and v >= 0, "an integer >= 0")  # seeds and erosion steps
 COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 TEXT = _rule(lambda v: isinstance(v, str), "a string")
 METHOD, PAIR = _one_of(METHODS), _one_of(FREQUENCY_PAIRS)
@@ -141,7 +142,7 @@ REQUIRED, OPTIONAL = (lambda section: True), (lambda section: False)
 # is filled in where the key is left out. "" is the top level.
 CONFIG = {
     "": {
-        "seed": (INTEGER, 0),
+        "seed": (NATURAL, 0),
         "workers": (_or_null(COUNT), None),  # null: the CPU count
         "output_dir": (TEXT, "out"),
         "scene": (_scene, {"kind": "plane", "params": {"depth": 0.30, "extent": 0.08, "spacing": 0.0015}}),
@@ -173,16 +174,16 @@ CONFIG = {
         "noise_mm": (_number(lambda v: 0.0 <= v < np.inf, "a finite number >= 0"), 0.0),
         "dropout": (_number(lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"), 0.0),
     },
-    "noise": {"snr_db": (_or_null(NUMBER), OPTIONAL), "seed": (INTEGER, OPTIONAL)},  # seed: else the config's
+    "noise": {"snr_db": (_or_null(NUMBER), OPTIONAL), "seed": (NATURAL, OPTIONAL)},  # seed: else the config's
     "voxel": {"extents": (_list(NUMBER, 3), REQUIRED), "resolution": (_list(COUNT, 3), REQUIRED),
               "center": (_list(NUMBER, 3), REQUIRED)},
-    "eval": {"erode": (INTEGER, 1)},
+    "eval": {"erode": (NATURAL, 1)},
     "sweep": {  # method: the first of methods; seeds: [seed], or a count n for 0..n-1
         "method": (METHOD, OPTIONAL),
         "pairs": (_list(PAIR, least=1), REQUIRED),
         "seeds": (_rule(lambda v: (type(v) is int and v >= 1
-                                   or type(v) is list and v and all(type(i) is int for i in v)),
-                        "an integer >= 1 or a non-empty list of integers"), OPTIONAL),
+                                   or type(v) is list and v and all(type(i) is int and i >= 0 for i in v)),
+                        "an integer >= 1 or a non-empty list of integers >= 0"), OPTIONAL),
         "runs": (_list(_section("sweep.runs"), least=1), REQUIRED),
     },
     "sweep.runs": {"method": (METHOD, REQUIRED), "pair": (PAIR, REQUIRED), "triple": (_list(PAIR, 2), REQUIRED),
@@ -191,7 +192,7 @@ CONFIG = {
     # number unless named here; a surface kind needs the keys of its shape
     **{f"scene.params.{kind}": {
         key: ({"center": _list(NUMBER, 2), "levels": _list(NUMBER, 2), "bounds": _list(_list(NUMBER, 2), 3),
-               "n": INTEGER, "seed": INTEGER}.get(key, NUMBER),
+               "n": INTEGER, "seed": NATURAL}.get(key, NUMBER),
               REQUIRED if key in {"plane": ("depth",), "sphere-cap": ("radius", "center_z"),
                                   "step": ("levels",)}.get(kind, ()) else OPTIONAL)
         for key in keys} for kind, keys in SCENE_PARAMS.items()},
@@ -326,9 +327,7 @@ def cmd_prior(cfg: dict, run: dict) -> int:
         depth_map = _degrade_depth_map(depth_map, spec["noise_mm"], spec["dropout"], cfg["seed"])
         prior = build_prior(depth_map, intr, ext, grid)
     else:
-        prior = mio.load_candidate_grid(spec["path"])
-        if not (np.array_equal(prior.x, grid.x) and np.array_equal(prior.y, grid.y)):
-            raise ConfigurationError(f"{spec['path']}: x and y axes differ from the config's grid")
+        prior = _load_prior_grid(spec["path"], grid)
     outdir = _outdir(cfg)
     if depth_map is not None:
         mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
@@ -336,6 +335,15 @@ def cmd_prior(cfg: dict, run: dict) -> int:
     _snapshot(cfg, outdir, "prior")
     log.info("prior: %d valid pixels -> %s", int(prior.valid.sum()), outdir)
     return 0
+
+
+def _load_prior_grid(path, grid: CandidateGrid) -> CandidateGrid:
+    """A saved candidate grid, which must lie on the config's grid: the
+    image takes its axes, and ``eval`` scores it on the config's."""
+    prior = mio.load_candidate_grid(path)
+    if not (np.array_equal(prior.x, grid.x) and np.array_equal(prior.y, grid.y)):
+        raise ConfigurationError(f"{path}: x and y axes differ from the config's grid")
+    return prior
 
 
 def _degrade_depth_map(depth_map, noise_mm: float, dropout: float, seed: int):
@@ -362,7 +370,7 @@ def cmd_reconstruct(cfg: dict, run: dict) -> int:
     if set(cfg["methods"]) - {"bp"}:
         if not grid_path.exists():
             raise FileNotFoundError(f"prior grid not found: {grid_path} (run 'prior' first)")
-        grid = mio.load_candidate_grid(grid_path)
+        grid = _load_prior_grid(grid_path, run["grid"])
     # built per call, so the module names bench/spans.py wraps are looked up now
     recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}
     images = []

@@ -7,12 +7,14 @@ similar density: a surface point cloud for the Chamfer distances, a depth
 map rasterized on the radar grid for the projective error.
 
 Scoring runs on numpy alone. Nearest neighbours come from an exact search
-over a grid of cells (``_Buckets``, ``_nearest_sq``) that rounds every
-distance as ``scipy.spatial.cKDTree`` does, and erosion is array shifts.
+over strips of the destination cloud that hold equal point counts
+(``_Strips``, ``_nearest_sq``); it rounds every distance as
+``scipy.spatial.cKDTree`` does. Erosion is array shifts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .errors import InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
 
-_PAIR_CHUNK = 1 << 16  # cell rows, or (query, point) pairs, per array pass: a few MB of temporaries
+_PAIR_CHUNK = 1 << 16  # (query, strip) or (query, point) pairs per array pass: a few MB of temporaries
 _EPS = np.finfo(np.float64).eps
 
 # the four scores of an evaluation record, in meters
@@ -65,159 +67,126 @@ def _cloud(points, name: str) -> np.ndarray:
     return points
 
 
-class _Buckets:
-    """A cloud sorted into square cells of side ``h`` on the two axes it
-    spreads widest along (x and y for a depth surface), about one point per
-    cell over its footprint. A point lies in the cell that the floor of its
-    unit coordinates ``(p - lo) / h``, as computed, names; searches bound
-    distances in those computed units, less a slack for their rounding.
-    """
+class _Strips:
+    """A cloud in strips of ``w = isqrt(N)`` points along ``a``, the axis it
+    spreads widest along, each sorted along ``b``, the second widest. A
+    point's key ``strip * N + rank`` (its rank among the values on ``b``)
+    lets one ``searchsorted`` find any strip's exact range on ``b``."""
 
     def __init__(self, points: np.ndarray):
-        m = points.shape[0]
-        lo = np.array([points[:, k].min() for k in range(3)])  # per column: faster than axis=0
-        hi = np.array([points[:, k].max() for k in range(3)])
-        # the two axes with the widest 1st-99th percentile range of a stride
-        # of about 1,024 points, widest extent on ties: a few far-off
-        # points, such as depth outliers, cannot choose them
+        m = self.m = points.shape[0]
+        self.lo = np.array([points[:, k].min() for k in range(3)])  # per column: faster than axis=0
+        self.hi = np.array([points[:, k].max() for k in range(3)])
+        # a and b have the widest 1st-99th percentile ranges of a stride of
+        # about 1,024 points, widest extent on ties: a few far-off points,
+        # such as depth outliers, cannot choose them
         sample = points[:: max(1, m // 1024)]
         k = sample.shape[0] // 100
         ranked = np.partition(sample, [k, -1 - k], axis=0)
-        self.axes = np.lexsort((lo - hi, ranked[k] - ranked[-1 - k]))
-        self.lo = lo[self.axes[:2]]
-        self.third = lo[self.axes[2]], hi[self.axes[2]]
-        wa, wb = (hi - lo)[self.axes[:2]]
-        # at least the wider extent / N, so a line or a point still has at
-        # most N + 1 cells per axis and 3N + 1 in all
-        self.h = max(np.sqrt(wa * wb / m), max(wa, wb) / m) or 1.0
-        u, v = self.units(points)
-        self.nx, self.ny = int(u.max()) + 1, int(v.max()) + 1
-        self.v_max = v.max()
-        key = v.astype(np.int64) * self.nx + u.astype(np.int64)
+        self.axes = a, b, _ = np.lexsort((self.lo - self.hi, ranked[k] - ranked[-1 - k]))
+        w = self.w = math.isqrt(m)  # strip s holds the sorted points s*w up to (s + 1)*w
+        by_a = np.argsort(points[:, a], kind="stable")
+        self.b_sorted = np.sort(points[:, b])
+        key = np.arange(m) // w * m + np.searchsorted(self.b_sorted, points[by_a, b])
+        order = np.argsort(key, kind="stable")
+        self.key = key[order]
         # one contiguous row per axis: per-axis gathers run about twice as
         # fast as gathering (N, 3) rows
-        self.coords = np.ascontiguousarray(points.take(np.argsort(key), axis=0).T)
-        counts = np.bincount(key, minlength=self.nx * self.ny)
-        self.start = np.concatenate([[0], np.cumsum(counts)])  # cell c holds points start[c]:start[c + 1]
+        self.coords = np.ascontiguousarray(points.take(by_a[order], axis=0).T)
+        # each strip's range on each axis, one row per axis
+        self.box = [f.reduceat(self.coords, np.arange(0, m, w), axis=1) for f in (np.minimum, np.maximum)]
 
-    def units(self, points: np.ndarray):
-        return ((points[:, self.axes[0]] - self.lo[0]) / self.h,
-                (points[:, self.axes[1]] - self.lo[1]) / self.h)
-
-    def third_gap_sq(self, points: np.ndarray) -> np.ndarray:
-        """Squared distance from each point to the cloud's range on the
-        third axis: a floor under its squared distance to any point."""
-        z = points[:, self.axes[2]]
-        gap = np.maximum(np.maximum(self.third[0] - z, z - self.third[1]), 0.0)
-        return gap * gap
-
-    def scan(self, src: np.ndarray, best: np.ndarray, q: np.ndarray, j0, j1, columns) -> None:
-        """Lower ``best[q[i]]`` to the squared distance from source point
-        ``q[i]`` to every point in cell rows ``j0[i]..j1[i]``, each row from
-        column to column as ``columns(i, row)`` gives them. ``src`` holds
-        the source points one row per axis. Queries go ``_PAIR_CHUNK`` cell
-        rows at a time, and their (query, point) pairs ``_PAIR_CHUNK`` at a
-        time."""
-        rows = j1 - j0 + 1
-        for a, b in _chunks(rows):
-            i = np.repeat(np.arange(a, b), rows[a:b])
-            row = j0[i] + np.arange(i.size) - np.repeat(np.cumsum(rows[a:b]) - rows[a:b], rows[a:b])
-            c0, c1 = columns(i, row)
-            lo, hi = self.start[row * self.nx + c0], self.start[row * self.nx + c1 + 1]
+    def scan(self, src, best, s0, s1, floor) -> None:
+        """Lower ``best[i]`` over the strips ``s0[i]`` up to ``s1[i]``,
+        excluded, whose box its bound reaches; in each, over the points its
+        bound reaches on ``b``, given ``floor[i]`` from ``c``. ``src`` holds
+        the source points one row per axis."""
+        q = np.flatnonzero(s1 > s0)
+        x = src[self.axes[1]].take(q)
+        r = _reach(x, best[q], floor[q])
+        rank0, rank1 = np.searchsorted(self.b_sorted, x - r, "left"), np.searchsorted(self.b_sorted, x + r, "right")
+        for i, _, s in _runs(s0[q], s1[q]):  # (query, strip) pairs
+            near = sum(_gap_sq(src[ax].take(q[i]), self.box[0][ax].take(s), self.box[1][ax].take(s))
+                       for ax in range(3)) * (1 - 64 * _EPS) <= best[q[i]]  # the strip's box is within reach
+            i, s = i[near], s[near]
+            lo, hi = np.searchsorted(self.key, s * self.m + rank0[i]), np.searchsorted(self.key, s * self.m + rank1[i])
             keep = hi > lo
-            self._pairs(src, best, q[i[keep]], lo[keep], hi[keep])
+            qs, lo, hi = q[i[keep]], lo[keep], hi[keep]
+            del i, s  # free the (query, strip) pairs before the larger (query, point) ones
+            for k, start, index in _runs(lo, hi):  # (query, point) pairs
+                k = qs.take(k)  # each pair's query
+                d2 = self.dist_sq(src, k, index)
+                owner = k[start]
+                new = np.flatnonzero(np.diff(owner, prepend=-1))  # each query's first range
+                best[owner[new]] = np.minimum(best[owner[new]], np.minimum.reduceat(d2, start[new]))
 
-    def _pairs(self, src, best, q, lo, hi) -> None:
-        """Lower ``best[q[k]]`` over the sorted points ``lo[k]:hi[k]``. Each
-        query's ranges are consecutive and every range is non-empty."""
-        length = hi - lo
-        if length.size and length.max() > _PAIR_CHUNK:  # split ranges longer than a chunk
-            pieces = -(-length // _PAIR_CHUNK)
-            k = np.repeat(np.arange(q.size), pieces)
-            lo = lo[k] + (np.arange(k.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * _PAIR_CHUNK
-            q, hi = q[k], np.minimum(hi[k], lo + _PAIR_CHUNK)
-            length = hi - lo
-        for a, b in _chunks(length):
-            n, first = length[a:b], lo[a:b]
-            start = np.cumsum(n) - n
-            step = np.ones(start[-1] + n[-1], dtype=np.int64)  # point index = cumsum(step)
-            step[start] = first - np.concatenate([[0], first[:-1] + n[:-1] - 1])
-            index, d2 = np.cumsum(step), 0.0
-            for axis in range(3):  # cKDTree's order: (dx*dx + dy*dy) + dz*dz
-                d = np.repeat(src[axis].take(q[a:b]), n)
-                d -= self.coords[axis].take(index)
-                d *= d
-                d2 = d2 + d
-            new = np.flatnonzero(q[a:b] != np.concatenate([[-1], q[a:b - 1]]))  # each query's first range
-            qs = q[a:b][new]
-            best[qs] = np.minimum(best[qs], np.minimum.reduceat(d2, start[new]))
+    def dist_sq(self, src, q, index) -> np.ndarray:
+        """Squared distance from source point ``q[k]`` to sorted point
+        ``index[k]``, in cKDTree's order: (dx*dx + dy*dy) + dz*dz."""
+        d2 = 0.0
+        for axis in range(3):
+            d = src[axis].take(q)
+            d -= self.coords[axis].take(index)
+            d *= d
+            d2 = d2 + d
+        return d2
 
 
-def _chunks(sizes: np.ndarray):
-    """Consecutive index ranges whose sizes sum to at most ``_PAIR_CHUNK``,
-    or to one size when that alone exceeds it."""
-    end = np.cumsum(sizes)
-    if not end.size or end[-1] <= _PAIR_CHUNK:
-        return [(0, sizes.size)] if end.size else []
-    group = (end - 1) // _PAIR_CHUNK
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    return zip(starts, np.append(starts[1:], sizes.size))
+def _runs(lo: np.ndarray, hi: np.ndarray):
+    """The integers of the non-empty ranges ``lo[k]:hi[k]`` in pieces of
+    whole ranges, each at most ``_PAIR_CHUNK`` integers plus one range, as
+    ``(k, offset, integers)``: each integer's ``k``, each range's offset."""
+    n = hi - lo
+    end = np.cumsum(n)
+    cut = np.flatnonzero(np.diff((end - 1) // _PAIR_CHUNK, prepend=-1))
+    for x, y in zip(cut, [*cut[1:], n.size]):
+        start = end[x:y] - n[x:y] - (end[x] - n[x])
+        yield (np.repeat(np.arange(x, y), n[x:y]), start,
+               np.arange(start[-1] + n[y - 1]) + np.repeat(lo[x:y] - start, n[x:y]))
+
+
+def _gap_sq(x: np.ndarray, lo, hi) -> np.ndarray:
+    """Squared distance from coordinates ``x`` to the ranges ``lo..hi``."""
+    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    return gap * gap
+
+
+def _reach(x: np.ndarray, best: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Half-width of the range around coordinates ``x`` on one axis that
+    can hold a point nearer than ``best``, the squared distance to beat,
+    when the other axes add at least ``floor``. It is widened generously
+    for the rounding of the distances and of ``x`` plus or minus it."""
+    r = np.sqrt(np.maximum(best * (1 + 64 * _EPS) - floor * (1 - 64 * _EPS), 0.0))
+    return r + 64 * _EPS * (np.abs(x) + r)
 
 
 def _nearest_sq(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Squared distance from each source point to its nearest destination
     point, each summed as ``(dx*dx + dy*dy) + dz*dz``.
 
-    The destination cloud is bucketed into cells (``_Buckets``). A query
-    first searches the 3x3 cells around its own, clamped into the grid, and
-    is done when its best distance is within its distance to that square's
-    edge. A query with no point there doubles the square until it finds
-    one. Every query left then searches each cell row's column range that
-    lies within its best distance: a disk, not a square. A query off the
-    cloud's range on the third axis is at least that far from every point,
-    which narrows both the stopping test and the disk.
+    The destination is cut into strips (``_Strips``). A query's home strip
+    is the last one that starts at or before it on axis ``a``. Its first
+    bound comes from the two points beside it on ``b`` in that strip. It
+    scans its home strip and the two beside it, then every other strip the
+    tighter bound reaches on ``a``, in one pass on each side. A scan skips
+    a strip whose box the bound does not reach and covers the points it
+    reaches on ``b``. The query's distance to the destination's range on
+    ``b`` and ``c`` is a floor under the bound on ``a``, and on ``c`` under
+    the bound on ``b``.
     """
-    grid = _Buckets(dst)
-    u, v = grid.units(src)
-    cu = np.clip(np.floor(u), 0, grid.nx - 1).astype(np.int64)
-    cv = np.clip(np.floor(v), 0, grid.ny - 1).astype(np.int64)
-    # a generous bound, in cells, on the rounding error of unit coordinates
-    # and of the distances compared with them
-    slack = 32 * _EPS * (np.abs(u) + np.abs(v) + grid.nx + grid.ny + 1)
-    gap2 = grid.third_gap_sq(src)
-    src_axes = np.ascontiguousarray(src.T)
-    best = np.full(src.shape[0], np.inf)
-
-    todo, disk, k = np.arange(src.shape[0]), [], 1
-    while todo.size:
-        x0, x1, y0, y1 = cu[todo] - k, cu[todo] + k, cv[todo] - k, cv[todo] + k
-        grid.scan(src_axes, best, todo, np.maximum(y0, 0), np.minimum(y1, grid.ny - 1),
-                  lambda i, row: (np.maximum(x0[i], 0), np.minimum(x1[i], grid.nx - 1)))
-        ut, vt = u[todo], v[todo]
-        edge = np.minimum.reduce([  # sides on the grid's border have nothing beyond
-            np.where(x0 > 0, ut - x0, np.inf), np.where(x1 < grid.nx - 1, x1 + 1 - ut, np.inf),
-            np.where(y0 > 0, vt - y0, np.inf), np.where(y1 < grid.ny - 1, y1 + 1 - vt, np.inf),
-        ])
-        edge = np.maximum(edge - slack[todo], 0.0) * grid.h
-        found = best[todo] < np.inf
-        disk.append(todo[found & (best[todo] > (edge * edge + gap2[todo]) * (1 - 64 * _EPS))])
-        todo, k = todo[~found], 2 * k
-
-    q = np.concatenate(disk)
-    if q.size:
-        uq, vq = u[q], v[q]
-        r = np.sqrt(np.maximum(best[q] * (1 + 64 * _EPS) - gap2[q], 0.0)) / grid.h + slack[q]
-        j0 = np.clip(np.floor(vq - r), 0, grid.ny - 1).astype(np.int64)
-        j1 = np.clip(np.floor(vq + r), 0, grid.ny - 1).astype(np.int64)
-
-        def columns(i, row):
-            gap = np.maximum(np.maximum(row - vq[i], vq[i] - np.minimum(row + 1, grid.v_max)), 0.0)
-            w = np.sqrt(np.maximum(r[i] * r[i] - gap * gap, 0.0))
-            # a disk that misses the grid's columns gets an empty range (first = last + 1)
-            return (np.clip(np.floor(uq[i] - w), 0, grid.nx).astype(np.int64),
-                    np.clip(np.floor(uq[i] + w), -1, grid.nx - 1).astype(np.int64))
-
-        grid.scan(src_axes, best, q, j0, j1, columns)
+    grid = _Strips(dst)
+    a, b, c = grid.axes
+    first, last = grid.box[0][a], grid.box[1][a]
+    src = np.ascontiguousarray(src.T)
+    gap_b, gap_c = _gap_sq(src[[b, c]], grid.lo[[b, c], None], grid.hi[[b, c], None])
+    home = np.maximum(np.searchsorted(first, src[a], "right") - 1, 0)
+    at = np.searchsorted(grid.key, home * grid.m + np.searchsorted(grid.b_sorted, src[b]))
+    at = np.clip([at - 1, at], home * grid.w, np.minimum(home * grid.w + grid.w, grid.m) - 1)  # beside it, in its strip
+    best = np.minimum(*(grid.dist_sq(src, np.arange(src.shape[1]), index) for index in at))
+    grid.scan(src, best, np.maximum(home - 1, 0), np.minimum(home + 2, first.size), gap_c)
+    r = _reach(src[a], best, gap_b + gap_c)
+    grid.scan(src, best, np.searchsorted(last, src[a] - r, "left"), home - 1, gap_c)
+    grid.scan(src, best, home + 2, np.searchsorted(first, src[a] + r, "right"), gap_c)
     return best
 
 

@@ -399,8 +399,8 @@ class TestReconstructAndEval:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
-        ("simulate", "--seed", "x", "config seed must be an integer"),
-        ("simulate", "--seed", "1.5", "config seed must be an integer"),
+        ("simulate", "--seed", "x", "config seed must be an integer >= 0"),
+        ("simulate", "--seed", "1.5", "config seed must be an integer >= 0"),
         ("reconstruct", "--workers", "two", "config workers must be an integer >= 1"),
     ])
     def test_bad_flag_value_exits_1_naming_the_key(self, tmp_path, caplog, command, flag, value, message):
@@ -408,6 +408,13 @@ class TestReconstructAndEval:
         cfg = write_config(tmp_path / "cfg.json")
         assert main([command, "-c", str(cfg), flag, value]) == 1
         assert f"validation: {message}, got '{value}'" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, caplog):
+        # not numpy's Philox error, which names no key
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["prior", "-c", str(cfg), "--seed", "-1"]) == 1
+        assert "validation: config seed must be an integer >= 0, got -1" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_flag_integers_reach_the_snapshot_as_integers(self, tmp_path):
@@ -496,6 +503,7 @@ class TestSweepAndReport:
         ({"pairs": ["10.0"], "seeds": 0}, "sweep.seeds"),
         ({"pairs": ["10.0"], "seeds": []}, "sweep.seeds"),
         ({"pairs": ["10.0"], "seeds": [1, 2.5]}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "seeds": [0, -1]}, "sweep.seeds"),
         ({"pairs": ["10.0"], "method": "hologram"}, "sweep.method"),
         ({"pairs": []}, "sweep.pairs"),
         ({"pairs": ["10.0", "10.5"]}, "sweep.pairs[1]"),
@@ -627,6 +635,20 @@ class TestNothingWrittenOnFailure:
                 == (tmp_path / "centred" / "prior_grid.json").read_bytes())
 
 
+    def test_prior_grid_off_the_config_grid_stops_reconstruct(self, tmp_path, caplog):
+        # reconstruct would take the file's axes and eval score the image
+        # on the config's
+        shifted = write_config(tmp_path / "shifted.json", grid={"width": 12, "height": 12, "spacing": 0.002,
+                                                                 "center": [0.01, 0.0]})
+        for stage in ("simulate", "prior"):
+            assert main([stage, "-c", str(shifted)]) == 0, stage
+        before = written(tmp_path / "out")
+        cfg = write_config(tmp_path / "cfg.json", grid={"width": 12, "height": 12, "spacing": 0.002})
+        assert main(["reconstruct", "-c", str(cfg)]) == 1
+        assert f"validation: {tmp_path / 'out' / 'prior_grid.json'}: x and y axes differ" in caplog.text
+        assert written(tmp_path / "out") == before
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, monkeypatch):
         from mmfsk import cli
@@ -690,6 +712,12 @@ class TestExitCodes:
          "scene.params.bounds[2]"),
         # null means no noise; the string "none" is no alias for it
         ("simulate", {"noise": {"snr_db": "none"}}, "noise.snr_db"),
+        # seeds feed numpy's Philox, which takes no negative seed; a
+        # negative erosion would skip erosion silently
+        ("simulate", {"seed": -1}, "seed"),
+        ("simulate", {"noise": {"snr_db": 25, "seed": -1}}, "noise.seed"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"seed": -1}}}, "scene.params.seed"),
+        ("eval", {"eval": {"erode": -2}}, "eval.erode"),
     ])
     def test_bad_list_or_scene_value_exits_1(self, tmp_path, caplog, command, overrides, key):
         if command == "reconstruct":

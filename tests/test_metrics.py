@@ -32,8 +32,9 @@ def lattice(n, pitch=0.001, z=0.3, shift=(0.0, 0.0)):
 
 
 def chamfer_cases():
-    """Name -> (src, dst) clouds that stress the bucketed search: non-uniform
-    density, holes, far queries, zero-area footprints and large offsets."""
+    """Name -> (src, dst) clouds that stress the strip search: non-uniform
+    density, a dense cluster, holes, far queries, zero-area footprints and
+    large offsets."""
     rng = np.random.default_rng(11)
     a = lattice(60)
     b = lattice(60, shift=(0.0003, 0.0004))
@@ -42,7 +43,7 @@ def chamfer_cases():
     blob = rng.normal(0.0, 0.01, (300, 3)) + [5.0, -3.0, 2.0]
     t = rng.uniform(0.0, 1.0, 1500)
     cube = rng.uniform(0.0, 1.0, (1500, 3))
-    return {
+    cases = {
         "random-3d": (rng.normal(size=(2000, 3)), rng.normal(size=(1500, 3))),
         "hole-in-destination": (a, holed),
         "hole-in-source": (holed, a),
@@ -59,6 +60,12 @@ def chamfer_cases():
         "offset-1e3": (a + 1e3, b + 1e3),
         "offset-1e3-far-apart": (a - 1e3, b + [-1e3, 1e3, 0.0]),
     }
+    # 9,900 points of 0.1 mm spread and 100 over 2 m: the strips near the
+    # cluster are a few um wide
+    cluster = np.vstack([rng.normal(0.0, 1e-4, (9900, 3)) + [0.3, 0.2, 0.5], rng.uniform(-1.0, 1.0, (100, 3))])
+    cases["cluster-in-destination"] = (np.vstack([rng.normal(0.0, 3e-4, (100, 3)) + [0.3, 0.2, 0.5], cube[:400]]),
+                                       cluster)
+    return cases
 
 
 CHAMFER_CASES = chamfer_cases()
@@ -125,9 +132,11 @@ class TestChamfer:
         assert got.tobytes() == want.tobytes()
         assert chamfer_one_way(src, dst) == float(want.mean())
 
-    @pytest.mark.parametrize("name", ["random-3d", "hole-in-destination", "all-identical-destination"])
+    @pytest.mark.parametrize("name", ["random-3d", "hole-in-destination", "all-identical-destination",
+                                      "cluster-in-destination"])
     def test_chunk_size_does_not_change_distances(self, monkeypatch, name):
-        # 7 pairs per pass: cell ranges are split and queries span passes
+        # 7 pairs per pass: a strip's range longer than that is a pass of
+        # its own, and queries span passes
         src, dst = CHAMFER_CASES[name]
         want = _nearest_sq(src, dst)
         monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)

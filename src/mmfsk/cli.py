@@ -128,7 +128,6 @@ def _scene(where, spec):
 
 
 NUMBER = _number()
-INTEGER = _rule(lambda v: type(v) is int, "an integer")
 NATURAL = _rule(lambda v: type(v) is int and v >= 0, "an integer >= 0")  # seeds and erosion steps
 COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 TEXT = _rule(lambda v: isinstance(v, str), "a string")
@@ -192,7 +191,7 @@ CONFIG = {
     # number unless named here; a surface kind needs the keys of its shape
     **{f"scene.params.{kind}": {
         key: ({"center": _list(NUMBER, 2), "levels": _list(NUMBER, 2), "bounds": _list(_list(NUMBER, 2), 3),
-               "n": INTEGER, "seed": NATURAL}.get(key, NUMBER),
+               "n": COUNT, "seed": NATURAL}.get(key, NUMBER),
               REQUIRED if key in {"plane": ("depth",), "sphere-cap": ("radius", "center_z"),
                                   "step": ("levels",)}.get(kind, ()) else OPTIONAL)
         for key in keys} for kind, keys in SCENE_PARAMS.items()},

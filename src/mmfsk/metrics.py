@@ -8,8 +8,9 @@ map rasterized on the radar grid for the projective error.
 
 Scoring runs on numpy alone. Nearest neighbours come from an exact search
 over strips of the destination cloud that hold equal point counts
-(``_Strips``, ``_nearest_sq``); it rounds every distance as
-``scipy.spatial.cKDTree`` does. Erosion is array shifts.
+(``_Strips``, ``_nearest_sq``); ``np.minimum.at`` keeps each query's
+nearest, rounded as ``scipy.spatial.cKDTree`` rounds it. Binned depth is
+an ``np.minimum.at`` z-buffer, and erosion is array shifts.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlate import CandidateGrid
-from .depth_prior import front_most_per_pixel
+from .depth_prior import _runs
 from .errors import InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
 
-_PAIR_CHUNK = 1 << 16  # (query, strip) or (query, point) pairs per array pass: a few MB of temporaries
 _EPS = np.finfo(np.float64).eps
 
 # the four scores of an evaluation record, in meters
@@ -105,7 +105,7 @@ class _Strips:
         x = src[self.axes[1]].take(q)
         r = _reach(x, best[q], floor[q])
         rank0, rank1 = np.searchsorted(self.b_sorted, x - r, "left"), np.searchsorted(self.b_sorted, x + r, "right")
-        for i, _, s in _runs(s0[q], s1[q]):  # (query, strip) pairs
+        for i, s in _runs(s0[q], s1[q]):  # (query, strip) pairs
             near = sum(_gap_sq(src[ax].take(q[i]), self.box[0][ax].take(s), self.box[1][ax].take(s))
                        for ax in range(3)) * (1 - 64 * _EPS) <= best[q[i]]  # the strip's box is within reach
             i, s = i[near], s[near]
@@ -113,12 +113,9 @@ class _Strips:
             keep = hi > lo
             qs, lo, hi = q[i[keep]], lo[keep], hi[keep]
             del i, s  # free the (query, strip) pairs before the larger (query, point) ones
-            for k, start, index in _runs(lo, hi):  # (query, point) pairs
+            for k, index in _runs(lo, hi):  # (query, point) pairs
                 k = qs.take(k)  # each pair's query
-                d2 = self.dist_sq(src, k, index)
-                owner = k[start]
-                new = np.flatnonzero(np.diff(owner, prepend=-1))  # each query's first range
-                best[owner[new]] = np.minimum(best[owner[new]], np.minimum.reduceat(d2, start[new]))
+                np.minimum.at(best, k, self.dist_sq(src, k, index))
 
     def dist_sq(self, src, q, index) -> np.ndarray:
         """Squared distance from source point ``q[k]`` to sorted point
@@ -130,19 +127,6 @@ class _Strips:
             d *= d
             d2 = d2 + d
         return d2
-
-
-def _runs(lo: np.ndarray, hi: np.ndarray):
-    """The integers of the non-empty ranges ``lo[k]:hi[k]`` in pieces of
-    whole ranges, each at most ``_PAIR_CHUNK`` integers plus one range, as
-    ``(k, offset, integers)``: each integer's ``k``, each range's offset."""
-    n = hi - lo
-    end = np.cumsum(n)
-    cut = np.flatnonzero(np.diff((end - 1) // _PAIR_CHUNK, prepend=-1))
-    for x, y in zip(cut, [*cut[1:], n.size]):
-        start = end[x:y] - n[x:y] - (end[x] - n[x])
-        yield (np.repeat(np.arange(x, y), n[x:y]), start,
-               np.arange(start[-1] + n[y - 1]) + np.repeat(lo[x:y] - start, n[x:y]))
 
 
 def _gap_sq(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -274,9 +258,10 @@ def _bin_cloud_depth(points: np.ndarray, grid: CandidateGrid) -> np.ndarray:
     u = np.round((points[:, 0] - grid.x[0]) / (dx or pitch)).astype(int)
     v = np.round((points[:, 1] - grid.y[0]) / (dy or pitch)).astype(int)
     ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
-    pix, z = front_most_per_pixel(v[ok] * grid.width + u[ok], points[ok, 2])
-    depth = np.full(grid.height * grid.width, np.nan)
-    depth[pix] = z
+    depth = np.full(grid.height * grid.width, np.inf)
+    # last-first: np.minimum keeps the later of equal depths, so the earliest point wins
+    np.minimum.at(depth, (v[ok] * grid.width + u[ok])[::-1], points[ok, 2][::-1])
+    depth[np.isinf(depth)] = np.nan  # pixels no point fell in
     return depth.reshape(grid.height, grid.width)
 
 

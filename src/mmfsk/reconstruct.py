@@ -188,29 +188,26 @@ def backproject(
 
     Every voxel scores the magnitude of its mean residual phasor over all
     pairs and carriers; each lateral column keeps the depth of its strongest
-    voxel (ties resolve to the smallest depth). Works with any number of
-    carriers and no prior, at full voxel-grid cost; the volume is
-    correlated in runs of whole depth planes of at most ``_BP_RUN_POINTS``
-    voxels (or one plane), which bounds the memory of each call.
+    voxel, one ``argmax`` over the score volume (ties: the smallest depth).
+    Works with any number of carriers and no prior, at full voxel-grid
+    cost; the volume is correlated in runs of whole depth planes of at most
+    ``_BP_RUN_POINTS`` voxels (or one plane), which bounds each call's
+    memory, and keeps one score per voxel.
     """
     xs, ys, zs = spec.axis(0), spec.axis(1), spec.axis(2)
-    best_mag = np.full((len(ys), len(xs)), -1.0)
-    best_z = np.full(best_mag.shape, zs[0])
-    per_run = max(1, _BP_RUN_POINTS // best_mag.size)
-    for lo in range(0, len(zs), per_run):  # ascending runs of whole depth planes
-        run_z = zs[lo:lo + per_run]
-        pts = np.stack(np.meshgrid(run_z, ys, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 3)  # plane-major
-        vals = mean_pair_phasors(pts, baseband, array, freqs, workers=workers)
-        score = np.abs(vals.mean(axis=1)).reshape((len(run_z),) + best_mag.shape)
-        first, run_best = score.argmax(axis=0), score.max(axis=0)  # argmax: the first, smallest-depth maximum
-        upd = run_best > best_mag  # strict, so an earlier run keeps a tie
-        best_mag, best_z = np.where(upd, run_best, best_mag), np.where(upd, run_z[first], best_z)
+    per_run = max(1, _BP_RUN_POINTS // (len(ys) * len(xs)))
+    runs = []
+    for lo in range(0, len(zs), per_run):  # ascending runs of whole depth planes, plane-major
+        pts = np.stack(np.meshgrid(zs[lo:lo + per_run], ys, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
+        runs.append(np.abs(mean_pair_phasors(pts, baseband, array, freqs, workers=workers).mean(axis=1)))
+    score = np.concatenate(runs).reshape(len(zs), len(ys), len(xs))
+    best = score.max(axis=0)
     return RadarImage(
         x=xs,
         y=ys,
-        depth=best_z,
-        magnitude=best_mag,
-        joint_magnitude=best_mag,
+        depth=zs[score.argmax(axis=0)],  # argmax: the first, smallest-depth maximum
+        magnitude=best,
+        joint_magnitude=best,
     )
 
 

@@ -708,6 +708,8 @@ class TestExitCodes:
         ("simulate", {"scene": {"kind": "plane", "params": {"depth": 0.3, "center": [0.0]}}}, "scene.params.center"),
         ("simulate", {"scene": {"kind": "step", "params": {"levels": [0.3, None]}}}, "scene.params.levels[1]"),
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 6.5}}}, "scene.params.n"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 0}}}, "scene.params.n"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": -1}}}, "scene.params.n"),
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, 1], [0]]}}},
          "scene.params.bounds[2]"),
         # null means no noise; the string "none" is no alias for it

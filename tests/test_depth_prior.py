@@ -478,13 +478,20 @@ class TestRasterizePrior:
         grid = self._grid(n=20)
         assert assert_matches_reference(mesh, grid).valid.all()
 
+    def test_triangle_box_larger_than_a_piece(self, monkeypatch):
+        # 400 candidates against pieces of 7: the triangle is a piece of its own
+        verts = np.array([[-1.0, -1.0, 0.3], [1.0, -1.0, 0.35], [0.0, 1.5, 0.4]])
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
+        monkeypatch.setattr(depth_prior, "_PAIR_CHUNK", 7)
+        assert assert_matches_reference(mesh, self._grid(n=20)).valid.all()
+
     def test_chunk_boundaries_do_not_matter(self, monkeypatch):
         rng = np.random.default_rng(8)
         grid = CandidateGrid.regular(12, 9, 0.25)
         mesh = random_mesh(rng, grid, 0.25, 80, snapped=True)
         whole = rasterize_prior(mesh, grid)
-        for chunk in (1, 7, 64):  # each splits one triangle's bounding box
-            monkeypatch.setattr(depth_prior, "_RASTER_CHUNK", chunk)
+        for chunk in (1, 7, 64):  # pieces of whole triangles: one each at 1, a few at 7 and 64
+            monkeypatch.setattr(depth_prior, "_PAIR_CHUNK", chunk)
             split = assert_matches_reference(mesh, grid)
             assert split.prior_depth.tobytes() == whole.prior_depth.tobytes()
 

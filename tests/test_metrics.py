@@ -9,8 +9,8 @@ from scipy.stats import spearmanr
 from mmfsk import (
     CandidateGrid,
     chamfer_one_way,
+    depth_prior,
     evaluate_image,
-    metrics,
     projective_error,
     resample_gt_cloud,
     resample_gt_depth,
@@ -139,7 +139,7 @@ class TestChamfer:
         # its own, and queries span passes
         src, dst = CHAMFER_CASES[name]
         want = _nearest_sq(src, dst)
-        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(depth_prior, "_PAIR_CHUNK", 7)
         assert _nearest_sq(src, dst).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -62,6 +62,13 @@ def _lateral_samples(extent: float, spacing: float, center: float = 0.0) -> np.n
     return center + (np.arange(n) - (n - 1) / 2.0) * spacing
 
 
+def _footprint(params: dict):
+    """``(cx, cy, half)``: a surface scene's footprint is the square of
+    half-width ``half`` around ``(cx, cy)``; every kind is NaN outside it."""
+    cx, cy = params.get("center", (0.0, 0.0))
+    return cx, cy, float(params.get("extent", 0.1)) / 2.0
+
+
 def surface_depth(kind: str, params: dict, x, y):
     """Analytic depth z(x, y) of a surface scene; NaN outside its footprint.
 
@@ -71,9 +78,8 @@ def surface_depth(kind: str, params: dict, x, y):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    cx, cy = params.get("center", (0.0, 0.0))
-    extent = float(params.get("extent", 0.1))
-    inside = (np.abs(x - cx) <= extent / 2.0) & (np.abs(y - cy) <= extent / 2.0)
+    cx, cy, half = _footprint(params)
+    inside = (np.abs(x - cx) <= half) & (np.abs(y - cy) <= half)
 
     if kind == "plane":
         z = (
@@ -94,7 +100,7 @@ def surface_depth(kind: str, params: dict, x, y):
     elif kind == "step":
         lo, hi = (float(v) for v in params["levels"])
         split = float(params.get("split", cx))
-        z = np.where(x < split, lo, hi).astype(np.float64)
+        z = np.where(x < split, lo, hi)
     elif kind == "random-cloud":
         raise ConfigurationError("random-cloud scenes have no analytic surface")
     else:
@@ -202,10 +208,12 @@ def render_depth_map(
     real depth cameras fail.
 
     The bracket comes from a coarse scan of 64 camera depths from 1 cm to
-    3 m. The scan carries only the rays that have not yet crossed from in
-    front of the surface to behind it: a ray leaves at its first crossing,
-    and a ray that never crosses is scanned to the end and comes back
-    NaN. Bisection then runs on the bracketed rays alone.
+    3 m. The scan carries only the rays that may still cross from in front
+    of the surface to behind it. A ray leaves at its first crossing, or
+    once it is outside the footprint square and moving away from it: its
+    lateral position is monotone in depth, so every later gap is NaN. A
+    ray that leaves without crossing comes back NaN. Bisection then runs
+    on the bracketed rays alone.
     """
     u = np.arange(width, dtype=np.float64)
     v = np.arange(height, dtype=np.float64)
@@ -221,21 +229,25 @@ def render_depth_map(
     # radar-frame direction per unit camera depth, one contiguous array per axis
     dirs_r = np.ascontiguousarray((dirs @ extrinsics.rotation.T).reshape(-1, 3).T)
     t_x, t_y, t_z = (float(t) for t in extrinsics.translation)
+    cx, cy, half = _footprint(params)
 
-    def gap(s, d):
-        return (s * d[2] + t_z) - surface_depth(kind, params, s * d[0] + t_x, s * d[1] + t_y)
+    def gap(s, d):  # depth behind the surface at camera depth s, and the lateral position
+        x, y = s * d[0] + t_x, s * d[1] + t_y
+        return (s * d[2] + t_z) - surface_depth(kind, params, x, y), x, y
 
     steps = np.linspace(0.01, 3.0, 64)
     hi = np.full(width * height, np.nan)
-    ray = np.arange(width * height)  # rays not yet crossed, with their directions
+    ray = np.arange(width * height)  # rays still scanned, with their directions
     d = dirs_r
-    g_prev = gap(steps[0], d)
-    for s in steps[1:]:
-        g_cur = gap(s, d)
+    g_prev = np.full(ray.size, np.nan)
+    for s in steps:
+        g_cur, x, y = gap(s, d)
         crossing = (g_prev < 0.0) & (g_cur >= 0.0)
-        if crossing.any():
-            hi[ray[crossing]] = s
-            keep = ~crossing
+        hi[ray[crossing]] = s
+        # beyond the footprint on the side the ray moves to (exact: the sign is +-1 or 0)
+        gone = crossing | ((x - cx) * np.sign(d[0]) > half) | ((y - cy) * np.sign(d[1]) > half)
+        if gone.any():
+            keep = ~gone
             ray, d, g_cur = ray[keep], d[:, keep], g_cur[keep]
         g_prev = g_cur
     valid = np.isfinite(hi)
@@ -244,7 +256,7 @@ def render_depth_map(
     dirs_v = dirs_r[:, valid]
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        below = ~(gap(mid, dirs_v) >= 0.0)  # NaN mid-samples keep searching outward
+        below = ~(gap(mid, dirs_v)[0] >= 0.0)  # NaN mid-samples keep searching outward
         new_lo = np.where(below, mid, lo)
         new_hi = np.where(below, hi, mid)
         # The step is a function of (lo, hi) alone: once no bracket moves,
@@ -254,5 +266,5 @@ def render_depth_map(
         lo, hi = new_lo, new_hi
     mid = 0.5 * (lo + hi)
     depth = np.full(width * height, np.nan)
-    depth[valid] = np.where(np.isfinite(gap(mid, dirs_v)), mid, np.nan)
+    depth[valid] = np.where(np.isfinite(gap(mid, dirs_v)[0]), mid, np.nan)
     return OpticalDepthMap(depth.reshape(height, width))

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
@@ -111,6 +114,73 @@ LATTICE_MASKS = {
     "Nx2-with-gaps": (dropout_mask(0.2, shape=(29, 2), seed=4), (0, 0)),
     "negative-offset": (dropout_mask(0.30, seed=5), (-80, -23)),
 }
+
+
+# sha256 of _lattice_cells' (cells, remainder, covered) on each LATTICE_MASKS
+# entry and on a 240 x 240 camera-like mask, recorded from the sort-and-search
+# implementation that the index image replaced. ``covered`` is read at every
+# integer triple sum in the pixels' box: a superset of every Qhull simplex's
+# centroid that does not depend on Qhull's version. The inputs are integers,
+# so the digests hold on any machine.
+LATTICE_DIGESTS = {
+    "dropout-5%": (
+        "5fcb73db5922a46f6cffb61da9f2bfbda552332c11d310e16f1ca8eac97c2abf",
+        "13b795b6e854cf7432e219535ae02ebe11c2d164821b1c7e294d6d8f7880f2d8",
+        "0005bdefad2589b1d6e9841ed7b5f0c7c89eb74fb45e1851b00d164fbf9938b8",
+    ),
+    "dropout-30%": (
+        "3de75e1499c761272351c13f633ae957951799c66bebae1dc1143879fa3f21bf",
+        "7e9e073a5a1e9e298c90bdc5831a8217a3d6e8c6980deac2f62b2dbd93b85ef9",
+        "ca4d56aeb7cf609d08723003864875300af2c953e4638689a0d84dc1c64b8447",
+    ),
+    "dropout-60%": (
+        "b51cd7ad77c5d47d3d0908339dcbc4da297d0815803f78f177eb6305ae4776f5",
+        "690c61f8b61995cb75356a79f2aa417022b1e3f1296d0a9b4271b4d8aff27623",
+        "ab8c715e65f0dcabda4b228d90525a5b2d204f12ed5eaece61ca05ec9bfd3944",
+    ),
+    "disk-with-slot": (
+        "ea14a82f48c4e14ea73a85c558d499ecbbc8623c200ad0bd07c9274499c79e0f",
+        "be7800791284c357d27c4a47899be81adc5a4138b97c1e4dad8411ea94dc1fa7",
+        "76a179df2d44f0f49aa637913a8c72f674ced0de8cefe8c35f814a5d600ee851",
+    ),
+    "full-rectangle": (
+        "727ce824f6ae82e7cc9bf2ebca6f3cc1bcd123418edda59f90147c57db30349f",
+        "8da083d814adfef1bc1d7c8c371d71e8b023b5716bf26a339459d26cb8887508",
+        "e149c85aff09f97749110cbb7ed8bc7217dc63887988e42ee11a5f7d30dbd42e",
+    ),
+    "2xN": (
+        "fe3f695ceba6359ba91810861cc09826e01281dcf667a53196f6a15af7794aa6",
+        "332810fe8e8b97f1876829fbe078b05d4ecdacaa0c35ca00c0857ac1f3d82f64",
+        "75c88c7b7407f90246aa3e7900faeb8dc0951e90a25659f135f33d1e1290a34a",
+    ),
+    "Nx2-with-gaps": (
+        "7f35326bebb1a6c3a9533e166b4bf6878d2802eb825b8df05da367aaa9e778b2",
+        "769feed6b846a2e7f082745c1d83af0073ae48344cc0a50b623843ceedd3c764",
+        "28e3c0646eedcd8cc3549b476b40de50fcc80dcc9badddd3852fe617459d4a67",
+    ),
+    "negative-offset": (
+        "6de71deced177db0f5d4a8f7f8ec639e06e75401f9340e6b8bb8dc828f17cec2",
+        "561e421dd2e6f5f47eed83b6623dad0db25433d4e3e85712b989da1e4e112c54",
+        "3cc143ea87fa4c7cad9bc416f5bb094243a1cec3a0f71600a899d527908f5d0b",
+    ),
+    "camera-240-dropout-5%": (
+        "42aecfc912e1516a0c51072901a6fa2308415974979884244c0b7d7c56f87681",
+        "2b83e75f9e9fd95f10bc91dd9e0dcd822582f9e3af7c69992aa0acda0d455be6",
+        "a950647600597be3bc37a3487c539c24d9a5c94e20acb6c77975d52136b39a8c",
+    ),
+}
+
+
+DIGEST_MASKS = {**LATTICE_MASKS, "camera-240-dropout-5%": (dropout_mask(0.05, shape=(240, 240), seed=8), (0, 0))}
+
+
+def lattice_digests(pixels):
+    cells, remainder, covered = depth_prior._lattice_cells(pixels)
+    lo, hi = (3 * pixels.min(axis=0)).astype(np.int64), (3 * pixels.max(axis=0)).astype(np.int64)
+    su, sv = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1))
+    sums = np.column_stack([su.ravel(), sv.ravel()])
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                 for a in (cells.astype("<i8"), remainder, covered(sums)))
 
 
 def reference_rasterize(mesh, grid):
@@ -306,6 +376,10 @@ class TestTriangulate:
         assert max_cover(pix, tri, probes) == 1
         assert np.array_equal(mesh.vertices, pts) and np.array_equal(mesh.source_pixels, pix)
 
+    @pytest.mark.parametrize("name", list(DIGEST_MASKS))
+    def test_lattice_cells_keep_their_bytes(self, name):
+        assert lattice_digests(lattice_pixels(*DIGEST_MASKS[name])) == LATTICE_DIGESTS[name]
+
     def test_most_points_skip_qhull_on_a_camera_like_mask(self):
         pix = lattice_pixels(dropout_mask(0.05, shape=(120, 120), seed=6))
         cells, remainder, _ = depth_prior._lattice_cells(pix)
@@ -319,19 +393,28 @@ class TestTriangulate:
         with pytest.raises(DegenerateGeometryError):
             triangulate(pts, pix)
 
-    @pytest.mark.parametrize("kind", ["non-integer", "duplicated", "far-out"])
+    @pytest.mark.parametrize("kind", ["non-integer", "duplicated", "far-out", "sparse"])
     def test_off_lattice_input_is_plain_qhull(self, kind):
         pix = lattice_pixels(dropout_mask(0.1, shape=(15, 18), seed=7))
         if kind == "non-integer":
             pix[5, 0] += 0.5
         elif kind == "duplicated":
             pix = np.vstack([pix, pix[10:12]])
-        else:
+        elif kind == "far-out":
             pix[0] = [2.0**40, 0.0]
+        else:  # two 5 x 5 blocks 10^6 px apart: their box would hold 10^12 entries
+            block = lattice_pixels(np.ones((5, 5), dtype=bool))
+            pix = np.vstack([block, block + 1e6])
         pts = np.column_stack([pix, np.linspace(0.2, 0.4, len(pix))])
-        cells, remainder, _ = depth_prior._lattice_cells(pix)
+        tracemalloc.start()
+        try:
+            cells, remainder, _ = depth_prior._lattice_cells(pix)
+            mesh = triangulate(pts, pix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # no index image over the box
         assert cells.shape[0] == 0 and remainder.all()
-        mesh = triangulate(pts, pix)
         assert np.array_equal(mesh.triangles, qhull_triangulate(pts, pix).triangles)
 
 

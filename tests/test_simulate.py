@@ -18,6 +18,7 @@ from mmfsk import (
 )
 from mmfsk.errors import ConfigurationError
 from mmfsk.simulate import _TARGET_CHUNK
+from test_depth_prior import rotation_about
 
 
 def reference_baseband(scene, array, freqs):
@@ -74,10 +75,23 @@ def reference_render(kind, params, intrinsics, extrinsics, width, height,
     return np.where(valid, depth, np.nan), valid
 
 
-# (intrinsics, width, height) of the renderer comparisons: a small camera,
-# and the benchmark's 240 x 240 calibration (focal 3 px per pixel of width)
+# (intrinsics, width, height) of the renderer comparisons: a small camera, a
+# wide-angle one, and the benchmark's 240 x 240 calibration (focal 3 px per
+# pixel of width)
 SMALL_CAMERA = (CameraIntrinsics(f_u=150.0, f_v=160.0, c_u=23.5, c_v=20.0), 48, 40)
+WIDE_CAMERA = (CameraIntrinsics(f_u=40.0, f_v=48.0, c_u=23.5, c_v=20.0), 48, 40)
 BENCH_CAMERA = (CameraIntrinsics(f_u=720.0, f_v=720.0, c_u=119.5, c_v=119.5), 240, 240)
+
+
+# camera poses of the renderer comparisons: the benchmark's, 2 degrees about
+# y, and one turned 12 degrees about a skew axis
+_DESK_ANGLE = np.deg2rad(2.0)
+DESK_POSE = Extrinsics(
+    np.array([[np.cos(_DESK_ANGLE), 0, np.sin(_DESK_ANGLE)], [0, 1, 0],
+              [-np.sin(_DESK_ANGLE), 0, np.cos(_DESK_ANGLE)]]),
+    np.array([0.01, 0.005, -0.01]),
+)
+TURNED_POSE = Extrinsics(rotation_about([1.0, -1.0, 0.3], np.deg2rad(12.0)), np.array([0.02, -0.01, -0.02]))
 
 
 def single_target(pos, amp=1.0, phase=0.0):
@@ -253,46 +267,55 @@ class TestRenderDepthMap:
         assert np.abs(gap).max() < 1e-6
 
     @pytest.mark.parametrize(
-        "kind, params, camera",
+        "kind, params, camera, pose",
         [
             pytest.param("plane", {"depth": 0.31, "extent": 0.12, "tilt_x": 0.06, "tilt_y": -0.03},
-                         SMALL_CAMERA, id="plane-params0"),
+                         SMALL_CAMERA, DESK_POSE, id="plane-params0"),
             pytest.param("sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.12},
-                         SMALL_CAMERA, id="sphere-cap-params1"),
+                         SMALL_CAMERA, DESK_POSE, id="sphere-cap-params1"),
             pytest.param("step", {"levels": [0.28, 0.31], "split": 0.003, "extent": 0.08},
-                         SMALL_CAMERA, id="step-params2"),
+                         SMALL_CAMERA, DESK_POSE, id="step-params2"),
             # rays cross in 16 different coarse step intervals, between 0.3 and 1.25 m
             pytest.param("plane", {"depth": 0.5, "extent": 0.2, "tilt_x": 8.0},
-                         SMALL_CAMERA, id="steep-tilt"),
+                         SMALL_CAMERA, DESK_POSE, id="steep-tilt"),
             # the surface lies 4 cm in front of the camera: every crossing is in
             # the first step interval
             pytest.param("plane", {"depth": 0.03, "extent": 0.008, "center": (0.01, 0.005)},
-                         SMALL_CAMERA, id="first-interval"),
+                         SMALL_CAMERA, DESK_POSE, id="first-interval"),
             # every crossing is in the last step interval, from 2.95 to 3 m
             pytest.param("plane", {"depth": 2.97, "extent": 0.6},
-                         SMALL_CAMERA, id="last-interval"),
+                         SMALL_CAMERA, DESK_POSE, id="last-interval"),
             # the camera sits beside the footprint, so every ray starts with a
             # NaN gap; some enter in front of the surface and cross it, others
             # enter behind it and stay invalid
             pytest.param("plane", {"depth": 0.3, "extent": 0.04, "center": (0.04, 0.0), "tilt_x": 0.5},
-                         SMALL_CAMERA, id="enters-footprint"),
+                         SMALL_CAMERA, DESK_POSE, id="enters-footprint"),
             # rays that cross the near level at x < 0.02 go on into the far
             # level's half, in front of it, and cross again: the first
             # crossing must stay the bracket
             pytest.param("step", {"levels": [0.1, 0.6], "split": 0.02, "extent": 0.2},
-                         SMALL_CAMERA, id="crosses-twice"),
+                         SMALL_CAMERA, DESK_POSE, id="crosses-twice"),
             pytest.param("step", {"levels": [0.285, 0.315], "split": 0.003, "extent": 0.08},
-                         BENCH_CAMERA, id="bench-camera-step"),
+                         BENCH_CAMERA, DESK_POSE, id="bench-camera-step"),
+            # the camera sits over a small footprint and sees past it: rays
+            # leave the footprint through all four sides
+            pytest.param("plane", {"depth": 0.3, "extent": 0.1, "tilt_y": 0.2},
+                         WIDE_CAMERA, DESK_POSE, id="leaves-on-four-sides"),
+            pytest.param("sphere-cap", {"radius": 0.04, "center_z": 0.34, "extent": 0.1,
+                                        "center": (0.015, -0.01)},
+                         SMALL_CAMERA, DESK_POSE, id="off-centre-sphere-cap"),
+            # the turned camera sits beside the footprint in y: rays enter it
+            # across that side, and 689 of 1,920 leave it before they reach
+            # the plane's depth
+            pytest.param("plane", {"depth": 0.5, "extent": 0.15, "tilt_x": 0.1, "center": (0.0, -0.1)},
+                         SMALL_CAMERA, TURNED_POSE, id="turned-camera"),
         ],
     )
     @pytest.mark.parametrize("iterations", [60, 20])
-    def test_matches_fixed_step_bisection(self, kind, params, camera, iterations):
+    def test_matches_fixed_step_bisection(self, kind, params, camera, pose, iterations):
         intr, width, height = camera
-        ang = np.deg2rad(2.0)
-        rot = np.array([[np.cos(ang), 0, np.sin(ang)], [0, 1, 0], [-np.sin(ang), 0, np.cos(ang)]])
-        ext = Extrinsics(rot, np.array([0.01, 0.005, -0.01]))
-        dm = render_depth_map(kind, params, intr, ext, width, height, iterations=iterations)
-        depth, valid = reference_render(kind, params, intr, ext, width, height, iterations=iterations)
+        dm = render_depth_map(kind, params, intr, pose, width, height, iterations=iterations)
+        depth, valid = reference_render(kind, params, intr, pose, width, height, iterations=iterations)
         assert valid.any() and not valid.all()
         assert np.array_equal(dm.valid, valid)
         assert dm.depth.tobytes() == depth.tobytes()

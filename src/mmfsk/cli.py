@@ -128,6 +128,7 @@ def _scene(where, spec):
 
 
 NUMBER = _number()
+FINITE = _number(lambda v: abs(v) <= sys.float_info.max, "a finite number")  # NaN compares False
 NATURAL = _rule(lambda v: type(v) is int and v >= 0, "an integer >= 0")  # seeds and erosion steps
 COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 TEXT = _rule(lambda v: isinstance(v, str), "a string")
@@ -188,10 +189,10 @@ CONFIG = {
     "sweep.runs": {"method": (METHOD, REQUIRED), "pair": (PAIR, REQUIRED), "triple": (_list(PAIR, 2), REQUIRED),
                    "prior": (_or_null(_section("prior")), OPTIONAL)},
     # scene.params.<kind>: the keys SCENE_PARAMS says the kind reads, each a
-    # number unless named here; a surface kind needs the keys of its shape
+    # finite number unless named here; a surface kind needs the keys of its shape
     **{f"scene.params.{kind}": {
-        key: ({"center": _list(NUMBER, 2), "levels": _list(NUMBER, 2), "bounds": _list(_list(NUMBER, 2), 3),
-               "n": COUNT, "seed": NATURAL}.get(key, NUMBER),
+        key: ({"center": _list(FINITE, 2), "levels": _list(FINITE, 2), "bounds": _list(_list(FINITE, 2), 3),
+               "n": COUNT, "seed": NATURAL}.get(key, FINITE),
               REQUIRED if key in {"plane": ("depth",), "sphere-cap": ("radius", "center_z"),
                                   "step": ("levels",)}.get(kind, ()) else OPTIONAL)
         for key in keys} for kind, keys in SCENE_PARAMS.items()},
@@ -220,8 +221,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg = mio.load_json(path)
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
-        except ValueError as exc:
-            raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
         cfg.pop("_meta", None)

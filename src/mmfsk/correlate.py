@@ -30,8 +30,7 @@ f_1 - f_0, keeps the rounding of a linspace-built f_1 out of the chain.
 Against phases reduced mod 1 in exact rational arithmetic (desk array, 12
 seeds of 6 points, carriers spanning 72-82 GHz), the worst relative error
 of the mean pair phasors was 0.4e-13 to 1.5e-13 for F = 3, 16, 17, 64, 128
-and 256, and 0.4e-13 to 2.5e-13 with an exact table at every 4th carrier
-instead. Two carriers and non-uniform sets (2fsk, mm2fsk, the 3fsk
+and 256. Two carriers and non-uniform sets (2fsk, mm2fsk, the 3fsk
 triples) keep the per-carrier ``exp``: a step would save nothing there, and
 their bytes stay as they were.
 """

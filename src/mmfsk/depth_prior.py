@@ -55,6 +55,8 @@ class CameraIntrinsics:
     c_v: float
 
     def __post_init__(self):
+        if not np.isfinite([self.f_u, self.f_v, self.c_u, self.c_v]).all():
+            raise ValidationError("intrinsics must be finite")
         if self.f_u <= 0.0 or self.f_v <= 0.0:
             raise ValidationError("focal lengths must be positive")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, StructuralError, ValidationError
 from .reconstruct import RadarImage
 from .signal_core import BasebandTensor
 
@@ -84,51 +84,20 @@ def read_pfm(path) -> np.ndarray:
     return np.flipud(data).copy()
 
 
-def write_ply(path, points: np.ndarray, magnitude: np.ndarray | None = None) -> None:
-    """ASCII PLY point cloud with an optional per-vertex magnitude scalar."""
+def write_ply(path, points: np.ndarray, magnitude: np.ndarray) -> None:
+    """ASCII PLY point cloud with a per-vertex magnitude scalar."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != 3:
         raise StructuralError("PLY writer expects (N, 3) points")
     n = points.shape[0]
-    header = ["ply", "format ascii 1.0", f"element vertex {n}",
-              "property float x", "property float y", "property float z"]
-    cols = [points]
-    if magnitude is not None:
-        header.append("property float magnitude")
-        cols.append(np.asarray(magnitude, dtype=np.float64).reshape(n, 1))
-    header.append("end_header")
-    body = np.hstack(cols)
-    row = " ".join(["%.10g"] * body.shape[1]) + "\n"
+    header = ["ply", "format ascii 1.0", f"element vertex {n}", "property float x", "property float y",
+              "property float z", "property float magnitude", "end_header"]
+    body = np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)])
+    row = "%.10g %.10g %.10g %.10g\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
         for start in range(0, n, _PLY_ROWS):
             fh.write("".join([row % tuple(r) for r in body[start : start + _PLY_ROWS].tolist()]))
-
-
-def read_ply(path):
-    """Read an ASCII PLY vertex cloud; returns (points, extras) where
-    extras maps any non-coordinate property name to its column."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise StructuralError(f"{path}: not a PLY file")
-    n = None
-    names = []
-    idx = 0
-    for idx, line in enumerate(lines[1:], start=1):
-        tok = line.split()
-        if tok[:2] == ["element", "vertex"]:
-            n = int(tok[2])
-        elif tok[:1] == ["property"] and n is not None:
-            names.append(tok[2])
-        elif tok[:1] == ["end_header"]:
-            break
-    if n is None:
-        raise StructuralError(f"{path}: missing vertex element")
-    rows = [list(map(float, ln.split())) for ln in lines[idx + 1 : idx + 1 + n]]
-    data = np.asarray(rows, dtype=np.float64).reshape(n, len(names))
-    cols = {name: data[:, i] for i, name in enumerate(names)}
-    points = np.column_stack([cols.pop("x"), cols.pop("y"), cols.pop("z")])
-    return points, cols
 
 
 def save_candidate_grid(path, grid: CandidateGrid) -> None:
@@ -166,22 +135,6 @@ def load_candidate_grid(path) -> CandidateGrid:
         raise StructuralError(f"{path}: {exc}") from None
 
 
-def save_calibration(path, intrinsics: CameraIntrinsics, extrinsics: Extrinsics) -> None:
-    doc = {
-        "intrinsics": {
-            "f_u": intrinsics.f_u,
-            "f_v": intrinsics.f_v,
-            "c_u": intrinsics.c_u,
-            "c_v": intrinsics.c_v,
-        },
-        "extrinsics": {
-            "rotation": [[float(v) for v in row] for row in extrinsics.rotation],
-            "translation": [float(v) for v in extrinsics.translation],
-        },
-    }
-    dump_json(path, doc)
-
-
 def load_calibration(path):
     doc = load_json(path)
     intr_doc = _require(doc, "intrinsics", path)
@@ -191,8 +144,11 @@ def load_calibration(path):
     if unknown:
         raise ConfigurationError(f"{path}: unknown intrinsics key(s) {unknown}; allowed: {names}")
     ext_doc = _require(doc, "extrinsics", path)
-    ext = Extrinsics(_numbers(ext_doc, "rotation", path, 2), _numbers(ext_doc, "translation", path, 1))
-    return CameraIntrinsics(**values), ext
+    rotation, translation = _numbers(ext_doc, "rotation", path, 2), _numbers(ext_doc, "translation", path, 1)
+    try:
+        return CameraIntrinsics(**values), Extrinsics(rotation, translation)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _require(doc, key, path):
@@ -242,7 +198,12 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A JSON document; bad syntax or text that is not UTF-8 is a
+    validation error that names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def config_hash(obj) -> str:

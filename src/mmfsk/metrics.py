@@ -270,7 +270,8 @@ def evaluate_image(
     kind: str,
     params: dict,
     erode: int = 1,
-    label: str = "",
+    *,
+    label: str,
 ) -> EvalReport:
     """Score one reconstruction against its scene's ground truth.
 

@@ -38,6 +38,8 @@ SCENE_PARAMS = {
 # the result never depends on threading or scheduling.
 _TARGET_CHUNK = 512
 
+_BISECTIONS = 60  # most halvings of a render; a 47 mm bracket reaches its last ulp in about 50
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -58,6 +60,8 @@ class NoiseSpec:
 def _lateral_samples(extent: float, spacing: float, center: float = 0.0) -> np.ndarray:
     if extent <= 0.0 or spacing <= 0.0:
         raise ConfigurationError("extent and spacing must be positive")
+    if not math.isfinite(extent / spacing):
+        raise ConfigurationError(f"extent / spacing must be finite, got {extent!r} / {spacing!r}")
     n = int(math.floor(extent / spacing)) + 1
     return center + (np.arange(n) - (n - 1) / 2.0) * spacing
 
@@ -197,7 +201,6 @@ def render_depth_map(
     extrinsics: Extrinsics,
     width: int,
     height: int,
-    iterations: int = 60,
 ) -> OpticalDepthMap:
     """Synthetic optical depth map of a surface scene.
 
@@ -213,7 +216,7 @@ def render_depth_map(
     once it is outside the footprint square and moving away from it: its
     lateral position is monotone in depth, so every later gap is NaN. A
     ray that leaves without crossing comes back NaN. Bisection then runs
-    on the bracketed rays alone.
+    on the bracketed rays alone, for at most ``_BISECTIONS`` halvings.
     """
     u = np.arange(width, dtype=np.float64)
     v = np.arange(height, dtype=np.float64)
@@ -254,7 +257,7 @@ def render_depth_map(
     hi = hi[valid]
     lo = hi - (steps[1] - steps[0])
     dirs_v = dirs_r[:, valid]
-    for _ in range(iterations):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         below = ~(gap(mid, dirs_v)[0] >= 0.0)  # NaN mid-samples keep searching outward
         new_lo = np.where(below, mid, lo)

@@ -206,7 +206,10 @@ class TestPrior:
         ("intrinsics", "f_u", "100.0", "'f_u' must be a number"),
         ("extrinsics", "rotation", [[1, 0, 0], [0, None, 0], [0, 0, 1]],
          "'rotation' must be a list of equal-length rows of numbers"),
-    ], ids=["null", "string", "null-in-rotation"])
+        ("intrinsics", "f_u", float("nan"), "intrinsics must be finite"),
+        ("intrinsics", "c_v", float("inf"), "intrinsics must be finite"),
+        ("extrinsics", "rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "rotation is not orthonormal"),
+    ], ids=["null", "string", "null-in-rotation", "nan-focal-length", "inf-principal-point", "scaled-rotation"])
     def test_calibration_value_of_wrong_type_exits_1(self, tmp_path, caplog, section, key, value, message):
         doc = {
             "intrinsics": {"f_u": 100.0, "f_v": 100.0, "c_u": 32.0, "c_v": 32.0},
@@ -218,6 +221,7 @@ class TestPrior:
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "camera", "calibration": str(cal)})
         assert main(["prior", "-c", str(cfg)]) == 1
         assert f"validation: {cal}: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, edit, message", [
         ("x", lambda v: v[:1] + [None] + v[2:], "'x' must be a list of numbers"),
@@ -586,6 +590,25 @@ class TestNothingWrittenOnFailure:
         assert f"validation: {message}" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", [b'{"intrinsics": {\n', b'{"x": "\xff"}'], ids=["truncated", "not-utf-8"])
+    @pytest.mark.parametrize("document, command, stages", [
+        ("cfg.json", "simulate", ()),
+        ("cal.json", "prior", ()),
+        ("out/prior_grid.json", "reconstruct", ("simulate",)),
+        ("out/eval_2fsk.json", "report", ()),
+    ], ids=["config", "calibration", "prior-grid", "eval-record"])
+    def test_unreadable_json_exits_1_naming_the_file(self, tmp_path, caplog, document, command, stages, text):
+        cfg = small_config(tmp_path / "cfg.json", prior={"mode": "camera", "calibration": str(tmp_path / "cal.json")})
+        for stage in stages:
+            assert main([stage, "-c", str(cfg)]) == 0
+        (tmp_path / "out").mkdir(exist_ok=True)
+        path = tmp_path / document
+        path.write_bytes(text)
+        files = written(tmp_path / "out")
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: {path} is not valid JSON" in caplog.text
+        assert written(tmp_path / "out") == files
+
     def test_sweep_resolves_every_run_before_the_first(self, tmp_path, caplog):
         cfg = small_config(tmp_path / "cfg.json", sweep={"seeds": 1, "runs": [
             {"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "triple": ["0.5", "0.5"]}]})
@@ -712,6 +735,17 @@ class TestExitCodes:
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": -1}}}, "scene.params.n"),
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, 1], [0]]}}},
          "scene.params.bounds[2]"),
+        # json reads NaN and Infinity; no scene value may be either
+        ("simulate", {"scene": {"kind": "plane", "params": {"depth": 0.3, "extent": float("inf")}}},
+         "scene.params.extent"),
+        ("simulate", {"scene": {"kind": "step", "params": {"levels": [NAN, 0.3]}}}, "scene.params.levels[0]"),
+        ("simulate", {"scene": {"kind": "step", "params": {"levels": [0.28, 0.32], "split": NAN}}},
+         "scene.params.split"),
+        ("simulate", {"scene": {"kind": "sphere-cap", "params": {"radius": 0.05, "center_z": 0.35,
+                                                                 "center": [0.0, -float("inf")]}}},
+         "scene.params.center[1]"),
+        ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, NAN], [0, 1]]}}},
+         "scene.params.bounds[1][1]"),
         # null means no noise; the string "none" is no alias for it
         ("simulate", {"noise": {"snr_db": "none"}}, "noise.snr_db"),
         # seeds feed numpy's Philox, which takes no negative seed; a

@@ -262,6 +262,14 @@ class TestIntrinsicsExtrinsics:
         with pytest.raises(ValidationError):
             CameraIntrinsics(0.0, 100.0, 32.0, 32.0)
 
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_intrinsics_must_be_finite(self, index, bad):
+        values = [100.0, 100.0, 32.0, 32.0]
+        values[index] = bad
+        with pytest.raises(ValidationError, match="intrinsics must be finite"):
+            CameraIntrinsics(*values)
+
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(ValidationError):
             Extrinsics(np.eye(3) * 1.01, np.zeros(3))

@@ -133,40 +133,39 @@ class TestPfm:
             mio.read_pfm(path)
 
 
-def reference_write_ply(path, points, magnitude=None) -> None:
+def reference_write_ply(path, points, magnitude) -> None:
     """One f-string per value: the writer ``mio.write_ply`` must match byte
     for byte."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    header = ["ply", "format ascii 1.0", f"element vertex {n}",
-              "property float x", "property float y", "property float z"]
-    cols = [points]
-    if magnitude is not None:
-        header.append("property float magnitude")
-        cols.append(np.asarray(magnitude, dtype=np.float64).reshape(n, 1))
-    header.append("end_header")
+    header = ["ply", "format ascii 1.0", f"element vertex {n}", "property float x", "property float y",
+              "property float z", "property float magnitude", "end_header"]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
-        for row in np.hstack(cols):
+        for row in np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)]):
             fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
 
 
+def ply_rows(path) -> np.ndarray:
+    """The (N, 4) vertex rows (x, y, z, magnitude) of a cloud ``mio.write_ply`` wrote."""
+    body = path.read_text(encoding="ascii").split("end_header\n", 1)[1]
+    return np.array([row.split() for row in body.splitlines()], dtype=np.float64).reshape(-1, 4)
+
+
 class TestPly:
-    @pytest.mark.parametrize("with_magnitude", [False, True])
-    def test_bytes_match_reference_writer(self, tmp_path, with_magnitude):
+    def test_bytes_match_reference_writer(self, tmp_path):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(2500, 4)) * 10.0 ** rng.integers(-12, 12, (2500, 4))  # several writes
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 123456789012.0]
         rows.flat[rng.choice(rows.size, 1500, replace=False)] = rng.choice(special, 1500)
-        mag = rows[:, 3] if with_magnitude else None
-        mio.write_ply(tmp_path / "got.ply", rows[:, :3], mag)
-        reference_write_ply(tmp_path / "want.ply", rows[:, :3], mag)
+        mio.write_ply(tmp_path / "got.ply", rows[:, :3], rows[:, 3])
+        reference_write_ply(tmp_path / "want.ply", rows[:, :3], rows[:, 3])
         got = (tmp_path / "got.ply").read_bytes()
         assert got == (tmp_path / "want.ply").read_bytes()
         tokens = set(got.split())
         assert {b"nan", b"inf", b"-inf", b"-0", b"1e+300", b"4.940656458e-324"} <= tokens
-        mio.write_ply(tmp_path / "empty.ply", np.zeros((0, 3)), np.zeros(0) if with_magnitude else None)
-        reference_write_ply(tmp_path / "want.ply", np.zeros((0, 3)), np.zeros(0) if with_magnitude else None)
+        mio.write_ply(tmp_path / "empty.ply", np.zeros((0, 3)), np.zeros(0))
+        reference_write_ply(tmp_path / "want.ply", np.zeros((0, 3)), np.zeros(0))
         assert (tmp_path / "empty.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
 
     def test_round_trip_with_magnitude(self, tmp_path):
@@ -175,9 +174,9 @@ class TestPly:
         mag = rng.uniform(0, 2, 17)
         path = tmp_path / "c.ply"
         mio.write_ply(path, pts, mag)
-        back, extras = mio.read_ply(path)
-        assert np.abs(back - pts).max() < 1e-9
-        assert np.abs(extras["magnitude"] - mag).max() < 1e-9
+        back = ply_rows(path)
+        assert np.abs(back[:, :3] - pts).max() < 1e-9
+        assert np.abs(back[:, 3] - mag).max() < 1e-9
 
     @PROPERTY
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(4)), elements=st.floats(-1e300, 1e300)))
@@ -188,10 +187,9 @@ class TestPly:
         pts, mag = rows[:, :3], rows[:, 3]
         path = tmp_path / "c.ply"
         write_twice(mio.write_ply, path, pts, mag)
-        back, extras = mio.read_ply(path)
-        assert back.shape == pts.shape
-        np.testing.assert_allclose(back, pts, rtol=5.000001e-10, atol=0.0)
-        np.testing.assert_allclose(extras["magnitude"], mag, rtol=5.000001e-10, atol=0.0)
+        back = ply_rows(path)
+        assert back.shape == rows.shape
+        np.testing.assert_allclose(back, rows, rtol=5.000001e-10, atol=0.0)
 
     def test_header_declares_properties(self, tmp_path):
         path = tmp_path / "c.ply"
@@ -199,12 +197,6 @@ class TestPly:
         text = path.read_text()
         assert "element vertex 2" in text
         assert "property float magnitude" in text
-
-    def test_points_only(self, tmp_path):
-        path = tmp_path / "c.ply"
-        mio.write_ply(path, np.ones((3, 3)))
-        back, extras = mio.read_ply(path)
-        assert back.shape == (3, 3) and not extras
 
 
 class TestGridAndCalibration:
@@ -266,7 +258,8 @@ class TestGridAndCalibration:
         rot = np.array([[np.cos(ang), -np.sin(ang), 0], [np.sin(ang), np.cos(ang), 0], [0, 0, 1.0]])
         ext = Extrinsics(rot, np.array([0.01, 0.02, -0.03]))
         path = tmp_path / "cal.json"
-        mio.save_calibration(path, intr, ext)
+        mio.dump_json(path, {"intrinsics": {"f_u": 200.0, "f_v": 210.0, "c_u": 32.0, "c_v": 24.0},
+                             "extrinsics": {"rotation": rot.tolist(), "translation": [0.01, 0.02, -0.03]}})
         intr2, ext2 = mio.load_calibration(path)
         assert intr2 == intr
         assert np.abs(ext2.rotation - rot).max() < 1e-15
@@ -295,6 +288,6 @@ class TestImageExport:
         assert all(p.exists() for p in paths)
         back_depth = mio.read_pfm(tmp_path / "test_depth.pfm")
         assert np.array_equal(np.isfinite(back_depth), valid)
-        pts, extras = mio.read_ply(tmp_path / "test_cloud.ply")
-        assert pts.shape[0] == valid.sum()
-        assert "magnitude" in extras
+        rows = ply_rows(tmp_path / "test_cloud.ply")
+        assert rows.shape[0] == valid.sum()
+        assert "property float magnitude" in (tmp_path / "test_cloud.ply").read_text()

@@ -293,7 +293,7 @@ class TestEvaluateImage:
     def test_perfect_reconstruction_scores_zero_projective(self):
         grid = CandidateGrid.regular(21, 21, 0.002)
         params = {"depth": 0.3, "extent": 0.04, "spacing": 0.002}
-        report = evaluate_image(self._perfect_image(grid, 0.3), "plane", params)
+        report = evaluate_image(self._perfect_image(grid, 0.3), "plane", params, label="plane")
         assert report.p_masked == 0.0
         assert report.p_eroded == 0.0
         assert report.c_gt_to_r == pytest.approx(0.0, abs=1e-12)
@@ -301,7 +301,7 @@ class TestEvaluateImage:
     def test_report_counts_filled(self):
         grid = CandidateGrid.regular(21, 21, 0.002)
         params = {"depth": 0.3, "extent": 0.04, "spacing": 0.002}
-        report = evaluate_image(self._perfect_image(grid, 0.3), "plane", params)
+        report = evaluate_image(self._perfect_image(grid, 0.3), "plane", params, label="plane")
         assert report.n_points_recon == 441
         assert report.n_pixels_eroded < report.n_pixels_masked
 

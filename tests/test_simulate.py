@@ -231,6 +231,11 @@ class TestMakeScene:
         with pytest.raises(ConfigurationError):
             make_scene("torus", {})
 
+    def test_sample_count_past_the_float_range(self):
+        # 1e308 / 1.5 mm overflows to inf, which no sample count can hold
+        with pytest.raises(ConfigurationError, match="extent / spacing must be finite"):
+            make_scene("plane", {"depth": 0.3, "extent": 1e308, "spacing": 0.0015})
+
     def test_deterministic_sampling(self):
         params = {"depth": 0.3, "extent": 0.03, "spacing": 0.002}
         assert np.array_equal(make_scene("plane", params).positions, make_scene("plane", params).positions)
@@ -312,9 +317,10 @@ class TestRenderDepthMap:
         ],
     )
     @pytest.mark.parametrize("iterations", [60, 20])
-    def test_matches_fixed_step_bisection(self, kind, params, camera, pose, iterations):
+    def test_matches_fixed_step_bisection(self, monkeypatch, kind, params, camera, pose, iterations):
         intr, width, height = camera
-        dm = render_depth_map(kind, params, intr, pose, width, height, iterations=iterations)
+        monkeypatch.setattr("mmfsk.simulate._BISECTIONS", iterations)
+        dm = render_depth_map(kind, params, intr, pose, width, height)
         depth, valid = reference_render(kind, params, intr, pose, width, height, iterations=iterations)
         assert valid.any() and not valid.all()
         assert np.array_equal(dm.valid, valid)

@@ -16,7 +16,8 @@ needs before it writes.
 Every run is deterministic given (config, seed): a resolved-config snapshot
 with a content hash is written next to the outputs, and reruns produce
 byte-identical artifacts regardless of worker count. Exit codes: 0 success,
-1 validation error, 2 I/O error, 3 numerical failure.
+1 validation error (a run too large for memory too), 2 I/O error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def _rule(test, what: str):
 
 
 def _number(ok=lambda v: True, what: str = "a number"):
-    return _rule(lambda v: type(v) in (int, float) and ok(v), what)
+    """A JSON number passing ``ok``; an integer beyond the float64 range is
+    none, as it would overflow wherever it is used."""
+    return _rule(lambda v: (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max) and ok(v), what)
 
 
 def _or_null(check):
@@ -574,6 +577,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, _resolve(cfg))
     except ValueError as exc:
         log.error("validation: %s", exc)
+        return 1
+    except MemoryError:
+        log.error("validation: mmfsk %s: the run does not fit in memory", args.command)
         return 1
     except OSError as exc:
         log.error("i/o: %s", exc)

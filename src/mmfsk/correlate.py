@@ -9,30 +9,44 @@ one (points x T) by (T x R) complex GEMM over one-way distance tables (T + R
 distances per point instead of T*R). The tables are built axis by axis as
 sqrt((dx*dx + dy*dy) + dz*dz) on (points x T) arrays. That is the summation
 order of ``np.linalg.norm``, so the bits are the same without its
-(points x T x 3) temporary. ``phasor_table`` turns a table into exp(j b d)
-by writing b*d into the imaginary half of a complex buffer and taking
-``exp`` in place; the forward model builds its tables with it too. Points
-go through the GEMM in blocks of a fixed 256 rows, zero-padded at the end,
-with block boundaries at multiples of 256 of the global point index; each
-worker takes a contiguous run of whole blocks. BLAS therefore sees the same
-block shape for every point, and the result is bit-identical no matter how
-candidates are split across workers or BLAS threads.
+(points x T x 3) temporary. Points go through the GEMM in blocks of a fixed
+256 rows, zero-padded at the end, with block boundaries at multiples of 256
+of the global point index; each worker takes a contiguous run of whole
+blocks. BLAS therefore sees the same block shape for every point, and the
+result is bit-identical no matter how candidates are split across workers
+or BLAS threads.
 
-Complex ``exp`` of the phasor tables, not the GEMM, dominates a block with
-many carriers. ``carrier_phasors`` yields the tables of one distance table
-carrier by carrier, for the correlator here and for the forward model (with
-negative wavenumbers). When three or more carriers lie on a uniform grid
-(every f_k within one ulp of the top carrier of f_0 + k*step, with the mean
-step (f_last - f_0)/(F - 1)), only carrier 0 takes an exact ``exp``; each
-later table is the previous one times one step table exp(j 2 pi step d / c),
-so a table costs two ``exp`` passes for any F. The mean step, not
-f_1 - f_0, keeps the rounding of a linspace-built f_1 out of the chain.
-Against phases reduced mod 1 in exact rational arithmetic (desk array, 12
-seeds of 6 points, carriers spanning 72-82 GHz), the worst relative error
-of the mean pair phasors was 0.4e-13 to 1.5e-13 for F = 3, 16, 17, 64, 128
-and 256. Two carriers and non-uniform sets (2fsk, mm2fsk, the 3fsk
-triples) keep the per-carrier ``exp``: a step would save nothing there, and
-their bytes stay as they were.
+The phasor tables, not the GEMM, dominate a block: complex ``exp`` costs
+about 30 ns an element. The correlator therefore takes no ``exp``.
+``_turn_phasors`` reduces theta = b*d by the nearest multiple k of
+2 pi/1024 (a three-part Cody-Waite split), looks up exp(2 pi j k/1024) in
+``_TURN``, a 1024-entry table built at import, and multiplies it by
+1 + (cos r - 1) + j sin r for the remainder |r| <= pi/1024, each a short
+polynomial. Against mpmath's exp(j theta) over d in [0, 3] m at every
+bundled carrier the worst absolute error is 1.6e-16 (1.1e-16 for
+``np.exp``), and d = 0 gives exactly 1 + 0j. Every element is computed on
+its own, so its bits do not depend on the block it sits in. A table costs
+a third of a complex ``exp``. Each worker writes the distance tables, the
+kernel's scratch, the phasor tables and the GEMM output into buffers it
+allocates once per call (``_Workspace``). Fresh block-sized temporaries
+page-fault: a 2fsk call on the full array's 100 x 100 grid took 21,500
+minor faults with them and takes 1,500 now.
+
+``carrier_phasors`` yields the tables of one distance table carrier by
+carrier, for the correlator here (seeded by ``_turn_phasors``) and for the
+forward model (with negative wavenumbers, seeded by ``phasor_table``, which
+keeps the exact ``np.exp``: the simulator stands in for the physical
+capture). When three or more carriers lie on a uniform grid (every f_k
+within one ulp of the top carrier of f_0 + k*step, with the mean step
+(f_last - f_0)/(F - 1)), only carrier 0 takes a seed table; each later
+table is the previous one times one seed step table exp(j 2 pi step d / c),
+so a table costs two seed passes for any F. The mean step, not f_1 - f_0,
+keeps the rounding of a linspace-built f_1 out of the chain. Against phases
+reduced mod 1 in exact rational arithmetic (desk array, 12 seeds of 6
+points, carriers spanning 72-82 GHz), the worst relative error of the mean
+pair phasors was 0.3e-13 to 1.4e-13 for F = 3, 16, 17, 64, 128 and 256.
+Two carriers and non-uniform sets (2fsk, mm2fsk, the 3fsk triples) take a
+seed table per carrier.
 """
 
 from __future__ import annotations
@@ -47,6 +61,25 @@ from .errors import InsufficientDataError, StructuralError
 from .signal_core import SPEED_OF_LIGHT, AntennaArray, BasebandTensor, FrequencySet, freeze
 
 _BLOCK_ROWS = 256  # GEMM block height: fixed, so every point rounds the same way
+_TURNS = 1024  # turn-table entries: reduced angles lie within pi/_TURNS
+# 2 pi/_TURNS = _C1 + _C2 + _C3 to 1e-33 relative (Cody-Waite). _C1 and _C2
+# carry 26 bits, so k*_C1 and k*_C2 are exact for |k| < 2**27 (|b*d| < 8e5).
+_C1 = float.fromhex("0x1.921fb58p-8")
+_C2 = float.fromhex("-0x1.dde974p-35")
+_C3 = float.fromhex("0x1.1a62633145c07p-62")
+
+
+def _turn_table() -> np.ndarray:
+    """exp(2 pi j k/_TURNS) for k < _TURNS. The angle is hi + lo: an exact
+    two-sum of k*_C1 and k*_C2, plus k*_C3; so each entry is as accurate as
+    ``np.cos`` and ``np.sin`` (within 2e-16 of the exact phasor)."""
+    k = np.arange(_TURNS)
+    hi = k * _C1 + k * _C2
+    lo = ((k * _C1 - hi) + k * _C2) + k * _C3
+    return (np.cos(hi) - np.sin(hi) * lo) + 1j * (np.sin(hi) + np.cos(hi) * lo)
+
+
+_TURN = _turn_table()
 
 
 @dataclass(frozen=True)
@@ -122,7 +155,8 @@ class CandidateGrid:
 def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     """One-way distances from every TX element to ``p`` and from ``p`` to
     every RX element; their broadcast sum reproduces all T*R round trips.
-    The forward model and the correlator both take their distances from here.
+    The forward model takes its distances from here; the correlator calls
+    ``_distances`` with reused buffers, which gives the same bits.
 
     ``p`` is one point ``(3,)`` or a batch ``(N, 3)``; the tables have shape
     ``(T,)``, ``(R,)`` or ``(N, T)``, ``(N, R)``.
@@ -131,14 +165,15 @@ def precompute_distance_tables(p, array: AntennaArray) -> tuple:
     return _distances(p, array.tx_positions), _distances(p, array.rx_positions)
 
 
-def _distances(p: np.ndarray, elements: np.ndarray) -> np.ndarray:
+def _distances(p: np.ndarray, elements: np.ndarray, out=None, diff=None) -> np.ndarray:
     """Euclidean distances from each point of ``p`` to each element, built
     axis by axis as sqrt((dx*dx + dy*dy) + dz*dz) in two table-sized
-    buffers. That is the summation order of ``np.linalg.norm`` over the
-    last axis, so the bits match it without its (N, T, 3) temporary."""
-    acc = np.subtract(p[..., 0, None], elements[:, 0])
+    buffers, ``out`` and ``diff`` when given. That is the summation order of
+    ``np.linalg.norm`` over the last axis, so the bits match it without its
+    (N, T, 3) temporary."""
+    acc = np.subtract(p[..., 0, None], elements[:, 0], out=out)
     acc *= acc
-    diff = np.empty_like(acc)
+    diff = np.empty_like(acc) if diff is None else diff
     for axis in (1, 2):
         np.subtract(p[..., axis, None], elements[:, axis], out=diff)
         diff *= diff
@@ -180,35 +215,103 @@ def carrier_wavenumbers(freqs: FrequencySet, sign: float = 1.0) -> tuple:
             None if step is None else scale * step / SPEED_OF_LIGHT)
 
 
-def carrier_phasors(d: np.ndarray, wavenumbers, step_wavenumber: float | None):
-    """Yield exp(j*b_k*d) for each wavenumber b_k in turn. Without a
-    ``step_wavenumber`` each table is an exact ``phasor_table``. With one,
-    only the first is; each later table is the previous one times
-    exp(j*step*d), updated in place, so a yielded table is valid only until
-    the next one is drawn, and must not be written to."""
+def carrier_phasors(d: np.ndarray, wavenumbers, step_wavenumber: float | None, seed=phasor_table):
+    """Yield exp(j*b_k*d) for each wavenumber b_k in turn. ``seed(b, d)``
+    gives a table for one wavenumber, an exact ``phasor_table`` by default.
+    Without a ``step_wavenumber`` each table is a seed table. With one,
+    only the first is; each later table is the previous one times the seed
+    table exp(j*step*d), updated in place, so a yielded table is valid only
+    until the next one is drawn, and must not be written to."""
     if step_wavenumber is None:
-        yield from (phasor_table(b, d) for b in wavenumbers)
+        yield from (seed(b, d) for b in wavenumbers)
         return
-    table, step = phasor_table(wavenumbers[0], d), phasor_table(step_wavenumber, d)
+    table, step = seed(wavenumbers[0], d), seed(step_wavenumber, d)
     yield table
     for _ in wavenumbers[1:]:
         table *= step
         yield table
 
 
-def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers) -> np.ndarray:
+def _turn_phasors(b: float, d: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
+    """exp(j*b*d) into ``out`` without complex ``exp``. theta = b*d (rounded
+    as in ``phasor_table``) is split into k = rint(theta*_TURNS/(2 pi)) and
+    r = theta - k*(_C1 + _C2 + _C3), |r| <= pi/_TURNS; then
+    out = _TURN[k mod _TURNS] * (1 + (cos r - 1) + j sin r), with cos r - 1
+    to degree 6 and sin r to degree 5 (truncation below 1e-21). No element
+    depends on another, so its bits do not depend on where it sits in
+    ``d``. ``scratch`` holds three float, one index and one complex flat
+    buffer of at least ``d.size`` elements."""
+    x, kf, t, k, s = (a[:d.size].reshape(d.shape) for a in scratch)
+    np.multiply(d, b, out=x)
+    np.rint(np.multiply(x, _TURNS / (2 * np.pi), out=kf), out=kf)
+    np.copyto(k, kf, casting="unsafe")
+    for part in (_C1, _C2, _C3):
+        x -= np.multiply(kf, part, out=t)  # x: theta, then r
+    np.take(_TURN, np.bitwise_and(k, _TURNS - 1, out=k), out=out)
+    r2 = np.multiply(x, x, out=kf)
+    np.multiply(r2, -1 / 720, out=t)
+    t += 1 / 24
+    t *= r2
+    t -= 0.5
+    np.multiply(t, r2, out=s.real)  # cos r - 1
+    np.multiply(r2, 1 / 120, out=t)
+    t -= 1 / 6
+    t *= r2
+    t *= x
+    np.add(t, x, out=s.imag)  # sin r
+    s *= out
+    return np.add(out, s, out=out)
+
+
+def _turn_seed(n: int, scratch: tuple):
+    """A ``carrier_phasors`` seed for (256, n) distance tables: each call
+    writes ``_turn_phasors`` into the other of two reused tables, since the
+    recurrence keeps a carrier table and the step table alive together."""
+    tables = [np.empty((_BLOCK_ROWS, n), dtype=np.complex128) for _ in range(2)]
+
+    def seed(b: float, d: np.ndarray) -> np.ndarray:
+        tables.reverse()
+        return _turn_phasors(b, d, tables[0], scratch)
+
+    return seed
+
+
+class _Workspace:
+    """The buffers one worker allocates once per ``mean_pair_phasors`` call
+    and reuses for every block, since fresh block-sized temporaries
+    page-fault: the kernel's flat scratch (three float, one index and one
+    complex buffer, sized for the larger side), the TX and RX distance
+    tables, two phasor tables per side (in ``seeds``) and the (256, R)
+    GEMM output."""
+
+    def __init__(self, n_t: int, n_r: int):
+        size = _BLOCK_ROWS * max(n_t, n_r)
+        self.scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+                        np.empty(size, dtype=np.complex128))
+        self.distances = np.empty((_BLOCK_ROWS, n_t)), np.empty((_BLOCK_ROWS, n_r))
+        self.seeds = _turn_seed(n_t, self.scratch), _turn_seed(n_r, self.scratch)
+        self.gemm = np.empty((_BLOCK_ROWS, n_r), dtype=np.complex128)
+
+
+def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers,
+                  work: _Workspace) -> np.ndarray:
     """Mean pair phasors of one block of points; ``cube`` is the baseband
     as contiguous (F, T, R) slices so each GEMM reads one carrier, and
     ``wavenumbers`` come from ``carrier_wavenumbers`` (conjugated
     hypothesis: exp(+j 2 pi f rho / c))."""
     n_f, n_t, n_r = cube.shape
-    dtx, drx = precompute_distance_tables(points, array)
+    diff = work.scratch[0]  # free until the first seed table
+    dtx, drx = (_distances(points, e, d, diff[:d.size].reshape(d.shape))
+                for e, d in zip((array.tx_positions, array.rx_positions), work.distances))
+    seeds, gemm = work.seeds, work.gemm
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
     # Both tables are drawn before the GEMM: drawing the RX table between
     # the GEMM and the product ran a 16-carrier block 3.5x slower (AVX-512 Xeon).
-    tables = zip(carrier_phasors(dtx, *wavenumbers), carrier_phasors(drx, *wavenumbers))
+    tables = zip(carrier_phasors(dtx, *wavenumbers, seeds[0]), carrier_phasors(drx, *wavenumbers, seeds[1]))
     for k, (e_tx, e_rx) in enumerate(tables):
-        out[:, k] = ((e_tx @ cube[k]) * e_rx).sum(axis=1)
+        np.matmul(e_tx, cube[k], out=gemm)
+        gemm *= e_rx
+        out[:, k] = gemm.sum(axis=1)
     return out / (n_t * n_r)
 
 
@@ -237,9 +340,10 @@ def mean_pair_phasors(
     out = np.empty((padded.shape[0], len(freqs)), dtype=np.complex128)
 
     def run(lo: int, hi: int) -> None:
+        work = _Workspace(*cube.shape[1:])
         for start in range(lo * _BLOCK_ROWS, hi * _BLOCK_ROWS, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers)
+            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers, work)
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(int(n_workers), n_blocks))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
@@ -172,6 +173,8 @@ def _numbers(doc, key, path, ndim: int, nulls: bool = False) -> np.ndarray:
             and set(map(type, chain.from_iterable(rows))) <= allowed):
         what = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
         raise ConfigurationError(f"{path}: {key!r} must be {what}{' or null' if nulls else ''}")
+    if any(type(v) is int and abs(v) > sys.float_info.max for v in chain.from_iterable(rows)):
+        raise ConfigurationError(f"{path}: {key!r} holds an integer beyond the float64 range")
     return np.array(value, dtype=np.float64)
 
 

@@ -209,7 +209,9 @@ class TestPrior:
         ("intrinsics", "f_u", float("nan"), "intrinsics must be finite"),
         ("intrinsics", "c_v", float("inf"), "intrinsics must be finite"),
         ("extrinsics", "rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "rotation is not orthonormal"),
-    ], ids=["null", "string", "null-in-rotation", "nan-focal-length", "inf-principal-point", "scaled-rotation"])
+        ("intrinsics", "f_u", 10 ** 400, "'f_u' holds an integer beyond the float64 range"),
+    ], ids=["null", "string", "null-in-rotation", "nan-focal-length", "inf-principal-point", "scaled-rotation",
+            "huge-integer"])
     def test_calibration_value_of_wrong_type_exits_1(self, tmp_path, caplog, section, key, value, message):
         doc = {
             "intrinsics": {"f_u": 100.0, "f_v": 100.0, "c_u": 32.0, "c_v": 32.0},
@@ -682,6 +684,26 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli.COMMANDS, "report", boom)
         assert main(["report"]) == 3
+
+    def test_out_of_memory_maps_to_1(self, monkeypatch, tmp_path, caplog):
+        # Stands in for a scene too large to sample; nothing is allocated.
+        from mmfsk import cli
+
+        def too_large(kind, params):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "make_scene", too_large)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "-c", str(cfg)]) == 1
+        assert "validation: mmfsk simulate: the run does not fit in memory" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_float64_exits_1(self, tmp_path, caplog):
+        # json reads any integer; one that overflows a float64 is no number.
+        cfg = write_config(tmp_path / "cfg.json", grid={"width": 24, "height": 24, "spacing": 10 ** 400})
+        assert main(["simulate", "-c", str(cfg)]) == 1
+        assert "validation: config grid.spacing must be a number" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

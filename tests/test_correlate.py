@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,8 +22,9 @@ from mmfsk import (
     precompute_distance_tables,
     simulate_baseband,
 )
-from mmfsk.correlate import _uniform_step, phasor_table
+from mmfsk.correlate import _turn_phasors, _uniform_step, phasor_table
 from mmfsk.errors import InsufficientDataError, StructuralError
+from mmfsk.signal_core import FREQUENCY_PAIRS
 
 
 def reference_correlation(baseband, grid, array, freqs):
@@ -53,9 +55,7 @@ def norm_distance_tables(p, array):
 
 
 def reference_phasor_block(points, cube, array, carriers):
-    """The block kernel with an exact ``exp`` per carrier and table, as
-    ``_phasor_block`` computes every carrier set that is not a uniform grid
-    of three or more carriers."""
+    """The block kernel with an exact ``exp`` per carrier and table."""
     n_f, n_t, n_r = cube.shape
     dtx, drx = precompute_distance_tables(points, array)
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
@@ -80,6 +80,13 @@ def exact_phase_reference(points, baseband, array, freqs):
     for k, f in enumerate(freqs.frequencies):
         out[:, k] = ((phasors(dtx, f) @ baseband.data[..., k]) * phasors(drx, f)).sum(axis=1)
     return out / array.n_pairs
+
+
+def turn_phasors(b, d):
+    """``_turn_phasors`` with freshly allocated buffers."""
+    n = d.size
+    scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.complex128))
+    return _turn_phasors(b, d, np.empty(d.shape, dtype=np.complex128), scratch)
 
 
 def random_baseband(rng, array, n_f):
@@ -335,6 +342,38 @@ class TestPhasorTable:
             assert got[0] == 1.0 and np.signbit(got[0].imag) == (sign < 0)
 
 
+class TestTurnPhasors:
+    # Every bundled carrier, and the step of the 16-carrier uniform set.
+    WAVENUMBERS = [2 * np.pi * f / SPEED_OF_LIGHT
+                   for f in sorted({*np.ravel(list(FREQUENCY_PAIRS.values())), 10e9 / 15})]
+
+    def test_matches_high_precision_exp(self):
+        rng = np.random.default_rng(12)
+        d = np.concatenate([np.linspace(0.0, 3.0, 1501), rng.uniform(0.0, 3.0, 1500)])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for b in self.WAVENUMBERS:
+                theta = d * b  # the kernel's own rounding of b*d
+                want = np.array([complex(mpmath.expj(mpmath.mpf(float(t)))) for t in theta])
+                worst = max(worst, np.abs(turn_phasors(b, d) - want).max())
+        assert worst <= 1e-15
+
+    def test_zero_distance_is_exactly_one(self):
+        for b in self.WAVENUMBERS:
+            got = turn_phasors(b, np.zeros(5))
+            assert np.all(got == 1.0) and not np.signbit(got.imag).any()
+
+    def test_bits_do_not_depend_on_position(self):
+        # What keeps --workers and BLAS threads from changing the bytes.
+        rng = np.random.default_rng(13)
+        d = rng.uniform(0.25, 1.2, (256, 94))
+        order = rng.permutation(d.size)
+        for b in self.WAVENUMBERS:
+            block = turn_phasors(b, d)
+            assert np.array_equal(turn_phasors(b, d[7:8]), block[7:8])
+            assert np.array_equal(turn_phasors(b, d.ravel()[order]), block.ravel()[order])
+
+
 class TestMeanPairPhasors:
     def test_rejects_bad_points_shape(self, tiny_array):
         freqs = FrequencySet((76e9,))
@@ -424,18 +463,19 @@ class TestCarrierRecurrence:
         [(72e9, 82e9), (72e9, 81.45e9, 82e9), (70.3e9, 74.1e9, 79.9e9, 83.2e9)],
         ids=["pair", "3fsk-triple", "random"],
     )
-    def test_other_carrier_sets_keep_the_per_carrier_bytes(self, carriers):
+    def test_other_carrier_sets_match_exact_phase_reference(self, carriers):
+        # A turn-table phasor per carrier and table, no recurrence.
         rng = np.random.default_rng(4)
         array = mimo_cross_array(6, 5, 0.05)
         freqs = FrequencySet(carriers)
         baseband = random_baseband(rng, array, len(freqs))
         points = rng.uniform(-0.02, 0.02, (256, 3)) + [0, 0, 0.3]
-        cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
         got = mean_pair_phasors(points, baseband, array, freqs, workers=1)
-        assert np.array_equal(got, reference_phasor_block(points, cube, array, carriers))
+        want = exact_phase_reference(points, baseband, array, freqs)
+        assert np.abs(got - want).max() / np.abs(want).max() < 2.5e-13
 
     def test_seventeen_carrier_chain_is_independent_of_workers(self):
-        # 17 carriers: one exact table at carrier 0, then 16 steps.
+        # 17 carriers: one turn-table phasor at carrier 0, then 16 steps.
         rng = np.random.default_rng(6)
         array = mimo_cross_array(5, 6, 0.05)
         freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 17)))
@@ -446,5 +486,7 @@ class TestCarrierRecurrence:
         cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
         want = reference_phasor_block(points, cube, array, freqs.frequencies)
         assert np.abs(outs[0] - want).max() / np.abs(want).max() < 1e-12
-        # Carrier 0 takes the exact exp, so its column keeps its bytes.
-        assert np.array_equal(outs[0][:, 0], want[:, 0])
+        # Carrier 0 is a seed table alone, with no step applied yet.
+        first = exact_phase_reference(points, BasebandTensor(baseband.data[..., :1]), array,
+                                      FrequencySet(freqs.frequencies[:1]))
+        assert np.abs(outs[0][:, :1] - first).max() / np.abs(first).max() < 2.5e-13

@@ -14,7 +14,6 @@ from .correlate import (
     CandidateGrid,
     correlate_grid,
     mean_pair_phasors,
-    precompute_distance_tables,
 )
 from .depth_prior import (
     CameraIntrinsics,
@@ -90,7 +89,6 @@ __all__ = [
     "mean_pair_phasors",
     "mimo_cross_array",
     "phase_to_depth_correction",
-    "precompute_distance_tables",
     "principal_phase",
     "projective_error",
     "rasterize_prior",

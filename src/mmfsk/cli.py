@@ -133,7 +133,9 @@ def _scene(where, spec):
 NUMBER = _number()
 FINITE = _number(lambda v: abs(v) <= sys.float_info.max, "a finite number")  # NaN compares False
 NATURAL = _rule(lambda v: type(v) is int and v >= 0, "an integer >= 0")  # seeds and erosion steps
-COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+# A count sizes an array or a list; like an integer beyond the float64
+# range for _number, one beyond a C ssize_t is none, as it would overflow.
+COUNT = _rule(lambda v: type(v) is int and 1 <= v <= sys.maxsize, "an integer >= 1")
 TEXT = _rule(lambda v: isinstance(v, str), "a string")
 METHOD, PAIR = _one_of(METHODS), _one_of(FREQUENCY_PAIRS)
 REQUIRED, OPTIONAL = (lambda section: True), (lambda section: False)
@@ -184,7 +186,7 @@ CONFIG = {
     "sweep": {  # method: the first of methods; seeds: [seed], or a count n for 0..n-1
         "method": (METHOD, OPTIONAL),
         "pairs": (_list(PAIR, least=1), REQUIRED),
-        "seeds": (_rule(lambda v: (type(v) is int and v >= 1
+        "seeds": (_rule(lambda v: (type(v) is int and 1 <= v <= sys.maxsize
                                    or type(v) is list and v and all(type(i) is int and i >= 0 for i in v)),
                         "an integer >= 1 or a non-empty list of integers >= 0"), OPTIONAL),
         "runs": (_list(_section("sweep.runs"), least=1), REQUIRED),

@@ -26,11 +26,11 @@ polynomial. Against mpmath's exp(j theta) over d in [0, 3] m at every
 bundled carrier the worst absolute error is 1.6e-16 (1.1e-16 for
 ``np.exp``), and d = 0 gives exactly 1 + 0j. Every element is computed on
 its own, so its bits do not depend on the block it sits in. A table costs
-a third of a complex ``exp``. Each worker writes the distance tables, the
-kernel's scratch, the phasor tables and the GEMM output into buffers it
-allocates once per call (``_Workspace``). Fresh block-sized temporaries
-page-fault: a 2fsk call on the full array's 100 x 100 grid took 21,500
-minor faults with them and takes 1,500 now.
+a third of a complex ``exp``. Each worker of ``mean_pair_phasors``
+allocates its buffers once per call: the kernel's scratch, a distance
+table and two phasor tables per side, and the GEMM output. Fresh
+block-sized temporaries page-fault: a 2fsk call on the full array's
+100 x 100 grid took 21,500 minor faults with them and takes 1,500 now.
 
 ``carrier_phasors`` yields the tables of one distance table carrier by
 carrier, for the correlator here (seeded by ``_turn_phasors``) and for the
@@ -54,6 +54,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -152,25 +153,15 @@ class CandidateGrid:
         return np.column_stack([gx[m], gy[m], self.prior_depth[m]])
 
 
-def precompute_distance_tables(p, array: AntennaArray) -> tuple:
-    """One-way distances from every TX element to ``p`` and from ``p`` to
-    every RX element; their broadcast sum reproduces all T*R round trips.
-    The forward model takes its distances from here; the correlator calls
-    ``_distances`` with reused buffers, which gives the same bits.
-
-    ``p`` is one point ``(3,)`` or a batch ``(N, 3)``; the tables have shape
-    ``(T,)``, ``(R,)`` or ``(N, T)``, ``(N, R)``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    return _distances(p, array.tx_positions), _distances(p, array.rx_positions)
-
-
-def _distances(p: np.ndarray, elements: np.ndarray, out=None, diff=None) -> np.ndarray:
-    """Euclidean distances from each point of ``p`` to each element, built
-    axis by axis as sqrt((dx*dx + dy*dy) + dz*dz) in two table-sized
-    buffers, ``out`` and ``diff`` when given. That is the summation order of
-    ``np.linalg.norm`` over the last axis, so the bits match it without its
-    (N, T, 3) temporary."""
+def distance_table(p: np.ndarray, elements: np.ndarray, out=None, diff=None) -> np.ndarray:
+    """Euclidean distances from each point of ``p`` (one ``(3,)`` point or
+    ``(N, 3)`` rows) to each of the ``(M, 3)`` ``elements``, shape ``(M,)``
+    or ``(N, M)``. They are built axis by axis as
+    sqrt((dx*dx + dy*dy) + dz*dz) in two table-sized buffers, ``out`` and
+    ``diff`` when given. That is the summation order of ``np.linalg.norm``
+    over the last axis, so the bits match it without its (N, M, 3)
+    temporary; since (a - b)**2 == (b - a)**2 exactly, swapping ``p`` and
+    ``elements`` transposes the table bit for bit."""
     acc = np.subtract(p[..., 0, None], elements[:, 0], out=out)
     acc *= acc
     diff = np.empty_like(acc) if diff is None else diff
@@ -181,13 +172,15 @@ def _distances(p: np.ndarray, elements: np.ndarray, out=None, diff=None) -> np.n
     return np.sqrt(acc, out=acc)
 
 
-def phasor_table(b: float, d: np.ndarray) -> np.ndarray:
-    """exp(j*b*d) for a real wavenumber ``b`` and a distance table ``d``:
-    b*d goes into the imaginary half of a zeroed complex buffer and ``exp``
-    runs in place, so ``d`` is never promoted to complex. The bits equal
-    ``np.exp(complex(0, b) * d)`` except at d == 0 with b < 0 (the forward
-    model's sign), which gives exp(-0j) for exp(+0j)."""
-    out = np.zeros(d.shape, dtype=np.complex128)
+def phasor_table(b: float, d: np.ndarray, out=None) -> np.ndarray:
+    """exp(j*b*d) for a real wavenumber ``b`` and a distance table ``d``,
+    into ``out`` when given: b*d goes into the imaginary half of a complex
+    buffer whose real half is zeroed, and ``exp`` runs in place, so ``d`` is
+    never promoted to complex. The bits equal ``np.exp(complex(0, b) * d)``
+    except at d == 0 with b < 0 (the forward model's sign), which gives
+    exp(-0j) for exp(+0j)."""
+    out = np.empty(d.shape, dtype=np.complex128) if out is None else out
+    out.real = 0.0
     np.multiply(d, b, out=out.imag)
     return np.exp(out, out=out)
 
@@ -215,17 +208,21 @@ def carrier_wavenumbers(freqs: FrequencySet, sign: float = 1.0) -> tuple:
             None if step is None else scale * step / SPEED_OF_LIGHT)
 
 
-def carrier_phasors(d: np.ndarray, wavenumbers, step_wavenumber: float | None, seed=phasor_table):
-    """Yield exp(j*b_k*d) for each wavenumber b_k in turn. ``seed(b, d)``
-    gives a table for one wavenumber, an exact ``phasor_table`` by default.
-    Without a ``step_wavenumber`` each table is a seed table. With one,
-    only the first is; each later table is the previous one times the seed
-    table exp(j*step*d), updated in place, so a yielded table is valid only
-    until the next one is drawn, and must not be written to."""
+def carrier_phasors(d: np.ndarray, wavenumbers, step_wavenumber: float | None, out, seed=phasor_table):
+    """Yield exp(j*b_k*d) for each wavenumber b_k in turn, written into
+    ``out``, a pair of complex tables shaped like ``d``. ``seed(b, d,
+    table)`` writes the table of one wavenumber into ``table`` and returns
+    it, an exact ``phasor_table`` by default. Without a ``step_wavenumber``
+    each table is a seed table, in ``out[0]``. With one, only the first is;
+    each later table is the previous one times the seed table exp(j*step*d)
+    in ``out[1]``, updated in place. So a yielded table is valid only until
+    the next one is drawn, and must not be written to."""
+    table, step = out
     if step_wavenumber is None:
-        yield from (seed(b, d) for b in wavenumbers)
+        yield from (seed(b, d, table) for b in wavenumbers)
         return
-    table, step = seed(wavenumbers[0], d), seed(step_wavenumber, d)
+    seed(wavenumbers[0], d, table)
+    seed(step_wavenumber, d, step)
     yield table
     for _ in wavenumbers[1:]:
         table *= step
@@ -263,58 +260,6 @@ def _turn_phasors(b: float, d: np.ndarray, out: np.ndarray, scratch: tuple) -> n
     return np.add(out, s, out=out)
 
 
-def _turn_seed(n: int, scratch: tuple):
-    """A ``carrier_phasors`` seed for (256, n) distance tables: each call
-    writes ``_turn_phasors`` into the other of two reused tables, since the
-    recurrence keeps a carrier table and the step table alive together."""
-    tables = [np.empty((_BLOCK_ROWS, n), dtype=np.complex128) for _ in range(2)]
-
-    def seed(b: float, d: np.ndarray) -> np.ndarray:
-        tables.reverse()
-        return _turn_phasors(b, d, tables[0], scratch)
-
-    return seed
-
-
-class _Workspace:
-    """The buffers one worker allocates once per ``mean_pair_phasors`` call
-    and reuses for every block, since fresh block-sized temporaries
-    page-fault: the kernel's flat scratch (three float, one index and one
-    complex buffer, sized for the larger side), the TX and RX distance
-    tables, two phasor tables per side (in ``seeds``) and the (256, R)
-    GEMM output."""
-
-    def __init__(self, n_t: int, n_r: int):
-        size = _BLOCK_ROWS * max(n_t, n_r)
-        self.scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
-                        np.empty(size, dtype=np.complex128))
-        self.distances = np.empty((_BLOCK_ROWS, n_t)), np.empty((_BLOCK_ROWS, n_r))
-        self.seeds = _turn_seed(n_t, self.scratch), _turn_seed(n_r, self.scratch)
-        self.gemm = np.empty((_BLOCK_ROWS, n_r), dtype=np.complex128)
-
-
-def _phasor_block(points: np.ndarray, cube: np.ndarray, array: AntennaArray, wavenumbers,
-                  work: _Workspace) -> np.ndarray:
-    """Mean pair phasors of one block of points; ``cube`` is the baseband
-    as contiguous (F, T, R) slices so each GEMM reads one carrier, and
-    ``wavenumbers`` come from ``carrier_wavenumbers`` (conjugated
-    hypothesis: exp(+j 2 pi f rho / c))."""
-    n_f, n_t, n_r = cube.shape
-    diff = work.scratch[0]  # free until the first seed table
-    dtx, drx = (_distances(points, e, d, diff[:d.size].reshape(d.shape))
-                for e, d in zip((array.tx_positions, array.rx_positions), work.distances))
-    seeds, gemm = work.seeds, work.gemm
-    out = np.empty((points.shape[0], n_f), dtype=np.complex128)
-    # Both tables are drawn before the GEMM: drawing the RX table between
-    # the GEMM and the product ran a 16-carrier block 3.5x slower (AVX-512 Xeon).
-    tables = zip(carrier_phasors(dtx, *wavenumbers, seeds[0]), carrier_phasors(drx, *wavenumbers, seeds[1]))
-    for k, (e_tx, e_rx) in enumerate(tables):
-        np.matmul(e_tx, cube[k], out=gemm)
-        gemm *= e_rx
-        out[:, k] = gemm.sum(axis=1)
-    return out / (n_t * n_r)
-
-
 def mean_pair_phasors(
     points: np.ndarray,
     baseband: BasebandTensor,
@@ -335,26 +280,44 @@ def mean_pair_phasors(
     n_blocks = -(-n // _BLOCK_ROWS)
     padded = np.zeros((n_blocks * _BLOCK_ROWS, 3))
     padded[:n] = pts
-    cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))
+    cube = np.ascontiguousarray(np.moveaxis(baseband.data, -1, 0))  # (F, T, R): one carrier per GEMM
+    n_t, n_r = array.n_tx, array.n_rx
     wavenumbers = carrier_wavenumbers(freqs)
     out = np.empty((padded.shape[0], len(freqs)), dtype=np.complex128)
 
     def run(lo: int, hi: int) -> None:
-        work = _Workspace(*cube.shape[1:])
+        # Every buffer is allocated once here and reused for every block.
+        size = _BLOCK_ROWS * max(n_t, n_r)
+        scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+                   np.empty(size, dtype=np.complex128))
+        seed = partial(_turn_phasors, scratch=scratch)
+        # Per side a distance table, whose diffs go to the kernel's first buffer (free until
+        # a seed table), and two phasor tables. A diff buffer of its own, or both tables in
+        # one (2, 256, n) stack, ran the desk-bp backprojection 0.6-2.6 % slower.
+        sides = [(e, (np.empty((_BLOCK_ROWS, m)), scratch[0][:_BLOCK_ROWS * m].reshape(_BLOCK_ROWS, m)),
+                  [np.empty((_BLOCK_ROWS, m), dtype=np.complex128) for _ in range(2)])
+                 for e, m in ((array.tx_positions, n_t), (array.rx_positions, n_r))]
+        gemm = np.empty((_BLOCK_ROWS, n_r), dtype=np.complex128)
         for start in range(lo * _BLOCK_ROWS, hi * _BLOCK_ROWS, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            out[rows] = _phasor_block(padded[rows], cube, array, wavenumbers, work)
+            # Both tables are drawn before the GEMM: drawing the RX table between
+            # the GEMM and the product ran a 16-carrier block 3.5x slower (AVX-512 Xeon).
+            tables = zip(*(carrier_phasors(distance_table(padded[rows], e, *dist), *wavenumbers, pair, seed)
+                           for e, dist, pair in sides))
+            for k, (e_tx, e_rx) in enumerate(tables):
+                np.matmul(e_tx, cube[k], out=gemm)
+                gemm *= e_rx
+                out[rows, k] = gemm.sum(axis=1)
+        out[lo * _BLOCK_ROWS:hi * _BLOCK_ROWS] /= n_t * n_r
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(int(n_workers), n_blocks))
     if n_workers == 1:
         run(0, n_blocks)
         return out[:n]
-    bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int)
+    bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int).tolist()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(run, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        for fut in futures:
-            fut.result()
+        list(pool.map(run, bounds[:-1], bounds[1:]))  # list() re-raises a worker's exception
     return out[:n]
 
 

@@ -197,6 +197,8 @@ def erode_mask(mask: np.ndarray, iterations: int) -> np.ndarray:
         core = np.zeros_like(out)
         core[1:-1, 1:-1] = (out[1:-1, 1:-1] & out[:-2, 1:-1] & out[2:, 1:-1]
                             & out[1:-1, :-2] & out[1:-1, 2:])
+        if np.array_equal(core, out):  # a fixed point: every later step repeats this one
+            break
         out = core
     return out
 

@@ -326,6 +326,16 @@ class TestReconstructAndEval:
         assert rec["n_pixels_eroded"] == rec["n_pixels_masked"] > 0
         assert rec["p_eroded"] == rec["p_masked"]
 
+    def test_huge_erosion_count_exits_1_at_once(self, tmp_path, caplog):
+        # Erosion stops at its fixed point, the empty mask, so 10**9 steps
+        # end at once and the empty joint mask fails the evaluation.
+        cfg = write_config(tmp_path / "cfg.json", eval={"erode": 10 ** 9})
+        for cmd in ("simulate", "prior", "reconstruct"):
+            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        assert main(["eval", "-c", str(cfg)]) == 1
+        assert "joint validity mask is empty" in caplog.text
+        assert not list((tmp_path / "out").glob("eval_*"))
+
     @pytest.mark.parametrize("command, methods, message", [
         ("reconstruct", "2fsk", "config methods must be a non-empty list, got '2fsk'"),
         ("eval", ["hologram"], "config methods[0] must be one of ['2fsk', 'mm2fsk', '3fsk', 'bp'], got 'hologram'"),
@@ -510,6 +520,9 @@ class TestSweepAndReport:
         ({"pairs": ["10.0"], "seeds": []}, "sweep.seeds"),
         ({"pairs": ["10.0"], "seeds": [1, 2.5]}, "sweep.seeds"),
         ({"pairs": ["10.0"], "seeds": [0, -1]}, "sweep.seeds"),
+        # a count n lists the seeds 0..n-1, so it must fit in a C ssize_t
+        ({"pairs": ["10.0"], "seeds": 10 ** 400}, "sweep.seeds"),
+        ({"pairs": ["10.0"], "seeds": 10 ** 300}, "sweep.seeds"),
         ({"pairs": ["10.0"], "method": "hologram"}, "sweep.method"),
         ({"pairs": []}, "sweep.pairs"),
         ({"pairs": ["10.0", "10.5"]}, "sweep.pairs[1]"),
@@ -776,6 +789,10 @@ class TestExitCodes:
         ("simulate", {"noise": {"snr_db": 25, "seed": -1}}, "noise.seed"),
         ("simulate", {"scene": {"kind": "random-cloud", "params": {"seed": -1}}}, "scene.params.seed"),
         ("eval", {"eval": {"erode": -2}}, "eval.erode"),
+        # a count sizes an array: one beyond a C ssize_t (here beyond the
+        # float64 range too) would overflow where it is used
+        ("simulate", {"grid": {"width": 10 ** 400, "height": 8, "spacing": 0.002}}, "grid.width"),
+        ("prior", {"prior": {"mode": "camera", "width": 10 ** 400}}, "prior.width"),
     ])
     def test_bad_list_or_scene_value_exits_1(self, tmp_path, caplog, command, overrides, key):
         if command == "reconstruct":

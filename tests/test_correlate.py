@@ -19,10 +19,9 @@ from mmfsk import (
     correlate_grid,
     mean_pair_phasors,
     mimo_cross_array,
-    precompute_distance_tables,
     simulate_baseband,
 )
-from mmfsk.correlate import _turn_phasors, _uniform_step, phasor_table
+from mmfsk.correlate import _turn_phasors, _uniform_step, distance_table, phasor_table
 from mmfsk.errors import InsufficientDataError, StructuralError
 from mmfsk.signal_core import FREQUENCY_PAIRS
 
@@ -47,6 +46,13 @@ def reference_correlation(baseband, grid, array, freqs):
     return out
 
 
+def distance_tables(p, array):
+    """``distance_table`` from one point or an (N, 3) batch to the TX and
+    to the RX elements."""
+    p = np.asarray(p, dtype=np.float64)
+    return distance_table(p, array.tx_positions), distance_table(p, array.rx_positions)
+
+
 def norm_distance_tables(p, array):
     """Distance-table reference: ``np.linalg.norm`` over (..., T, 3)
     differences."""
@@ -57,7 +63,7 @@ def norm_distance_tables(p, array):
 def reference_phasor_block(points, cube, array, carriers):
     """The block kernel with an exact ``exp`` per carrier and table."""
     n_f, n_t, n_r = cube.shape
-    dtx, drx = precompute_distance_tables(points, array)
+    dtx, drx = distance_tables(points, array)
     out = np.empty((points.shape[0], n_f), dtype=np.complex128)
     for k, f in enumerate(carriers):
         w = 2j * np.pi * f / SPEED_OF_LIGHT
@@ -70,7 +76,7 @@ def exact_phase_reference(points, baseband, array, freqs):
     rational arithmetic before the complex exp, so the only rounding left is
     that of the reduced phase, the products and the pair sum."""
     c = Fraction(SPEED_OF_LIGHT)
-    dtx, drx = precompute_distance_tables(points, array)
+    dtx, drx = distance_tables(points, array)
 
     def phasors(dists, f):
         turns = [float(Fraction(f) * Fraction(float(d)) / c % 1) for d in dists.ravel()]
@@ -254,13 +260,13 @@ class TestCorrelateGrid:
 class TestDistanceTables:
     def test_coincident_element_is_zero(self):
         array = AntennaArray(np.array([[0.01, 0.0, 0.0]]), np.array([[0.0, 0.0, 0.0]]))
-        tx_d, rx_d = precompute_distance_tables((0.01, 0.0, 0.0), array)
+        tx_d, rx_d = distance_tables((0.01, 0.0, 0.0), array)
         assert tx_d[0] == 0.0 and rx_d[0] > 0
 
     def test_sums_reconstruct_round_trips(self, desk_array):
         rng = np.random.default_rng(1)
         p = rng.uniform(-0.05, 0.05, 3) + [0, 0, 0.3]
-        tx_d, rx_d = precompute_distance_tables(p, desk_array)
+        tx_d, rx_d = distance_tables(p, desk_array)
         rho = tx_d[:, None] + rx_d[None, :]
         for t in (0, 7, 15):
             for r in (0, 9, 15):
@@ -272,10 +278,10 @@ class TestDistanceTables:
     def test_batch_rows_equal_single_points(self, desk_array):
         rng = np.random.default_rng(3)
         points = rng.uniform(-0.05, 0.05, (7, 3)) + [0, 0, 0.3]
-        tx_d, rx_d = precompute_distance_tables(points, desk_array)
+        tx_d, rx_d = distance_tables(points, desk_array)
         assert tx_d.shape == (7, desk_array.n_tx) and rx_d.shape == (7, desk_array.n_rx)
         for p, tx_row, rx_row in zip(points, tx_d, rx_d):
-            one_tx, one_rx = precompute_distance_tables(p, desk_array)
+            one_tx, one_rx = distance_tables(p, desk_array)
             assert np.array_equal(one_tx, tx_row) and np.array_equal(one_rx, rx_row)
 
     @pytest.mark.parametrize("case", ["point", "batch", "generic-array", "full-profile"])
@@ -292,7 +298,7 @@ class TestDistanceTables:
             if case == "full-profile":
                 array = mimo_cross_array(94, 94, 0.5)
             p = rng.uniform(-0.1, 0.1, (300, 3)) + [0, 0, 0.3]
-        tx_d, rx_d = precompute_distance_tables(p, array)
+        tx_d, rx_d = distance_tables(p, array)
         ref_tx, ref_rx = norm_distance_tables(p, array)
         assert tx_d.shape == ref_tx.shape and rx_d.shape == ref_rx.shape
         assert np.array_equal(tx_d, ref_tx) and np.array_equal(rx_d, ref_rx)
@@ -308,7 +314,7 @@ class TestDistanceTables:
 
         t0 = time.perf_counter()
         for _ in range(3):
-            dt, dr = precompute_distance_tables(points, array)
+            dt, dr = distance_tables(points, array)
         cached_time = time.perf_counter() - t0
 
         # Without the cache every (tx, rx) pair recomputes both of its norms.
@@ -340,6 +346,16 @@ class TestPhasorTable:
         for sign in (1.0, -1.0):
             got = phasor_table(sign * 1500.0, d)
             assert got[0] == 1.0 and np.signbit(got[0].imag) == (sign < 0)
+
+    def test_reused_buffer_gives_fresh_bits(self):
+        # A buffer left holding an earlier table: its real half is not zero.
+        rng = np.random.default_rng(10)
+        d = rng.uniform(0.0, 1.0, (256, 94))
+        for sign in (1.0, -1.0):
+            out = phasor_table(1700.0, d + 0.25)
+            assert np.all(out.real != 0.0)
+            got = phasor_table(sign * 1500.0, d, out=out)
+            assert got is out and np.array_equal(got, phasor_table(sign * 1500.0, d))
 
 
 class TestTurnPhasors:

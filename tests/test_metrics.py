@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestErodeMask:
         assert out.sum() == 1 and out[2, 2]
 
     @pytest.mark.parametrize("shape", [(13, 17), (2, 9), (1, 6), (6, 1)])
-    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
     def test_matches_scipy_binary_erosion(self, shape, iterations):
         cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
         rng = np.random.default_rng(shape[0] * 100 + shape[1] * 10 + iterations)
@@ -217,6 +218,13 @@ class TestErodeMask:
             mask = rng.random(shape) < density
             want = binary_erosion(mask, structure=cross, iterations=iterations, border_value=0)
             assert np.array_equal(erode_mask(mask, iterations), want)
+
+    def test_huge_iteration_count_stops_once_empty(self):
+        # Without the fixed-point stop, 10**9 steps would run for hours.
+        t0 = time.perf_counter()
+        out = erode_mask(np.ones((64, 64), dtype=bool), 10 ** 9)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.shape == (64, 64) and not out.any()
 
     def test_non_2d_mask_rejected(self):
         with pytest.raises(StructuralError):

@@ -16,12 +16,12 @@ from mmfsk import (
     differential_phasor,
     max_unambiguous_depth,
     phase_to_depth_correction,
-    precompute_distance_tables,
     principal_phase,
     residual_phase,
     simulate_baseband,
 )
 from mmfsk.errors import ConfigurationError
+from test_correlate import distance_tables
 
 # Published correction windows (cm) for the six bundled frequency pairs.
 REFERENCE_WINDOWS_CM = {
@@ -53,7 +53,7 @@ class TestMaxUnambiguousDepth:
 
 def round_trip(tx, rx, p) -> float:
     """TX -> p -> RX path length from the distance tables both kernels use."""
-    dtx, drx = precompute_distance_tables(p, AntennaArray(tx, rx))
+    dtx, drx = distance_tables(p, AntennaArray(tx, rx))
     return float(dtx[0] + drx[0])
 
 
@@ -74,7 +74,7 @@ class TestRoundTripDistance:
         rng = np.random.default_rng(5)
         for _ in range(10):
             tx, rx, pts = rng.normal(0, 0.5, (3, 3)), rng.normal(0, 0.5, (4, 3)), rng.normal(0, 0.5, (5, 3))
-            dtx, drx = precompute_distance_tables(pts, AntennaArray(tx, rx))
+            dtx, drx = distance_tables(pts, AntennaArray(tx, rx))
             for n, p in enumerate(pts):
                 for t, a in enumerate(tx):
                     for r, b in enumerate(rx):

@@ -11,13 +11,13 @@ from mmfsk import (
     Scene,
     make_scene,
     mimo_cross_array,
-    precompute_distance_tables,
     render_depth_map,
     simulate_baseband,
     surface_depth,
 )
 from mmfsk.errors import ConfigurationError
 from mmfsk.simulate import _TARGET_CHUNK
+from test_correlate import distance_tables
 from test_depth_prior import rotation_about
 
 
@@ -147,7 +147,7 @@ class TestSimulateBaseband:
         for start in range(0, n, _TARGET_CHUNK):
             sl = slice(start, start + _TARGET_CHUNK)
             amp = scene.reflectivities[sl] * np.exp(1j * scene.phase_offsets[sl])
-            dtx, drx = (np.ascontiguousarray(d.T) for d in precompute_distance_tables(scene.positions[sl], array))
+            dtx, drx = (np.ascontiguousarray(d.T) for d in distance_tables(scene.positions[sl], array))
             for k, f in enumerate(freqs.frequencies):
                 w = -2j * np.pi * f / SPEED_OF_LIGHT
                 want[:, :, k] += np.einsum("tc,rc->tr", np.exp(w * dtx) * amp[None, :], np.exp(w * drx))

@@ -39,7 +39,6 @@ from .errors import ConfigurationError, NumericalError
 from .metrics import SCORES, EvalReport, evaluate_image, report_table, spearman_rho
 from .reconstruct import (
     DEFAULT_FILTER_DB,
-    RadarImage,
     VoxelGridSpec,
     backproject,
     fsk2_reconstruct,
@@ -53,6 +52,7 @@ from .simulate import SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, sim
 log = logging.getLogger("mmfsk")
 
 METHODS = ("2fsk", "mm2fsk", "3fsk", "bp")
+CARRIERS = {"2fsk": 2, "mm2fsk": 2, "3fsk": 3}  # the carriers a method needs; bp takes any number
 
 ARRAY_PROFILES = {
     # n_tx, n_rx, aperture (m); "full" mirrors a 94x94-pair panel and is slow
@@ -69,8 +69,16 @@ ARRAY_PROFILES = {
 # compared with type(), so a bool is neither a number nor an integer.
 
 
-def _rule(test, what: str):
+def _rule(test, what: str, most=None):
+    """A value passing ``test``. With ``most``, an integer of greater
+    magnitude is too large, as it would overflow wherever it is used; the
+    message shows it cut short."""
     def check(where, value):
+        if most is not None and type(value) is int and abs(value) > most:
+            digits = str(abs(value))
+            raise ConfigurationError(f"config {where} must be {what} of magnitude at most {most!r}, got "
+                                     f"{'-' * (value < 0)}{digits[:6]}...{digits[-3:]} ({len(digits)} digits): "
+                                     "too large")
         if not test(value):
             raise ConfigurationError(f"config {where} must be {what}, got {value!r}")
         return value
@@ -78,9 +86,8 @@ def _rule(test, what: str):
 
 
 def _number(ok=lambda v: True, what: str = "a number"):
-    """A JSON number passing ``ok``; an integer beyond the float64 range is
-    none, as it would overflow wherever it is used."""
-    return _rule(lambda v: (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max) and ok(v), what)
+    """A JSON number passing ``ok``; an integer must lie in the float64 range."""
+    return _rule(lambda v: type(v) in (float, int) and ok(v), what, most=sys.float_info.max)
 
 
 def _or_null(check):
@@ -133,9 +140,8 @@ def _scene(where, spec):
 NUMBER = _number()
 FINITE = _number(lambda v: abs(v) <= sys.float_info.max, "a finite number")  # NaN compares False
 NATURAL = _rule(lambda v: type(v) is int and v >= 0, "an integer >= 0")  # seeds and erosion steps
-# A count sizes an array or a list; like an integer beyond the float64
-# range for _number, one beyond a C ssize_t is none, as it would overflow.
-COUNT = _rule(lambda v: type(v) is int and 1 <= v <= sys.maxsize, "an integer >= 1")
+# A count sizes an array or a list, so it must fit in a C ssize_t.
+COUNT = _rule(lambda v: type(v) is int and v >= 1, "an integer >= 1", most=sys.maxsize)
 TEXT = _rule(lambda v: isinstance(v, str), "a string")
 METHOD, PAIR = _one_of(METHODS), _one_of(FREQUENCY_PAIRS)
 REQUIRED, OPTIONAL = (lambda section: True), (lambda section: False)
@@ -186,9 +192,9 @@ CONFIG = {
     "sweep": {  # method: the first of methods; seeds: [seed], or a count n for 0..n-1
         "method": (METHOD, OPTIONAL),
         "pairs": (_list(PAIR, least=1), REQUIRED),
-        "seeds": (_rule(lambda v: (type(v) is int and 1 <= v <= sys.maxsize
+        "seeds": (_rule(lambda v: (type(v) is int and v >= 1
                                    or type(v) is list and v and all(type(i) is int and i >= 0 for i in v)),
-                        "an integer >= 1 or a non-empty list of integers >= 0"), OPTIONAL),
+                        "an integer >= 1 or a non-empty list of integers >= 0", most=sys.maxsize), OPTIONAL),
         "runs": (_list(_section("sweep.runs"), least=1), REQUIRED),
     },
     "sweep.runs": {"method": (METHOD, REQUIRED), "pair": (PAIR, REQUIRED), "triple": (_list(PAIR, 2), REQUIRED),
@@ -390,16 +396,6 @@ def cmd_reconstruct(cfg: dict, run: dict) -> int:
     return 0
 
 
-def _load_image(outdir: Path, method: str, run: dict) -> RadarImage:
-    if method == "bp":
-        x, y = run["voxel"].axis(0), run["voxel"].axis(1)
-    else:
-        x, y = run["grid"].x, run["grid"].y
-    planes = {name: mio.read_pfm(outdir / f"{method}_{name}.pfm")
-              for name in ("depth", "magnitude", "joint_magnitude")}
-    return RadarImage(x=x, y=y, **planes)
-
-
 def cmd_eval(cfg: dict, run: dict) -> int:
     outdir = Path(cfg["output_dir"])
     scene_cfg = cfg["scene"]
@@ -408,7 +404,8 @@ def cmd_eval(cfg: dict, run: dict) -> int:
         path = outdir / f"{method}_depth.pfm"
         if not path.exists():
             raise FileNotFoundError(f"reconstruction not found: {path} (run 'reconstruct' first)")
-        image = _load_image(outdir, method, run)
+        x, y = (run["voxel"].axis(0), run["voxel"].axis(1)) if method == "bp" else (run["grid"].x, run["grid"].y)
+        image = mio.read_radar_image(outdir, method, x, y)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
         reports.append(evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
                                       label=label))
@@ -431,75 +428,66 @@ def _freq_label(spec: dict) -> str:
 
 
 def cmd_sweep(cfg: dict, run: dict) -> int:
-    """Run simulate->prior->reconstruct->eval per configuration, aggregate
-    seed medians, and judge the error-vs-bandwidth trend."""
+    """Run simulate->prior->reconstruct->eval per configuration and seed,
+    aggregate seed medians, and judge the error-vs-bandwidth trend. Every
+    entry is resolved, and its method checked against its carriers, before
+    any run, so each rule fails before the first write. Each run is resolved
+    just before its stages and only its eval record is kept: memory does not
+    grow with the seed count beyond those records."""
     sweep = cfg["sweep"]
     if sweep is None:
         raise ConfigurationError("sweep needs a 'sweep' section with 'pairs' or 'runs'")
     outdir = Path(cfg["output_dir"])
     seeds = sweep.get("seeds", [cfg["seed"]])
     if isinstance(seeds, int):
-        seeds = list(range(seeds))
+        seeds = range(seeds)
     # the shorthand form sweeps one method over bundled pairs; the general
     # form lists runs, each with a method, a pair or triple and maybe a prior
     entries = sweep.get("runs") or [{"method": sweep.get("method", cfg["methods"][0]), "pair": p}
                                     for p in sweep["pairs"]]
-    plan = []  # (method, label, [(sub-config, its resolved run) per seed]), all resolved before any run
+    subs = []  # (sub-config, label, Δf) per entry, all resolved before any run; the seed enters no rule
     for entry in entries:
         method = entry["method"]
         freq_spec = {"triple": entry["triple"]} if "triple" in entry else {"pair": entry["pair"]}
-        label = f"{method}@{_freq_label(freq_spec)}"
-        subs = []
-        for seed in seeds:
-            sub = {
-                **cfg,
-                "methods": [method],
-                "seed": seed,
-                "noise": (dict(cfg["noise"], seed=seed) if cfg["noise"] else None),
-                "output_dir": str(outdir / label.replace("@", "_") / f"seed_{seed}"),
-                "frequencies": freq_spec,
-            }
-            if entry.get("prior"):
-                sub["prior"] = entry["prior"]
-            subs.append((sub, _resolve(sub)))
-        plan.append((method, label, subs))
+        sub = {**cfg, "methods": [method], "frequencies": freq_spec, "prior": entry.get("prior") or cfg["prior"]}
+        label, freqs = f"{method}@{_freq_label(freq_spec)}", _resolve(sub)["freqs"]
+        if method in CARRIERS and len(freqs) != CARRIERS[method]:
+            raise ConfigurationError(f"sweep entry {label}: {method} needs {CARRIERS[method]} carriers, "
+                                     f"got {len(freqs)}")
+        subs.append((sub, label, freqs.delta()))
 
     records = []
-    for method, label, subs in plan:
-        per_seed = []
-        for sub, sub_run in subs:
-            cmd_simulate(sub, sub_run)
+    for sub, label, delta_f in subs:
+        method, per_seed = sub["methods"][0], []
+        for seed in seeds:
+            seed_cfg = {**sub, "seed": seed, "noise": dict(cfg["noise"], seed=seed) if cfg["noise"] else None,
+                        "output_dir": str(outdir / label.replace("@", "_") / f"seed_{seed}")}
+            seed_run = _resolve(seed_cfg)
+            cmd_simulate(seed_cfg, seed_run)
             if method != "bp":
-                cmd_prior(sub, sub_run)
-            cmd_reconstruct(sub, sub_run)
-            cmd_eval(sub, sub_run)
-            per_seed.append(mio.load_json(Path(sub["output_dir"]) / f"eval_{method}.json"))
-        record = {
+                cmd_prior(seed_cfg, seed_run)
+            cmd_reconstruct(seed_cfg, seed_run)
+            cmd_eval(seed_cfg, seed_run)
+            per_seed.append(mio.load_json(Path(seed_cfg["output_dir"]) / f"eval_{method}.json"))
+        records.append({
             "label": label,
             "method": method,
-            "delta_f_hz": subs[0][1]["freqs"].delta(),
+            "delta_f_hz": delta_f,
             **{f"median_{k}": float(np.median([r[k] for r in per_seed])) for k in SCORES},
             "runs": per_seed,
-        }
-        records.append(record)
+        })
         log.info("sweep[%s]: median P_eroded=%.4f cm over %d seeds",
-                 label, record["median_p_eroded"] * 100, len(seeds))
+                 label, records[-1]["median_p_eroded"] * 100, len(seeds))
 
-    # Trend verdict applies to single-method ablations over Delta f.
-    verdict = "single configuration: no trend"
-    rho = None
-    same_method = len({r["method"] for r in records}) == 1
-    if len(records) >= 2 and same_method:
-        deltas = [r["delta_f_hz"] for r in records]
-        meds = [r["median_p_eroded"] for r in records]
-        rho = spearman_rho(deltas, meds)
+    # the trend verdict applies to single-method ablations over Δf
+    verdict, rho = "single configuration: no trend", None
+    if len(records) >= 2 and len({r["method"] for r in records}) == 1:
+        rho = spearman_rho([r["delta_f_hz"] for r in records], [r["median_p_eroded"] for r in records])
         trend = "non-increasing" if rho <= -0.8 else "not monotone"
         verdict = f"error vs frequency difference is {trend} (spearman={rho:.3f})"
     elif len(records) >= 2:
-        best = min(records, key=lambda r: r["median_p_eroded"])
-        verdict = f"best configuration: {best['label']}"
-    doc = {"records": records, "spearman": rho, "verdict": verdict}
-    mio.dump_json(outdir / "sweep_report.json", doc)
+        verdict = f"best configuration: {min(records, key=lambda r: r['median_p_eroded'])['label']}"
+    mio.dump_json(outdir / "sweep_report.json", {"records": records, "spearman": rho, "verdict": verdict})
     reports = [EvalReport(label=r["label"], **{k: r[f"median_{k}"] for k in SCORES}) for r in records]
     (outdir / "sweep_table.txt").write_text(report_table(reports) + f"\n{verdict}\n", encoding="utf-8")
     _snapshot(cfg, outdir, "sweep")

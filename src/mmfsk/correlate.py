@@ -87,10 +87,10 @@ _TURN = _turn_table()
 class CandidateGrid:
     """Regular lateral grid of candidate points with per-pixel depth priors.
 
-    ``x`` runs along width (columns), ``y`` along height (rows);
-    ``prior_depth[v, u]`` is the depth guess at (x[u], y[v]), NaN where a
-    pixel has none. ``valid`` is derived, not passed: the read-only mask of
-    finite priors.
+    ``x`` runs along width (columns), ``y`` along height (rows), each
+    finite, uniform and increasing; ``prior_depth[v, u]`` is the depth
+    guess at (x[u], y[v]), NaN where a pixel has none. ``valid`` is
+    derived, not passed: the read-only mask of finite priors.
     """
 
     x: np.ndarray            # (W,)
@@ -104,6 +104,8 @@ class CandidateGrid:
         prior = np.asarray(self.prior_depth, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
             raise StructuralError("grid axes must be 1-D")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise StructuralError("grid axes must be finite")
         if prior.shape != (y.size, x.size):
             raise StructuralError("prior_depth must have shape (H, W)")
         for axis in (x, y):

@@ -30,6 +30,7 @@ CONTAINER_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIII")
 _PLY_ROWS = 1024  # rows formatted per write: bounds the text held in memory
+RADAR_PLANES = ("depth", "magnitude", "joint_magnitude")  # the PFM planes of an exported image
 
 
 def write_baseband(path, baseband: BasebandTensor) -> None:
@@ -184,12 +185,17 @@ def export_radar_image(outdir, stem: str, image: RadarImage) -> list:
     paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    planes = ("depth", "magnitude", "joint_magnitude")
-    paths = [outdir / f"{stem}_{name}.pfm" for name in planes] + [outdir / f"{stem}_cloud.ply"]
-    for name, path in zip(planes, paths):
+    paths = [outdir / f"{stem}_{name}.pfm" for name in RADAR_PLANES] + [outdir / f"{stem}_cloud.ply"]
+    for name, path in zip(RADAR_PLANES, paths):
         write_pfm(path, getattr(image, name))
     write_ply(paths[3], *image.points())
     return paths
+
+
+def read_radar_image(outdir, stem: str, x, y) -> RadarImage:
+    """The image ``export_radar_image`` wrote under ``stem``, read back from
+    its PFM planes onto the axes ``x`` and ``y``."""
+    return RadarImage(x=x, y=y, **{name: read_pfm(Path(outdir) / f"{stem}_{name}.pfm") for name in RADAR_PLANES})
 
 
 def dump_json(path, obj) -> None:

@@ -597,8 +597,11 @@ class TestNothingWrittenOnFailure:
         ({"voxel": {**SMALL_VOXEL, "extents": [NAN, 0.016, 0.02]}}, "extents must be three finite positive"),
         ({"voxel": {**SMALL_VOXEL, "center": [0.0, 0.0, NAN]}}, "center must be three finite coordinates"),
         ({"prior": {"mode": "scalar", "value": NAN}}, "scalar prior depth must be finite"),
+        # not the uniform-spacing rule, nor the rule of a voxel section never given
+        ({"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [NAN, 0.0]}}, "grid axes must be finite"),
+        ({"grid": {"width": 1, "height": 1, "spacing": NAN}}, "grid axes must be finite"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
-            "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior"])
+            "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "nan-grid-center", "nan-pitch-one-pixel"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1
@@ -629,6 +632,46 @@ class TestNothingWrittenOnFailure:
             {"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "triple": ["0.5", "0.5"]}]})
         assert main(["sweep", "-c", str(cfg)]) == 1
         assert "validation: pair combination does not yield three carriers" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"runs": [{"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "pair": "10.0"}]},
+         "sweep entry 3fsk@d10.0: 3fsk needs 3 carriers, got 2"),
+        ({"method": "3fsk", "pairs": ["10.0"]}, "sweep entry 3fsk@d10.0: 3fsk needs 3 carriers, got 2"),
+        ({"runs": [{"method": "mm2fsk", "triple": ["0.5", "10.0"]}]},
+         "sweep entry mm2fsk@t0.5-10.0: mm2fsk needs 2 carriers, got 3"),
+    ], ids=["3fsk-run-on-a-pair", "3fsk-shorthand", "mm2fsk-on-a-triple"])
+    def test_sweep_method_without_its_carriers_exits_1_before_any_file(self, tmp_path, caplog, sweep, message):
+        cfg = small_config(tmp_path / "cfg.json", sweep=sweep)
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert f"validation: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_resolves_each_entry_once_before_the_first_run(self, tmp_path, monkeypatch):
+        # main resolves the whole config, the sweep each entry, then each
+        # run just before its stages: the first simulate follows four calls,
+        # however many seeds there are
+        from mmfsk import cli
+
+        calls, resolve = [], cli._resolve
+
+        def counted(cfg):
+            calls.append(cfg["seed"])
+            return resolve(cfg)
+
+        class FirstSimulate(Exception):
+            pass
+
+        def stop(cfg, run):
+            raise FirstSimulate
+
+        monkeypatch.setattr(cli, "_resolve", counted)
+        monkeypatch.setattr(cli, "cmd_simulate", stop)
+        cfg = small_config(tmp_path / "cfg.json", sweep={"seeds": 1000, "runs": [
+            {"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "triple": ["0.5", "10.0"]}]})
+        with pytest.raises(FirstSimulate):
+            main(["sweep", "-c", str(cfg)])
+        assert calls == [7, 7, 7, 0]  # the config's seed three times, then the first run's
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, methods, stages, bad, code", [
@@ -716,6 +759,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json", grid={"width": 24, "height": 24, "spacing": 10 ** 400})
         assert main(["simulate", "-c", str(cfg)]) == 1
         assert "validation: config grid.spacing must be a number" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("simulate", {"grid": {"width": 10 ** 400, "height": 8, "spacing": 0.002}},
+         "config grid.width must be an integer >= 1 of magnitude at most 9223372036854775807, "
+         "got 100000...000 (401 digits): too large"),
+        ("simulate", {"grid": {"width": 8, "height": 8, "spacing": -10 ** 400}},
+         "config grid.spacing must be a number of magnitude at most 1.7976931348623157e+308, "
+         "got -100000...000 (401 digits): too large"),
+        ("sweep", {"sweep": {"pairs": ["10.0"], "seeds": 2 ** 63}},
+         "config sweep.seeds must be an integer >= 1 or a non-empty list of integers >= 0 of magnitude at most "
+         "9223372036854775807, got 922337...808 (19 digits): too large"),
+    ])
+    def test_over_large_integer_is_reported_too_large_and_cut_short(self, tmp_path, caplog, command, overrides,
+                                                                    message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main([command, "-c", str(cfg)]) == 1
+        assert f"validation: {message}\n" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_version_flag(self, capsys):

@@ -291,3 +291,17 @@ class TestImageExport:
         rows = ply_rows(tmp_path / "test_cloud.ply")
         assert rows.shape[0] == valid.sum()
         assert "property float magnitude" in (tmp_path / "test_cloud.ply").read_text()
+
+    def test_read_radar_image_reads_back_what_export_wrote(self, tmp_path):
+        rng = np.random.default_rng(3)
+        h, w = 4, 6
+        planes = {name: rng.uniform(0.1, 1.0, (h, w)).astype(np.float32).astype(np.float64)
+                  for name in mio.RADAR_PLANES}
+        planes["depth"][1, 2] = np.nan
+        x, y = np.arange(w) * 0.002, np.arange(h) * 0.002 - 0.003
+        mio.export_radar_image(tmp_path, "m", RadarImage(x=x, y=y, **planes))
+        back = mio.read_radar_image(tmp_path, "m", x, y)
+        assert np.array_equal(back.x, x) and np.array_equal(back.y, y)
+        for name in mio.RADAR_PLANES:  # NaN in every plane where the depth has none
+            expected = np.where(np.isfinite(planes["depth"]), planes[name], np.nan)
+            assert np.array_equal(getattr(back, name), expected, equal_nan=True), name

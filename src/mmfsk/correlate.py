@@ -140,8 +140,8 @@ class CandidateGrid:
 
     def with_scalar_prior(self, depth: float) -> "CandidateGrid":
         """Broadcast one depth guess to every pixel (the radar-only mode)."""
-        if not np.isfinite(depth):
-            raise StructuralError("scalar prior depth must be finite")
+        if not (np.isfinite(depth) and depth > 0):
+            raise StructuralError("scalar prior depth must be finite and positive")
         return self.with_prior(np.full((self.height, self.width), float(depth)))
 
     def with_prior(self, prior_depth: np.ndarray) -> "CandidateGrid":

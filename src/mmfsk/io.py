@@ -76,8 +76,13 @@ def read_pfm(path) -> np.ndarray:
         raise StructuralError(f"{path}: not a grayscale PFM file")
     if parts[0] == b"PF":
         raise StructuralError(f"{path}: color PFM not supported")
-    w, h = (int(v) for v in parts[1].split())
-    scale = float(parts[2])
+    try:
+        w, h = (int(v) for v in parts[1].split())
+        scale = float(parts[2])
+    except ValueError:
+        w = h = -1  # reported as a malformed size below
+    if w < 0 or h < 0:
+        raise StructuralError(f"{path}: malformed PFM header (size {parts[1]!r}, scale {parts[2]!r})")
     dtype = "<f4" if scale < 0 else ">f4"
     body = parts[3][: w * h * 4]
     if len(body) != w * h * 4:

@@ -33,6 +33,7 @@ from mmfsk import (
     triangulate,
 )
 from mmfsk.simulate import NoiseSpec
+from corpus import artifacts, tree_digest
 from scenarios import recovery_run
 from test_correlate import random_instance, reference_correlation
 from test_depth_prior import circumcircle_violations
@@ -206,7 +207,6 @@ def test_geometry_oracles():
 def test_cli_pipeline_determinism(tmp_path):
     """Identical config and seed give byte-identical artifacts regardless
     of worker count."""
-    import hashlib
     import json
 
     from mmfsk.cli import main
@@ -228,18 +228,12 @@ def test_cli_pipeline_determinism(tmp_path):
         for cmd in ("simulate", "prior", "reconstruct", "eval"):
             assert main([cmd, "-c", str(path), "--workers", str(workers)]) == 0
 
-    def digest(root: Path) -> dict:
-        return {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.iterdir())
-            if p.is_file() and not p.name.endswith("_config.json")
-        }
-
     run(tmp_path / "a", workers=1)
     run(tmp_path / "b", workers=3)
     run(tmp_path / "c", workers=1)
-    same_workers = digest(tmp_path / "a") == digest(tmp_path / "c")
-    cross_workers = digest(tmp_path / "a") == digest(tmp_path / "b")
+    a, b, c = (artifacts(tree_digest(tmp_path / name)) for name in "abc")
+    same_workers = a == c
+    cross_workers = a == b
     ok = same_workers and cross_workers
     report("pipeline-determinism", ok,
            f"rerun identical: {same_workers}; across worker counts: {cross_workers}")

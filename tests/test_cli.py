@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 from mmfsk import io as mio
 from mmfsk.cli import CONFIG, SELECTORS, load_config, main
 from mmfsk.simulate import SCENE_PARAMS
+from corpus import artifacts, tree_digest
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -29,14 +29,6 @@ def write_config(path: Path, **overrides) -> Path:
     cfg.update(overrides)  # wholesale replacement: selector keys must not mix
     path.write_text(json.dumps(cfg))
     return path
-
-
-def tree_digest(root: Path) -> dict:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file() and not p.name.endswith("_config.json")
-    }
 
 
 class TestSimulate:
@@ -251,11 +243,12 @@ class TestPrior:
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "telepathy"})
         assert main(["prior", "-c", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_scalar_prior_exits_1(self, tmp_path, caplog, value):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -0.3])
+    def test_non_finite_or_non_positive_scalar_prior_exits_1(self, tmp_path, caplog, value):
+        # a depth at or behind the array would image the mirror scene
         cfg = write_config(tmp_path / "cfg.json", prior={"mode": "scalar", "value": value})
         assert main(["prior", "-c", str(cfg)]) == 1
-        assert "prior depth must be finite" in caplog.text
+        assert "prior depth must be finite and positive" in caplog.text
         assert not (tmp_path / "out" / "prior_grid.json").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -381,7 +374,7 @@ class TestReconstructAndEval:
         cfg2 = write_config(tmp_path / "cfg2.json", output_dir=str(tmp_path / "w3"))
         for cmd in ("simulate", "prior", "reconstruct", "eval"):
             assert main([cmd, "-c", str(cfg2), "--workers", "3"]) == 0
-        assert tree_digest(tmp_path / "w1") == tree_digest(tmp_path / "w3")
+        assert artifacts(tree_digest(tmp_path / "w1")) == artifacts(tree_digest(tmp_path / "w3"))
 
     def test_bp_worker_count_does_not_change_bp_bytes(self, tmp_path):
         # 33x33x9 voxels: three runs of three planes, 13 blocks each, so
@@ -597,11 +590,13 @@ class TestNothingWrittenOnFailure:
         ({"voxel": {**SMALL_VOXEL, "extents": [NAN, 0.016, 0.02]}}, "extents must be three finite positive"),
         ({"voxel": {**SMALL_VOXEL, "center": [0.0, 0.0, NAN]}}, "center must be three finite coordinates"),
         ({"prior": {"mode": "scalar", "value": NAN}}, "scalar prior depth must be finite"),
+        ({"prior": {"mode": "scalar", "value": -0.3}}, "scalar prior depth must be finite and positive"),
         # not the uniform-spacing rule, nor the rule of a voxel section never given
         ({"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [NAN, 0.0]}}, "grid axes must be finite"),
         ({"grid": {"width": 1, "height": 1, "spacing": NAN}}, "grid axes must be finite"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
-            "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "nan-grid-center", "nan-pitch-one-pixel"])
+            "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "negative-scalar-prior",
+            "nan-grid-center", "nan-pitch-one-pixel"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1
@@ -930,11 +925,14 @@ def _config_with_wrong_type(table: str, key: str):
     return cfg, name
 
 
-def _scipy_modules_after(script: str) -> list:
-    """The scipy modules a fresh interpreter holds after running ``script``."""
+def _scipy_modules_after(cfg: Path | None = None, commands=()) -> list:
+    """The scipy modules a fresh interpreter holds after importing
+    ``mmfsk.cli`` and running ``commands`` on ``cfg``, each to exit 0."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    script = (f"import json, sys\nfrom mmfsk.cli import main\nfor cmd in {tuple(commands)!r}:\n"
+              f"    assert main([cmd, '-c', {str(cfg)!r}]) == 0, cmd\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     return json.loads(run.stdout.splitlines()[-1])
@@ -946,7 +944,7 @@ class TestImports:
     (``eval``) needs no scipy."""
 
     def test_import_loads_no_scipy(self):
-        assert _scipy_modules_after("import mmfsk.cli") == []
+        assert _scipy_modules_after() == []
 
     @pytest.mark.parametrize("method,overrides", [
         ("2fsk", {}),
@@ -957,8 +955,14 @@ class TestImports:
         # simulate -> prior -> reconstruct -> eval; a scalar prior, and bp reads none
         cfg = write_config(tmp_path / "cfg.json", methods=[method],
                            grid={"width": 8, "height": 8, "spacing": 0.002}, **overrides)
-        script = ("from mmfsk.cli import main\n"
-                  "for cmd in ('simulate', 'prior', 'reconstruct', 'eval', 'report'):\n"
-                  f"    assert main([cmd, '-c', {str(cfg)!r}]) == 0, cmd\n")
-        assert _scipy_modules_after(script) == []
+        assert _scipy_modules_after(cfg, ("simulate", "prior", "reconstruct", "eval", "report")) == []
         assert (tmp_path / "out" / f"eval_{method}.json").exists()
+
+    def test_stages_after_a_camera_prior_load_no_scipy(self, tmp_path):
+        # the camera prior's Qhull step loads scipy: the rest of the mm2fsk
+        # loop runs in a fresh interpreter
+        cfg = write_config(tmp_path / "cfg.json", grid={"width": 8, "height": 8, "spacing": 0.002},
+                           prior={"mode": "camera", "noise_mm": 1.0})
+        assert "scipy.spatial" in _scipy_modules_after(cfg, ("prior",))
+        assert _scipy_modules_after(cfg, ("simulate", "reconstruct", "eval", "report")) == []
+        assert (tmp_path / "out" / "eval_mm2fsk.json").exists()

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -130,6 +131,14 @@ class TestPfm:
         path = tmp_path / "c.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
         with pytest.raises(StructuralError):
+            mio.read_pfm(path)
+
+    @pytest.mark.parametrize("header", [b"2.5 2\n-1.0", b"2 2 2\n-1.0", b"-1 -1\n-1.0", b"2 -2\n-1.0", b"2 2\nx"],
+                             ids=["non-integer-size", "three-sizes", "unknown-sizes", "negative-size", "bad-scale"])
+    def test_malformed_header_is_reported_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + header + b"\n" + b"\x00" * 64)
+        with pytest.raises(StructuralError, match=re.escape(f"{path}: malformed PFM header")):
             mio.read_pfm(path)
 
 

@@ -50,8 +50,8 @@ def test_with_prior_takes_only_the_priors():
     assert np.array_equal(grid.with_prior(DEPTH).valid, np.isfinite(DEPTH))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_scalar_prior_must_be_finite(value):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.3])
+def test_scalar_prior_must_be_finite_and_positive(value):
     with pytest.raises(StructuralError):
         CandidateGrid.regular(3, 2, 0.001).with_scalar_prior(value)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -524,6 +525,7 @@ def _int_flag(text: str):
         return text
 
 
+@functools.cache  # built once per process: every main() call in it parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmfsk",

@@ -1,5 +1,5 @@
-"""File formats: the binary baseband container, PFM float images, ASCII
-PLY point clouds, and the JSON documents used for configs and calibration.
+"""File formats: the binary baseband container, PFM float images, binary
+little-endian float64 PLY point clouds, and JSON documents.
 
 The baseband container is little-endian: the 4-byte magic ``FSKT``, a u32
 format version, the three u32 dimensions (T, R, F), then the complex64
@@ -29,7 +29,6 @@ MAGIC_BASEBAND = b"FSKT"
 CONTAINER_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIII")
-_PLY_ROWS = 1024  # rows formatted per write: bounds the text held in memory
 RADAR_PLANES = ("depth", "magnitude", "joint_magnitude")  # the PFM planes of an exported image
 
 
@@ -92,24 +91,22 @@ def read_pfm(path) -> np.ndarray:
 
 
 def write_ply(path, points: np.ndarray, magnitude: np.ndarray) -> None:
-    """ASCII PLY point cloud with a per-vertex magnitude scalar."""
+    """Binary little-endian float64 PLY cloud with a per-vertex magnitude."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != 3:
         raise StructuralError("PLY writer expects (N, 3) points")
     n = points.shape[0]
-    header = ["ply", "format ascii 1.0", f"element vertex {n}", "property float x", "property float y",
-              "property float z", "property float magnitude", "end_header"]
-    body = np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)])
-    row = "%.10g %.10g %.10g %.10g\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(header) + "\n")
-        for start in range(0, n, _PLY_ROWS):
-            fh.write("".join([row % tuple(r) for r in body[start : start + _PLY_ROWS].tolist()]))
+    body = np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)]).astype("<f8", copy=False)
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}", "property double x",
+              "property double y", "property double z", "property double magnitude", "end_header\n"]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("ascii"))
+        fh.write(body.tobytes())
 
 
 def save_candidate_grid(path, grid: CandidateGrid) -> None:
-    """Persist a prior grid as a JSON document embedding geometry and the
-    per-pixel prior (null marks the pixels without one).
+    """Persist a prior grid as one compact JSON document (sorted keys, no
+    whitespace): its geometry and per-pixel prior, null where there is none.
 
     The axes ``x`` and ``y`` are stored value by value, so they load back
     bit for bit. ``width``, ``height``, ``x0``, ``y0``, ``dx`` and ``dy``
@@ -129,7 +126,7 @@ def save_candidate_grid(path, grid: CandidateGrid) -> None:
         "dy": grid.spacing[1],
         "prior_depth": prior.tolist(),
     }
-    dump_json(path, doc)
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_candidate_grid(path) -> CandidateGrid:
@@ -176,10 +173,10 @@ def _numbers(doc, key, path, ndim: int, nulls: bool = False) -> np.ndarray:
     allowed = {int, float, type(None)} if nulls else {int, float}  # bool is not int here
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and len({len(row) for row in rows}) <= 1
-            and set(map(type, chain.from_iterable(rows))) <= allowed):
+            and (types := set(map(type, chain.from_iterable(rows)))) <= allowed):
         what = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
         raise ConfigurationError(f"{path}: {key!r} must be {what}{' or null' if nulls else ''}")
-    if any(type(v) is int and abs(v) > sys.float_info.max for v in chain.from_iterable(rows)):
+    if int in types and any(type(v) is int and abs(v) > sys.float_info.max for v in chain.from_iterable(rows)):
         raise ConfigurationError(f"{path}: {key!r} holds an integer beyond the float64 range")
     return np.array(value, dtype=np.float64)
 

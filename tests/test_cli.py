@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmfsk import io as mio
-from mmfsk.cli import CONFIG, SELECTORS, load_config, main
+from mmfsk.cli import CONFIG, SELECTORS, build_parser, load_config, main
 from mmfsk.simulate import SCENE_PARAMS
 from corpus import artifacts, tree_digest
 
@@ -226,8 +226,10 @@ class TestPrior:
         ("prior_depth", lambda v: [["0.3"] + v[0][1:]] + v[1:], "'prior_depth' must be a list of equal-length rows"),
         ("x", lambda v: v[:-1], "prior_depth must have shape (H, W)"),
         ("y", lambda v: v[::-1], "grid spacing must be uniform and increasing"),
+        ("prior_depth", lambda v: [[None] + v[0][1:-1] + [10 ** 400]] + v[1:],
+         "'prior_depth' holds an integer beyond the float64 range"),
     ], ids=["null-in-x", "null-in-y", "flat-prior", "scalar-prior", "ragged-prior", "string-in-prior",
-            "short-axis", "reversed-axis"])
+            "short-axis", "reversed-axis", "huge-integer-among-depths"])
     def test_prior_grid_of_wrong_type_exits_1(self, tmp_path, caplog, key, edit, message):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["prior", "-c", str(cfg)]) == 0
@@ -778,6 +780,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_one_parser_serves_every_call_without_carrying_flags_over(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["reconstruct", "--method", "bp", "--method", "2fsk"]).methods == ["bp", "2fsk"]
+        args = parser.parse_args(["eval", "--seed", "3"])
+        assert (args.command, args.methods, args.seed, args.workers) == ("eval", None, 3, None)
+        assert parser.parse_args(["reconstruct", "--method", "3fsk"]).methods == ["3fsk"]
 
     @pytest.mark.parametrize("command, overrides, key", [
         ("reconstruct", {"filter_db": None}, "filter_db"),

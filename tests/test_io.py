@@ -1,19 +1,24 @@
+import json
 import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmfsk import BasebandTensor, CameraIntrinsics, CandidateGrid, Extrinsics, RadarImage
 from mmfsk.errors import StructuralError
 from mmfsk import io as mio
+from mmfsk.cli import main
 
 # Round-trip properties: derandomized, so every run checks the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+FMAX = np.finfo(np.float64).max
 
 
 def shapes(dims):
@@ -143,36 +148,45 @@ class TestPfm:
 
 
 def reference_write_ply(path, points, magnitude) -> None:
-    """One f-string per value: the writer ``mio.write_ply`` must match byte
-    for byte."""
+    """One ``struct.pack`` per row: the writer ``mio.write_ply`` must match
+    byte for byte."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    header = ["ply", "format ascii 1.0", f"element vertex {n}", "property float x", "property float y",
-              "property float z", "property float magnitude", "end_header"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(header) + "\n")
-        for row in np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)]):
-            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}", "property double x",
+              "property double y", "property double z", "property double magnitude", "end_header"]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        for row in np.hstack([points, np.asarray(magnitude, dtype=np.float64).reshape(n, 1)]).tolist():
+            fh.write(struct.pack("<dddd", *row))
 
 
 def ply_rows(path) -> np.ndarray:
-    """The (N, 4) vertex rows (x, y, z, magnitude) of a cloud ``mio.write_ply`` wrote."""
-    body = path.read_text(encoding="ascii").split("end_header\n", 1)[1]
-    return np.array([row.split() for row in body.splitlines()], dtype=np.float64).reshape(-1, 4)
+    """The (N, 4) vertex rows (x, y, z, magnitude) of a cloud ``mio.write_ply``
+    wrote, read from the body its header's vertex count declares."""
+    head, body = path.read_bytes().split(b"end_header\n", 1)
+    n = int(re.search(rb"^element vertex (\d+)$", head, re.M).group(1))
+    assert len(body) == n * 32
+    return np.frombuffer(body, dtype="<f8").reshape(n, 4)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN matching NaN and -0.0 told from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 class TestPly:
     def test_bytes_match_reference_writer(self, tmp_path):
         rng = np.random.default_rng(9)
-        rows = rng.normal(size=(2500, 4)) * 10.0 ** rng.integers(-12, 12, (2500, 4))  # several writes
-        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 123456789012.0]
+        rows = rng.normal(size=(2500, 4)) * 10.0 ** rng.integers(-12, 12, (2500, 4))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 123456789012.0,
+                   FMAX, -FMAX]
         rows.flat[rng.choice(rows.size, 1500, replace=False)] = rng.choice(special, 1500)
         mio.write_ply(tmp_path / "got.ply", rows[:, :3], rows[:, 3])
         reference_write_ply(tmp_path / "want.ply", rows[:, :3], rows[:, 3])
         got = (tmp_path / "got.ply").read_bytes()
         assert got == (tmp_path / "want.ply").read_bytes()
-        tokens = set(got.split())
-        assert {b"nan", b"inf", b"-inf", b"-0", b"1e+300", b"4.940656458e-324"} <= tokens
+        assert same_bits(ply_rows(tmp_path / "got.ply"), rows)
         mio.write_ply(tmp_path / "empty.ply", np.zeros((0, 3)), np.zeros(0))
         reference_write_ply(tmp_path / "want.ply", np.zeros((0, 3)), np.zeros(0))
         assert (tmp_path / "empty.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
@@ -184,28 +198,49 @@ class TestPly:
         path = tmp_path / "c.ply"
         mio.write_ply(path, pts, mag)
         back = ply_rows(path)
-        assert np.abs(back[:, :3] - pts).max() < 1e-9
-        assert np.abs(back[:, 3] - mag).max() < 1e-9
+        assert np.array_equal(back[:, :3], pts)
+        assert np.array_equal(back[:, 3], mag)
 
     @PROPERTY
-    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(4)), elements=st.floats(-1e300, 1e300)))
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(4)), elements=st.floats()))
+    @example(np.array([[np.nan, np.inf, -np.inf, -0.0], [5e-324, -5e-324, FMAX, -FMAX]]))
     def test_round_trip_property(self, tmp_path, rows):
-        # values are written with 10 significant digits: each comes back
-        # within half a unit of the tenth digit (the bound keeps rounding
-        # from carrying a value past the float64 maximum)
+        # every float64 comes back with its bits: NaN, both infinities,
+        # -0.0, subnormals and the largest finite values included
         pts, mag = rows[:, :3], rows[:, 3]
         path = tmp_path / "c.ply"
         write_twice(mio.write_ply, path, pts, mag)
-        back = ply_rows(path)
-        assert back.shape == rows.shape
-        np.testing.assert_allclose(back, rows, rtol=5.000001e-10, atol=0.0)
+        assert same_bits(ply_rows(path), rows)
 
     def test_header_declares_properties(self, tmp_path):
         path = tmp_path / "c.ply"
         mio.write_ply(path, np.zeros((2, 3)), np.ones(2))
-        text = path.read_text()
-        assert "element vertex 2" in text
-        assert "property float magnitude" in text
+        head = path.read_bytes().split(b"end_header\n", 1)[0].decode("ascii").splitlines()
+        assert head[:3] == ["ply", "format binary_little_endian 1.0", "element vertex 2"]
+        assert head[3:] == [f"property double {name}" for name in ("x", "y", "z", "magnitude")]
+
+
+def special_prior_grid() -> CandidateGrid:
+    """A 41x37 prior grid with holes, both infinities, -0.0, 1e300 and the
+    smallest subnormal among its depths."""
+    rng = np.random.default_rng(14)
+    prior = rng.uniform(0.2, 0.4, (37, 41))
+    prior[rng.random(prior.shape) < 0.2] = np.nan
+    prior[0, :3] = [np.inf, -np.inf, -0.0]
+    prior[1, :2] = [1e300, 5e-324]
+    return CandidateGrid.regular(41, 37, 0.001, center=(0.003, -0.002)).with_prior(prior)
+
+
+def reference_grid_doc(grid: CandidateGrid) -> dict:
+    """The prior grid document built value by value and pixel by pixel,
+    without the writer's array pass."""
+    return {
+        "width": grid.width, "height": grid.height,
+        "x": [float(v) for v in grid.x], "y": [float(v) for v in grid.y],
+        "x0": float(grid.x[0]), "y0": float(grid.y[0]),
+        "dx": grid.spacing[0], "dy": grid.spacing[1],
+        "prior_depth": [[None if not np.isfinite(v) else float(v) for v in row] for row in grid.prior_depth],
+    }
 
 
 class TestGridAndCalibration:
@@ -240,26 +275,34 @@ class TestGridAndCalibration:
         assert np.array_equal(back.y, grid.y)
 
     def test_grid_bytes_match_reference_writer(self, tmp_path):
-        # The per-pixel writer the array pass replaced, kept as the reference.
-        def reference_save_candidate_grid(path, grid):
-            mio.dump_json(path, {
-                "width": grid.width, "height": grid.height,
-                "x": [float(v) for v in grid.x], "y": [float(v) for v in grid.y],
-                "x0": float(grid.x[0]), "y0": float(grid.y[0]),
-                "dx": grid.spacing[0], "dy": grid.spacing[1],
-                "prior_depth": [[None if not np.isfinite(v) else float(v) for v in row]
-                                for row in grid.prior_depth],
-            })
-
-        rng = np.random.default_rng(14)
-        prior = rng.uniform(0.2, 0.4, (37, 41))
-        prior[rng.random(prior.shape) < 0.2] = np.nan
-        prior[0, :3] = [np.inf, -np.inf, -0.0]
-        prior[1, :2] = [1e300, 5e-324]
-        grid = CandidateGrid.regular(41, 37, 0.001, center=(0.003, -0.002)).with_prior(prior)
+        grid = special_prior_grid()
         mio.save_candidate_grid(tmp_path / "new.json", grid)
-        reference_save_candidate_grid(tmp_path / "ref.json", grid)
+        (tmp_path / "ref.json").write_text(json.dumps(reference_grid_doc(grid), sort_keys=True,
+                                                      separators=(",", ":")) + "\n", encoding="utf-8")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_indented_grid_loads_as_the_compact_one(self, tmp_path):
+        # a prior_grid.json written in the earlier indented layout stays
+        # readable, to the bit, by the loader and by a file-prior run
+        grid = special_prior_grid()
+        mio.save_candidate_grid(tmp_path / "compact.json", grid)
+        mio.dump_json(tmp_path / "indented.json", reference_grid_doc(grid))
+        assert b"\n  " in (tmp_path / "indented.json").read_bytes()
+        want = mio.load_candidate_grid(tmp_path / "compact.json")
+        assert same_bits(want.x, grid.x) and same_bits(want.y, grid.y) and np.array_equal(want.valid, grid.valid)
+        for name in ("compact", "indented"):
+            back = mio.load_candidate_grid(tmp_path / f"{name}.json")
+            assert same_bits(back.x, want.x) and same_bits(back.y, want.y), name
+            assert same_bits(back.prior_depth, want.prior_depth), name
+            cfg = tmp_path / f"{name}_cfg.json"
+            cfg.write_text(json.dumps({
+                "seed": 7, "output_dir": str(tmp_path / name),
+                "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.06, "spacing": 0.002}},
+                "array": {"n_tx": 8, "n_rx": 8, "aperture": 0.2}, "frequencies": {"pair": "10.0"},
+                "grid": {"width": grid.width, "height": grid.height, "spacing": 0.001, "center": [0.003, -0.002]},
+                "prior": {"mode": "file", "path": str(tmp_path / f"{name}.json")}}))
+            assert main(["prior", "-c", str(cfg)]) == 0, name
+            assert (tmp_path / name / "prior_grid.json").read_bytes() == (tmp_path / "compact.json").read_bytes()
 
     def test_calibration_round_trip(self, tmp_path):
         intr = CameraIntrinsics(200.0, 210.0, 32.0, 24.0)
@@ -299,7 +342,7 @@ class TestImageExport:
         assert np.array_equal(np.isfinite(back_depth), valid)
         rows = ply_rows(tmp_path / "test_cloud.ply")
         assert rows.shape[0] == valid.sum()
-        assert "property float magnitude" in (tmp_path / "test_cloud.ply").read_text()
+        assert b"property double magnitude\n" in (tmp_path / "test_cloud.ply").read_bytes()
 
     def test_read_radar_image_reads_back_what_export_wrote(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmfsk import (FrequencySet, VoxelGridSpec, backproject, fsk2_reconstruct, fsk3_reconstruct, magnitude_filter,
+                   mimo_cross_array)
 from mmfsk import io as mio
 from mmfsk.cli import CONFIG, SELECTORS, build_parser, load_config, main
 from mmfsk.simulate import SCENE_PARAMS
@@ -307,6 +309,35 @@ class TestReconstructAndEval:
         )
         rec = mio.load_json(tmp_path / "out" / "eval_bp.json")
         assert rec["p_eroded"] < 0.01
+
+    @pytest.mark.parametrize("method, overrides", [
+        ("2fsk", {}),
+        ("3fsk", {"frequencies": {"triple": ["0.5", "10.0"]}, "prior": {"mode": "scalar", "value": 0.40}}),
+        ("bp", {"frequencies": {"values_ghz": [72.0, 75.0, 78.0, 82.0]},
+                "voxel": {"extents": [0.048, 0.048, 0.04], "resolution": [13, 13, 21], "center": [0, 0, 0.30]}}),
+        ("mm2fsk", {"prior": {"mode": "camera", "width": 40, "height": 30}}),
+    ])
+    def test_depth_map_equals_the_library_image(self, tmp_path, method, overrides):
+        # The library runs on the files the CLI wrote, so the FSKT's complex64
+        # payload is the input of both sides.
+        cfg = write_config(tmp_path / "cfg.json", methods=[method], **overrides)
+        for cmd in ("simulate", "prior", "reconstruct"):
+            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        baseband = mio.read_baseband(out / "baseband.fskt")
+        array = mimo_cross_array(8, 8, 0.2)
+        f = overrides.get("frequencies", {"pair": "10.0"})
+        if method == "bp":
+            v = overrides["voxel"]
+            spec = VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
+            image = backproject(baseband, spec, array, FrequencySet(tuple(g * 1e9 for g in f["values_ghz"])))
+        else:
+            freqs = (FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
+                     else FrequencySet.from_pair_name(f["pair"]))
+            recon = fsk3_reconstruct if method == "3fsk" else fsk2_reconstruct
+            image = recon(baseband, mio.load_candidate_grid(out / "prior_grid.json"), array, freqs)
+        want = magnitude_filter(image).depth.astype(np.float32)
+        assert np.array_equal(mio.read_pfm(out / f"{method}_depth.pfm"), want, equal_nan=True)
 
     def test_sparse_random_cloud_evaluates(self, tmp_path):
         # 64 points on a 32x32 grid bin to isolated pixels, which the

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,11 +89,14 @@ def exact_phase_reference(points, baseband, array, freqs):
     return out / array.n_pairs
 
 
+def turn_scratch(n):
+    """The scratch buffers ``_turn_phasors`` takes for ``n`` elements."""
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.complex128)
+
+
 def turn_phasors(b, d):
     """``_turn_phasors`` with freshly allocated buffers."""
-    n = d.size
-    scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.complex128))
-    return _turn_phasors(b, d, np.empty(d.shape, dtype=np.complex128), scratch)
+    return _turn_phasors(b, d, np.empty(d.shape, dtype=np.complex128), turn_scratch(d.size))
 
 
 def random_baseband(rng, array, n_f):
@@ -388,6 +392,29 @@ class TestTurnPhasors:
             block = turn_phasors(b, d)
             assert np.array_equal(turn_phasors(b, d[7:8]), block[7:8])
             assert np.array_equal(turn_phasors(b, d.ravel()[order]), block.ravel()[order])
+
+    def test_negative_wavenumbers_match_exp(self):
+        # The forward model's sign gives negative k: the table index must
+        # wrap to k mod 1024 before the gather, whose mode="clip" would pin
+        # every negative index to entry 0.
+        rng = np.random.default_rng(14)
+        d = np.concatenate([np.linspace(0.0, 3.0, 30001), rng.uniform(0.0, 3.0, 30000)])
+        worst = max(np.abs(turn_phasors(-b, d) - np.exp(1j * (d * -b))).max() for b in self.WAVENUMBERS)
+        assert worst <= 1.6e-16
+
+    def test_gather_writes_into_the_table(self):
+        # np.take's default mode="raise" buffers ``out``: a table-sized
+        # allocation and copy (385,872 B on this block) per call.
+        d = np.random.default_rng(15).uniform(0.25, 1.2, (256, 94))
+        out, scratch = np.empty(d.shape, dtype=np.complex128), turn_scratch(d.size)
+        _turn_phasors(self.WAVENUMBERS[0], d, out, scratch)
+        tracemalloc.start()
+        try:
+            _turn_phasors(self.WAVENUMBERS[0], d, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestMeanPairPhasors:

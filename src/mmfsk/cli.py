@@ -36,7 +36,7 @@ from . import __version__
 from . import io as mio
 from .correlate import CandidateGrid
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap, build_prior
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, InsufficientDataError, NumericalError
 from .metrics import SCORES, EvalReport, evaluate_image, report_table, spearman_rho
 from .reconstruct import (
     DEFAULT_FILTER_DB,
@@ -48,7 +48,8 @@ from .reconstruct import (
 )
 from .reconstruct import fsk2_reconstruct as mm2fsk_reconstruct  # bench/spans.py HOOKS traces this name here
 from .signal_core import FREQUENCY_PAIRS, FrequencySet, mimo_cross_array
-from .simulate import SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, simulate_baseband, surface_depth
+from .simulate import (RENDER_DEPTHS, SCENE_PARAMS, NoiseSpec, make_scene, render_depth_map, simulate_baseband,
+                       surface_depth)
 
 log = logging.getLogger("mmfsk")
 
@@ -335,7 +336,12 @@ def cmd_prior(cfg: dict, run: dict) -> int:
         scene_cfg = cfg["scene"]
         depth_map = render_depth_map(scene_cfg["kind"], scene_cfg["params"], intr, ext, *size)
         depth_map = _degrade_depth_map(depth_map, spec["noise_mm"], spec["dropout"], cfg["seed"])
-        prior = build_prior(depth_map, intr, ext, grid)
+        try:
+            prior = build_prior(depth_map, intr, ext, grid)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(
+                f"{exc}, got {depth_map.valid.sum()} of {depth_map.valid.size} (prior.dropout {spec['dropout']}; "
+                "the camera renders surfaces at camera depths of {}-{} m only)".format(*RENDER_DEPTHS)) from exc
     else:
         prior = _load_prior_grid(spec["path"], grid)
     outdir = _outdir(cfg)
@@ -408,8 +414,9 @@ def cmd_eval(cfg: dict, run: dict) -> int:
         x, y = (run["voxel"].axis(0), run["voxel"].axis(1)) if method == "bp" else (run["grid"].x, run["grid"].y)
         image = mio.read_radar_image(outdir, method, x, y)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
+        pitch_key = "config grid.spacing" if method != "bp" or cfg["voxel"] is None else "config voxel"
         reports.append(evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
-                                      label=label))
+                                      label=label, pitch_name=pitch_key))
     for method, report in zip(cfg["methods"], reports):
         mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")

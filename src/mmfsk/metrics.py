@@ -22,7 +22,7 @@ import numpy as np
 
 from .correlate import CandidateGrid
 from .depth_prior import _runs
-from .errors import InsufficientDataError, StructuralError
+from .errors import ConfigurationError, InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
 from .simulate import make_scene, surface_depth
 
@@ -274,6 +274,7 @@ def evaluate_image(
     erode: int = 1,
     *,
     label: str,
+    pitch_name: str = "the image pitch",
 ) -> EvalReport:
     """Score one reconstruction against its scene's ground truth.
 
@@ -282,13 +283,21 @@ def evaluate_image(
     projective error uses the analytic ground-truth depth on its pixels. A
     ``random-cloud`` scene has no surface: its ground-truth depth is binned
     points, isolated pixels that any erosion would remove, so ``erode`` is
-    ignored there and the eroded values equal the masked ones.
+    ignored there and the eroded values equal the masked ones. A pitch the
+    scene cannot be resampled at (more than 4096 samples a side, say)
+    raises ``ConfigurationError`` naming ``pitch_name``, the setting the
+    pitch comes from.
     """
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
     grid = CandidateGrid(image.x, image.y, image.depth)
-    gt_cloud = resample_gt_cloud(kind, params, _pitch(grid))
+    pitch = _pitch(grid)
+    try:
+        gt_cloud = resample_gt_cloud(kind, params, pitch)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{pitch_name} gives a pitch of {pitch!r} m, at which the ground truth "
+                                 f"cannot be resampled: {exc}") from exc
     gt_depth = resample_gt_depth(kind, params, grid)
     joint = np.isfinite(gt_depth) & image.valid
     eroded = erode_mask(joint, 0 if kind == "random-cloud" else erode)

@@ -196,10 +196,11 @@ def backproject(
     """
     xs, ys, zs = spec.axis(0), spec.axis(1), spec.axis(2)
     per_run = max(1, _BP_RUN_POINTS // (len(ys) * len(xs)))
+    ones = np.ones(len(freqs))  # the carrier mean as a GEMV, not a pairwise row sum
     runs = []
     for lo in range(0, len(zs), per_run):  # ascending runs of whole depth planes, plane-major
         pts = np.stack(np.meshgrid(zs[lo:lo + per_run], ys, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
-        runs.append(np.abs(mean_pair_phasors(pts, baseband, array, freqs, workers=workers).mean(axis=1)))
+        runs.append(np.abs(mean_pair_phasors(pts, baseband, array, freqs, workers=workers) @ ones / len(freqs)))
     score = np.concatenate(runs).reshape(len(zs), len(ys), len(xs))
     best = score.max(axis=0)
     return RadarImage(

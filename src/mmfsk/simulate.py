@@ -38,7 +38,9 @@ SCENE_PARAMS = {
 # the result never depends on threading or scheduling.
 _TARGET_CHUNK = 512
 
+_MAX_LATERAL_SAMPLES = 4096  # per axis of a surface scene: 4096**2 targets are 400 MB of (N, 3) float64
 _BISECTIONS = 60  # most halvings of a render; a 47 mm bracket reaches its last ulp in about 50
+RENDER_DEPTHS = (0.01, 3.0)  # the camera depths (m) a render scans: surfaces outside come back NaN
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,14 @@ class NoiseSpec:
 
 
 def _lateral_samples(extent: float, spacing: float, center: float = 0.0) -> np.ndarray:
+    """At most ``_MAX_LATERAL_SAMPLES`` samples, checked before any is made."""
     if extent <= 0.0 or spacing <= 0.0:
         raise ConfigurationError("extent and spacing must be positive")
     if not math.isfinite(extent / spacing):
         raise ConfigurationError(f"extent / spacing must be finite, got {extent!r} / {spacing!r}")
+    if extent / spacing >= _MAX_LATERAL_SAMPLES:
+        raise ConfigurationError(f"extent / spacing = {extent!r} / {spacing!r} needs {extent / spacing + 1:.3g} "
+                                 f"samples per axis, more than {_MAX_LATERAL_SAMPLES}")
     n = int(math.floor(extent / spacing)) + 1
     return center + (np.arange(n) - (n - 1) / 2.0) * spacing
 
@@ -215,13 +221,14 @@ def render_depth_map(
     rays miss the surface footprint come back NaN, which is exactly how
     real depth cameras fail.
 
-    The bracket comes from a coarse scan of 64 camera depths from 1 cm to
-    3 m. The scan carries only the rays that may still cross from in front
-    of the surface to behind it. A ray leaves at its first crossing, or
-    once it is outside the footprint square and moving away from it: its
-    lateral position is monotone in depth, so every later gap is NaN. A
-    ray that leaves without crossing comes back NaN. Bisection then runs
-    on the bracketed rays alone, for at most ``_BISECTIONS`` halvings.
+    The bracket comes from a coarse scan of 64 camera depths over
+    ``RENDER_DEPTHS``, 1 cm to 3 m. The scan carries only the rays that
+    may still cross from in front of the surface to behind it. A ray
+    leaves at its first crossing, or once it is outside the footprint
+    square and moving away from it: its lateral position is monotone in
+    depth, so every later gap is NaN. A ray that leaves without crossing
+    comes back NaN. Bisection then runs on the bracketed rays alone, for
+    at most ``_BISECTIONS`` halvings.
     """
     u = np.arange(width, dtype=np.float64)
     v = np.arange(height, dtype=np.float64)
@@ -243,7 +250,7 @@ def render_depth_map(
         x, y = s * d[0] + t_x, s * d[1] + t_y
         return (s * d[2] + t_z) - surface_depth(kind, params, x, y), x, y
 
-    steps = np.linspace(0.01, 3.0, 64)
+    steps = np.linspace(*RENDER_DEPTHS, 64)
     hi = np.full(width * height, np.nan)
     ray = np.arange(width * height)  # rays still scanned, with their directions
     d = dirs_r

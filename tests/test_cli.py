@@ -362,6 +362,16 @@ class TestReconstructAndEval:
         assert "joint validity mask is empty" in caplog.text
         assert not list((tmp_path / "out").glob("eval_*"))
 
+    def test_grid_spacing_too_fine_to_resample_exits_1_naming_it(self, tmp_path, caplog):
+        # eval resamples the 6 cm scene at the grid's pitch: 6e298 samples a side
+        cfg = write_config(tmp_path / "cfg.json", grid={"width": 24, "height": 24, "spacing": 1e-300})
+        for cmd in ("simulate", "prior", "reconstruct"):
+            assert main([cmd, "-c", str(cfg)]) == 0, cmd
+        assert main(["eval", "-c", str(cfg)]) == 1
+        assert "validation: config grid.spacing gives a pitch of " in caplog.text
+        assert "needs 6e+298 samples per axis, more than 4096" in caplog.text
+        assert not list((tmp_path / "out").glob("eval_*"))
+
     @pytest.mark.parametrize("command, methods, message", [
         ("reconstruct", "2fsk", "config methods must be a non-empty list, got '2fsk'"),
         ("eval", ["hologram"], "config methods[0] must be one of ['2fsk', 'mm2fsk', '3fsk', 'bp'], got 'hologram'"),
@@ -721,7 +731,17 @@ class TestNothingWrittenOnFailure:
         cfg = small_config(tmp_path / "cfg.json", prior={"mode": "camera", "width": 40, "height": 30,
                                                          "dropout": 0.9999})
         assert main(["prior", "-c", str(cfg)]) == 1
-        assert "need at least 3 valid depth pixels" in caplog.text
+        assert "need at least 3 valid depth pixels, got " in caplog.text
+        assert "of 1200 (prior.dropout 0.9999; the camera renders" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_camera_prior_past_the_render_range_names_the_range(self, tmp_path, caplog):
+        # the renderer scans camera depths up to 3 m: a plane at 4 m leaves every pixel NaN
+        cfg = small_config(tmp_path / "cfg.json", prior={"mode": "camera", "width": 40, "height": 30},
+                           scene={"kind": "plane", "params": {"depth": 4.0, "extent": 0.06, "spacing": 0.002}})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert ("validation: need at least 3 valid depth pixels, got 0 of 1200 (prior.dropout 0.0; the camera "
+                "renders surfaces at camera depths of 0.01-3.0 m only)") in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_file_prior_off_the_config_grid_exits_1(self, tmp_path, caplog):

@@ -455,18 +455,38 @@ class TestMeanPairPhasors:
         want = reference_correlation(baseband, grid, array, freqs)[grid.valid]
         assert np.abs(whole - want).max() / np.abs(want).max() < 1e-12
 
+    def test_desk_bp_shape_is_worker_independent_and_exact(self, desk_array):
+        # The desk-bp call: 16x16 pairs at the 16 uniform carriers, each
+        # carrier's pair sums one GEMV. 600 points span three 256-row
+        # blocks, the last one padded.
+        rng = np.random.default_rng(29)
+        freqs = FrequencySet(tuple(np.linspace(72e9, 82e9, 16)))
+        baseband = random_baseband(rng, desk_array, len(freqs))
+        grid = CandidateGrid.regular(30, 20, 0.002).with_prior(rng.uniform(0.28, 0.32, (20, 30)))
+        pts = grid.points()
+        whole = mean_pair_phasors(pts, baseband, desk_array, freqs, workers=1)
+        for w in (2, 3):
+            assert np.array_equal(whole, mean_pair_phasors(pts, baseband, desk_array, freqs, workers=w))
+        # the nested-loop oracle at both ends of every block (point i is pixel i)
+        keep = np.zeros(grid.valid.shape, dtype=bool)
+        keep.flat[[0, 255, 256, 511, 512, 599]] = True
+        sparse = grid.with_prior(np.where(keep, grid.prior_depth, np.nan))
+        want = reference_correlation(baseband, sparse, desk_array, freqs)[keep]
+        assert np.abs(whole[keep.ravel()] - want).max() / np.abs(want).max() < 1e-12
+
     def test_blas_thread_count_does_not_change_bytes(self):
         # OpenBLAS reads its thread count once, at import: one child each.
+        # A 2-carrier call on 64x64 pairs and the 16-carrier desk-bp call.
         script = (
             "import hashlib, numpy as np\n"
             "from mmfsk import BasebandTensor, FrequencySet, mean_pair_phasors, mimo_cross_array\n"
             "rng = np.random.default_rng(8)\n"
-            "array = mimo_cross_array(64, 64, 0.4)\n"
-            "d = rng.normal(size=(64, 64, 2, 2))\n"
-            "bb = BasebandTensor(d[..., 0] + 1j * d[..., 1])\n"
             "pts = rng.uniform(-0.05, 0.05, (700, 3)) + [0, 0, 0.3]\n"
-            "out = mean_pair_phasors(pts, bb, array, FrequencySet((72e9, 82e9)), workers=1)\n"
-            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+            "for n, aperture, freqs in ((64, 0.4, (72e9, 82e9)), (16, 0.2, tuple(np.linspace(72e9, 82e9, 16)))):\n"
+            "    d = rng.normal(size=(n, n, len(freqs), 2))\n"
+            "    bb = BasebandTensor(d[..., 0] + 1j * d[..., 1])\n"
+            "    out = mean_pair_phasors(pts, bb, mimo_cross_array(n, n, aperture), FrequencySet(freqs), workers=1)\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         digests = []
@@ -475,8 +495,8 @@ class TestMeanPairPhasors:
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, timeout=120, check=True)
-            digests.append(run.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            digests.append(run.stdout.split())
+        assert [len(h) for h in digests[0]] == [64, 64] and digests[0] == digests[1]
 
 
 class TestCarrierRecurrence:

@@ -16,7 +16,7 @@ from mmfsk import (
     surface_depth,
 )
 from mmfsk.errors import ConfigurationError
-from mmfsk.simulate import _TARGET_CHUNK
+from mmfsk.simulate import _TARGET_CHUNK, _lateral_samples
 from test_correlate import distance_tables
 from test_depth_prior import rotation_about
 
@@ -235,6 +235,14 @@ class TestMakeScene:
         # 1e308 / 1.5 mm overflows to inf, which no sample count can hold
         with pytest.raises(ConfigurationError, match="extent / spacing must be finite"):
             make_scene("plane", {"depth": 0.3, "extent": 1e308, "spacing": 0.0015})
+
+    def test_sample_count_is_bounded_before_sampling(self):
+        # 6 cm at 1e-300 m would ask numpy for 6e298 samples a side
+        with pytest.raises(ConfigurationError, match=r"needs 6e\+298 samples per axis, more than 4096"):
+            make_scene("plane", {"depth": 0.3, "extent": 0.06, "spacing": 1e-300})
+        assert _lateral_samples(4095.0, 1.0).size == 4096
+        with pytest.raises(ConfigurationError, match="more than 4096"):
+            _lateral_samples(4096.0, 1.0)
 
     def test_deterministic_sampling(self):
         params = {"depth": 0.3, "extent": 0.03, "spacing": 0.002}

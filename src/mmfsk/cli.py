@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__
 from . import io as mio
-from .correlate import CandidateGrid
+from .correlate import EXACT_PHASE, CandidateGrid, carrier_wavenumbers
 from .depth_prior import CameraIntrinsics, Extrinsics, OpticalDepthMap, build_prior
 from .errors import ConfigurationError, InsufficientDataError, NumericalError
-from .metrics import SCORES, EvalReport, evaluate_image, report_table, spearman_rho
+from .metrics import SCORES, EvalReport, evaluate_image, report_table, resample_pitch, spearman_rho
 from .reconstruct import (
     DEFAULT_FILTER_DB,
     VoxelGridSpec,
@@ -245,20 +245,41 @@ def _resolve(cfg: dict) -> dict:
     """The run's library objects, built once before any stage reads or
     writes a file, so every rule they own fails first: the array, the
     carriers, the candidate grid, the scalar prior (``None`` unless
-    ``prior.mode`` is scalar), the voxel volume and the noise."""
+    ``prior.mode`` is scalar), the voxel volume and the noise. Two rules
+    span sections: ``eval`` must be able to resample a surface scene at the
+    grid's pitch, and a scalar prior must keep every phase the correlator
+    forms, |b*d| at the highest carrier to the grid's farthest candidate,
+    within its exact range."""
     a, f, g, v, n = cfg["array"], cfg["frequencies"], cfg["grid"], cfg["voxel"], cfg["noise"]
     if v is None:  # the grid's footprint, 20 cm of depth around the scene
         v = {"extents": [g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20],
              "resolution": [g["width"], g["height"], 201], "center": [*g["center"], 0.30]}
+    array = mimo_cross_array(*(ARRAY_PROFILES[a["profile"]] if "profile" in a
+                               else (a["n_tx"], a["n_rx"], a["aperture"])))
+    freqs = (FrequencySet.from_pair_name(f["pair"]) if "pair" in f
+             else FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
+             else FrequencySet(tuple(x * 1e9 for x in f["values_ghz"])))
     grid = CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
+    prior = None
+    if cfg["prior"]["mode"] == "scalar":
+        value = cfg["prior"]["value"]
+        prior = grid.with_scalar_prior(value)
+        corners = np.array([[x, y, value] for x in grid.x[[0, -1]] for y in grid.y[[0, -1]]])
+        diff = corners[:, None] - np.concatenate([array.tx_positions, array.rx_positions])
+        far = np.hypot(np.hypot(diff[..., 0], diff[..., 1]), diff[..., 2]).max()  # hypot: no overflow
+        phase = np.abs(carrier_wavenumbers(freqs)[0]).max() * far
+        if not phase < EXACT_PHASE:
+            raise ConfigurationError(
+                f"config prior.value {value!r} m puts the grid's farthest candidate {far:.4g} m from an antenna: "
+                f"a phase of {phase:.3g} rad at {max(freqs.frequencies) / 1e9:g} GHz, beyond the correlator's "
+                f"exact range of {EXACT_PHASE:.3g} rad")
+    if set(cfg["methods"]) - {"bp"}:  # eval scores these on the grid
+        resample_pitch(cfg["scene"]["kind"], cfg["scene"]["params"], grid, "config grid.spacing")
     return {
-        "array": mimo_cross_array(*(ARRAY_PROFILES[a["profile"]] if "profile" in a
-                                    else (a["n_tx"], a["n_rx"], a["aperture"]))),
-        "freqs": (FrequencySet.from_pair_name(f["pair"]) if "pair" in f
-                  else FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
-                  else FrequencySet(tuple(x * 1e9 for x in f["values_ghz"]))),
+        "array": array,
+        "freqs": freqs,
         "grid": grid,
-        "prior": grid.with_scalar_prior(cfg["prior"]["value"]) if cfg["prior"]["mode"] == "scalar" else None,
+        "prior": prior,
         "voxel": VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"])),
         "noise": (NoiseSpec(snr_db=n["snr_db"], seed=n.get("seed", cfg["seed"]))
                   if n and n.get("snr_db") is not None else NoiseSpec()),

@@ -81,6 +81,7 @@ _TURNS = 1024  # turn-table entries: reduced angles lie within pi/_TURNS
 _C1 = float.fromhex("0x1.921fb58p-8")
 _C2 = float.fromhex("-0x1.dde974p-35")
 _C3 = float.fromhex("0x1.1a62633145c07p-62")
+EXACT_PHASE = 2**27 * 2 * np.pi / _TURNS  # the exact range: |b*d| below this keeps k*_C1 and k*_C2 exact
 
 
 def _turn_table() -> np.ndarray:

@@ -11,11 +11,13 @@ A depth camera's pixels sit on an integer lattice, and most Delaunay
 faces of a lattice are known without computing anything: every complete
 unit quad, every quad with three valid corners, and the diamond around a
 lone missing pixel. ``triangulate`` finds them by gathers from one index
-image over the pixels' bounding box and gives only the points along
-irregular holes and the outer border to Qhull, keeping the Qhull
-triangles that fall where no lattice cell lies. Input off the lattice
-(non-integer or repeated pixels), or so sparse on it that the index image
-would exceed ``_LATTICE_ENTRIES`` entries, goes to Qhull whole.
+image over the pixels' bounding box; an advancing Delaunay front in numpy
+(``_Front``) fills the rest of the hull from the cells' boundary edges,
+with the points along irregular holes and the outer border as its
+candidates. Input off the lattice (non-integer or repeated pixels), or so
+sparse on it that the index image would exceed ``_LATTICE_ENTRIES``
+entries, runs the front from one convex-hull edge over every point. The
+package needs no scipy.
 
 Rasterization is one array pass over all triangles rather than a loop per
 triangle. Each triangle's integer bounding box expands into (triangle,
@@ -40,9 +42,9 @@ from .errors import (
 from .signal_core import freeze
 
 _ORTHONORMAL_TOL = 1e-9
-_MIN_TRIANGLE_AREA = 1e-12  # squared pixels; drops numerically degenerate slivers
 _LATTICE_ENTRIES = 1 << 23  # largest index image, 15 bytes an entry across its images; 1920 x 1080 needs 2.1M
-_PAIR_CHUNK = 1 << 16  # (triangle, pixel), (query, strip) or (query, point) pairs a pass: a few MB of temporaries
+_PAIR_CHUNK = 1 << 16  # (triangle, pixel), (query, strip), (query, point) or (edge, candidate) pairs a pass: a few MB of temporaries
+_REACH = 2.0  # px: how far the first search for an edge's apex looks
 
 
 @dataclass(frozen=True)
@@ -151,26 +153,25 @@ def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics):
 
 
 def _lattice_cells(pixels: np.ndarray):
-    """Delaunay cells read off the integer pixel lattice, without Qhull.
+    """Delaunay cells read off the integer pixel lattice.
 
-    Returns ``(cells, remainder, covered)``: the cell triangles as point
-    indices, a mask of the points that touch ground no cell covers, and a
-    function telling whether an integer point sum ``a + b + c`` (three
-    times a triangle's centroid) falls in ground a cell covers.
+    Returns ``(cells, remainder, lattice)``: the cell triangles as point
+    indices, counter-clockwise; a mask of the points that touch ground no
+    cell covers; and whether the pixels could be read off the lattice.
 
     Neighbours are found in one index image over the pixels' bounding box
     with a margin of one on every side: each entry holds its pixel's point
     index, or -1 for a hole. A key is an entry's flat position, and the
-    unit quad at key k has k as its lower-left corner. Coverage is kept per
-    quad quarter: the two diagonals cut each quad (corners c00, c10, c11,
-    c01, counter-clockwise) into quarters 0-3, and quarter k lies between
-    corners k and k + 1. Every cell is a union of whole quarters.
-    Non-integer or repeated pixels give no cells and send every point to
-    Qhull, as does a box of more than ``_LATTICE_ENTRIES`` entries (points
+    unit quad at key k has k as its lower-left corner. Coverage is judged
+    per quad quarter: the two diagonals cut each quad (corners c00, c10,
+    c11, c01, counter-clockwise) into quarters 0-3, and quarter k lies
+    between corners k and k + 1. Every cell is a union of whole quarters.
+    Non-integer or repeated pixels give no cells and a remainder of every
+    point, as does a box of more than ``_LATTICE_ENTRIES`` entries (points
     sparse on their lattice).
     """
     n = pixels.shape[0]
-    no_cells = np.zeros((0, 3), dtype=np.int64), np.ones(n, dtype=bool), None
+    no_cells = np.zeros((0, 3), dtype=np.int64), np.ones(n, dtype=bool), False
     if not (np.isfinite(pixels).all() and (pixels == np.round(pixels)).all()):
         return no_cells
     u, v = pixels.T  # one column each: reducing (N, 2) rows over axis 0 is ~25x slower
@@ -218,17 +219,161 @@ def _lattice_cells(pixels: np.ndarray):
     open_beside = ~filled | ~np.roll(filled, 1, axis=0)  # quarters k - 1 and k touch corner k
     remainder = np.zeros(n, dtype=bool)
     remainder[corner[valid & open_beside]] = True
-    quarters = np.zeros((4, width * height), dtype=bool)  # filled quarters of the quad at each key
-    quarters[:, quads] = filled
+    return cells, remainder, True
 
-    def covered(triple_sum):
-        cell, frac = np.divmod(triple_sum, 3)  # quad of the centroid, position in thirds
-        k = (cell[:, 1] - lo[1]) * width + (cell[:, 0] - lo[0])
-        along, across = frac[:, 0] - frac[:, 1], frac[:, 0] + frac[:, 1] - 3
-        q = np.where(along > 0, np.where(across < 0, 0, 1), np.where(across > 0, 2, 3))
-        return quarters[q, k]
 
-    return cells, remainder, covered
+def _member(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each of the integers ``x`` is among the non-empty ``y``."""
+    y = np.sort(y)
+    return y.take(np.searchsorted(y, x), mode="clip") == x
+
+
+class _Front:
+    """An advancing Delaunay front over the candidate points ``cand``.
+
+    Each round gives every directed front edge a -> b the candidate c on
+    its left with the largest angle a-c-b: circles through a and b are
+    nested on the left of ab, so c's holds no point there and (a, b, c)
+    is Delaunay. An edge with nothing on its left lies on the hull. The
+    predicates are exact on integer pixels spread over less than 4,096
+    px, since every product is an integer below 2^53 and cotangents
+    ``dot / cross`` that differ as fractions differ as doubles; beyond
+    that they round. Cocircular ties become a fan from the smallest
+    point index of the tie set and the edge, the same split from every
+    edge of the cell. On the lattice an edge searches the candidates
+    within ``_REACH`` px on its left (rows of candidates sorted by
+    position), then, if the circle through it and its best one leaves
+    that window, the circle's left part, or the whole box if the window
+    held none. Off the lattice every edge searches every candidate.
+    """
+
+    def __init__(self, pixels: np.ndarray, cand: np.ndarray, lattice: bool):
+        self.x, self.y = (np.ascontiguousarray(c) for c in pixels.T)
+        self.lo, self.hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))
+        self.span = float(np.hypot(*(self.hi - self.lo))) + 1.0  # a reach that covers the whole box
+        self.width, self.cand = 0, cand  # width 0: off the lattice
+        if lattice:
+            self.width = int(self.hi[0] - self.lo[0]) + 1
+            key = ((self.y.take(cand) - self.lo[1]) * self.width + (self.x.take(cand) - self.lo[0])).astype(np.int64)
+            order = np.argsort(key, kind="stable")
+            self.cand, self.keys = cand.take(order), key.take(order)
+
+    def triangles(self, front: np.ndarray) -> np.ndarray:
+        """Advance ``front`` (E, 2) until it closes; the new triangles."""
+        n, out, total = self.x.size, [], 0
+        while front.size:
+            a, b = front.T
+            c = self.apexes(a, b)
+            tri = np.column_stack([a, b, c])[c >= 0]
+            if not tri.size:
+                break
+            # front edges of one triangle each find it: keep one row per triangle
+            r = tri.argmin(axis=1)
+            at = np.arange(tri.shape[0])
+            tri = tri[np.unique(tri[at, r] * n + tri[at, (r + 1) % 3], return_index=True)[1]]
+            out.append(tri)
+            total += tri.shape[0]
+            if total > 2 * n:  # more than any triangulation of n points has
+                raise DegenerateGeometryError("pixel coordinates too far apart to triangulate exactly")
+            e = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+            own, back = e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]
+            front = e[~_member(back, own) & ~_member(own, a * n + b)][:, ::-1]
+        return np.concatenate(out) if out else np.zeros((0, 3), dtype=np.int64)
+
+    def apexes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Each edge's apex, or -1 for an edge with no candidate on its left."""
+        x, y = self.x, self.y
+        self.ax, self.ay = x.take(a), y.take(a)
+        self.dx, self.dy = x.take(b) - self.ax, y.take(b) - self.ay
+        self.length = np.hypot(self.dx, self.dy)
+        best = np.full(a.size, np.inf)  # per edge, the least cot(a-c-b) over c on its left
+        found = []  # (edge, c) at the edge's best, for settled edges
+        k, reach, last = np.arange(a.size), np.full(a.size, _REACH), not self.width
+        while k.size:
+            best[k] = np.inf
+            hits = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+            for e, pos in self.pairs(k, reach):
+                c = self.cand.take(pos)
+                ux, uy = x.take(c) - self.ax.take(e), y.take(c) - self.ay.take(e)
+                dx, dy = self.dx.take(e), self.dy.take(e)
+                cross = dx * uy - dy * ux
+                left = cross > 0.0
+                e, c, ux, uy, dx, dy, cross = (v[left] for v in (e, c, ux, uy, dx, dy, cross))
+                cot = (ux * (ux - dx) + uy * (uy - dy)) / cross
+                np.minimum.at(best, e, cot)
+                keep = cot <= best.take(e)
+                hits.append((e[keep], c[keep], cot[keep]))
+            e, c, cot = (np.concatenate(v) for v in zip(*hits))
+            # how far the left part of the circle through a, b and the best candidate reaches from ab
+            cot_k = best.take(k)
+            rho = np.sqrt(1.0 + cot_k * cot_k) / 2.0  # radius over |ab|; inf with no candidate
+            need = self.length.take(k) * np.maximum(rho - 0.5, cot_k / 2.0 + rho)
+            settled = last | (need <= reach)
+            done = np.zeros(a.size, dtype=bool)
+            done[k[settled]] = True
+            keep = done.take(e) & (cot == best.take(e))
+            found.append((e[keep], c[keep]))
+            k, reach, last = k[~settled], np.where(need < np.inf, need * (1 + 1e-9) + 1e-9, self.span)[~settled], True
+        apex = np.full(a.size, -1)
+        e, c = (np.concatenate(f) for f in zip(*found))
+        if not e.size:
+            return apex
+        order = np.argsort(e, kind="stable")
+        e, c = e.take(order), c.take(order)
+        first = np.flatnonzero(np.diff(e, prepend=-1))
+        size = np.diff(first, append=e.size)
+        # the fan's pivot: the smallest index of the tie set and the edge;
+        # from an edge end, the apex is the tie point next to the other end
+        ea, eb = a.take(e), b.take(e)
+        pivot = np.repeat(np.minimum(np.minimum.reduceat(c, first), np.minimum(ea[first], eb[first])), size)
+        at_end = (pivot == ea) | (pivot == eb)
+        other = np.where(pivot == ea, eb, ea)
+        vx, vy = x.take(other) - x.take(pivot), y.take(other) - y.take(pivot)
+        wx, wy = x.take(c) - x.take(pivot), y.take(c) - y.take(pivot)
+        turn = np.divide(vx * wx + vy * wy, np.abs(vx * wy - vy * wx),
+                         out=np.where(c == pivot, np.inf, -np.inf), where=at_end)
+        chosen = turn == np.repeat(np.maximum.reduceat(turn, first), size)
+        apex[e[chosen]] = c[chosen]
+        return apex
+
+    def pairs(self, k: np.ndarray, reach: np.ndarray):
+        """(edge, candidate position) pairs in pieces of ``_PAIR_CHUNK``:
+        each edge of ``k`` against the candidates in the box around its
+        left within ``reach`` px; against all of them off the lattice."""
+        if not self.width:
+            for i, pos in _runs(np.zeros_like(k), np.full(k.size, self.cand.size)):
+                yield k.take(i), pos
+            return
+        # the box of a + s (b - a) + t n, n = (b - a) turned left, s in [-mu, 1 + mu],
+        # t in [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|
+        length = self.length.take(k)
+        mu, inner = reach / length, 1.0 / (length * length)
+        box = []
+        for p, d, n, lo, hi in ((self.ax, self.dx, -self.dy, self.lo[0], self.hi[0]),
+                                (self.ay, self.dy, self.dx, self.lo[1], self.hi[1])):
+            p, d, n = p.take(k), d.take(k), n.take(k)
+            s, t = (-mu * d, (1.0 + mu) * d), (inner * n, mu * n)
+            box.append((np.maximum(np.ceil(p + np.minimum(*s) + np.minimum(*t) - 1e-9), lo) - lo).astype(np.int64))
+            box.append((np.minimum(np.floor(p + np.maximum(*s) + np.maximum(*t) + 1e-9), hi) - lo).astype(np.int64))
+        x0, x1, y0, y1 = box
+        for j, row in _runs(y0, np.where(x1 >= x0, np.maximum(y1 + 1, y0), y0)):  # (edge, row) pairs
+            start = np.searchsorted(self.keys, row * self.width + x0.take(j))
+            stop = np.maximum(np.searchsorted(self.keys, row * self.width + x1.take(j), "right"), start)
+            for i, pos in _runs(start, stop):
+                yield k.take(j.take(i)), pos
+
+
+def _hull_edge(pixels: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """A hull edge p -> q with every candidate on its left or its line, or
+    none for candidates on one vertical line."""
+    x, y = pixels[cand].T
+    p = np.lexsort((y, x))[0]  # the lowest of the leftmost: a hull vertex
+    dx, dy = x - x[p], y - y[p]
+    right = np.flatnonzero(dx > 0.0)
+    if not right.size:
+        return np.zeros((0, 2), dtype=np.int64)
+    q = right[np.lexsort((dx[right], dy[right] / dx[right]))[0]]  # the least slope, the nearest on it
+    return cand[[[p, q]]]
 
 
 def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
@@ -242,11 +387,11 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
     these is a whole face of the Delaunay subdivision, since its
     circumcircle passes through its corners and holds no other lattice
     point but a missing one. So every other Delaunay face has its vertices
-    among the points that touch ground no cell covers, and is a Delaunay
-    face of those points alone: only they go to Qhull, and of its
-    triangles only those outside every cell are kept.
-
-    Collinear input cannot be triangulated.
+    among the points that touch ground no cell covers, and ``_Front``
+    fills that ground from the cells' boundary edges. Without cells (input
+    off the lattice, or too sparse on it) the front starts from one hull
+    edge over every distinct pixel, the first of a repeated one. Collinear
+    input cannot be triangulated.
     """
     points = np.asarray(points, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -254,26 +399,23 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
         raise StructuralError("pixels must be (N, 2) matching the point cloud")
     if pixels.shape[0] < 3:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
-    cells, remainder, covered = _lattice_cells(pixels)
-    subset = np.flatnonzero(remainder)
-    # scipy is imported here, its one use in the package, so that a process
-    # that never triangulates (simulate, reconstruct, eval, report, a scalar
-    # or file prior) runs on numpy alone.
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        tri = Delaunay(pixels[subset])
-    except QhullError as exc:
-        raise DegenerateGeometryError(f"input cannot be triangulated: {exc}") from exc
-    simplices = subset[tri.simplices]
-    a, b, c = (pixels[simplices[:, i]] for i in range(3))
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    keep = np.abs(area2) > _MIN_TRIANGLE_AREA
+    if not np.isfinite(pixels).all():
+        raise ValidationError("pixels must be finite")
+    cells, remainder, lattice = _lattice_cells(pixels)
     if cells.size:
-        keep &= ~covered((a + b + c).astype(np.int64))
-    triangles = np.concatenate([cells, simplices[keep]])
+        n = pixels.shape[0]
+        r = remainder.view(np.uint8)  # a sum per column: reducing (M, 3) rows is ~5x slower
+        rim = cells[r.take(cells[:, 0]) + r.take(cells[:, 1]) + r.take(cells[:, 2]) >= 2]
+        edges = rim[:, [1, 0, 2, 1, 0, 2]].reshape(-1, 2)  # each cell edge reversed: the cell on its right
+        edges = edges[remainder[edges].all(axis=1)]  # an edge with ground open beside it
+        front = edges[~_member(edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])]
+        cand = np.flatnonzero(remainder)
+    else:
+        cand = np.arange(pixels.shape[0]) if lattice else np.unique(pixels, axis=0, return_index=True)[1]
+        front = _hull_edge(pixels, cand)
+    triangles = np.concatenate([cells, _Front(pixels, cand, lattice).triangles(front)])
     if not triangles.size:
-        raise DegenerateGeometryError("all triangles are degenerate (collinear input)")
+        raise DegenerateGeometryError("the pixels are collinear: no triangle has area")
     return TriangleMesh(points, triangles, pixels)
 
 

@@ -24,7 +24,7 @@ from .correlate import CandidateGrid
 from .depth_prior import _runs
 from .errors import ConfigurationError, InsufficientDataError, StructuralError
 from .reconstruct import RadarImage
-from .simulate import make_scene, surface_depth
+from .simulate import _lateral_samples, make_scene, surface_depth
 
 _EPS = np.finfo(np.float64).eps
 
@@ -251,6 +251,21 @@ def _pitch(grid: CandidateGrid) -> float:
     return max(grid.spacing) or 0.001
 
 
+def resample_pitch(kind: str, params: dict, grid: CandidateGrid, pitch_name: str) -> float:
+    """The pitch at which ``evaluate_image`` resamples the ground truth on
+    ``grid``. One at which a surface scene needs more than
+    ``simulate._MAX_LATERAL_SAMPLES`` samples a side raises
+    ``ConfigurationError`` naming ``pitch_name``, before any sample is made."""
+    pitch = _pitch(grid)
+    if kind != "random-cloud":
+        try:
+            _lateral_samples(float(params.get("extent", 0.1)), pitch)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{pitch_name} gives a pitch of {pitch!r} m, at which the ground truth "
+                                     f"cannot be resampled: {exc}") from exc
+    return pitch
+
+
 def _bin_cloud_depth(points: np.ndarray, grid: CandidateGrid) -> np.ndarray:
     """Nearest-pixel binning for surfaceless clouds; the front-most point
     per pixel wins, the earliest point on exact ties. A one-pixel axis is
@@ -292,12 +307,7 @@ def evaluate_image(
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
     grid = CandidateGrid(image.x, image.y, image.depth)
-    pitch = _pitch(grid)
-    try:
-        gt_cloud = resample_gt_cloud(kind, params, pitch)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{pitch_name} gives a pitch of {pitch!r} m, at which the ground truth "
-                                 f"cannot be resampled: {exc}") from exc
+    gt_cloud = resample_gt_cloud(kind, params, resample_pitch(kind, params, grid, pitch_name))
     gt_depth = resample_gt_depth(kind, params, grid)
     joint = np.isfinite(gt_depth) & image.valid
     eroded = erode_mask(joint, 0 if kind == "random-cloud" else erode)

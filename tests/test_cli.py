@@ -13,7 +13,7 @@ from mmfsk import (FrequencySet, VoxelGridSpec, backproject, fsk2_reconstruct, f
 from mmfsk import io as mio
 from mmfsk.cli import CONFIG, SELECTORS, build_parser, load_config, main
 from mmfsk.simulate import SCENE_PARAMS
-from corpus import artifacts, tree_digest
+from corpus import artifacts, readme_block, tree_digest
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -362,15 +362,15 @@ class TestReconstructAndEval:
         assert "joint validity mask is empty" in caplog.text
         assert not list((tmp_path / "out").glob("eval_*"))
 
-    def test_grid_spacing_too_fine_to_resample_exits_1_naming_it(self, tmp_path, caplog):
-        # eval resamples the 6 cm scene at the grid's pitch: 6e298 samples a side
+    @pytest.mark.parametrize("command", ["simulate", "prior", "reconstruct", "eval"])
+    def test_grid_spacing_too_fine_to_resample_exits_1_naming_it(self, tmp_path, caplog, command):
+        # eval resamples the 6 cm scene at the grid's pitch: 6e298 samples a
+        # side; every stage resolves that rule before its first write
         cfg = write_config(tmp_path / "cfg.json", grid={"width": 24, "height": 24, "spacing": 1e-300})
-        for cmd in ("simulate", "prior", "reconstruct"):
-            assert main([cmd, "-c", str(cfg)]) == 0, cmd
-        assert main(["eval", "-c", str(cfg)]) == 1
+        assert main([command, "-c", str(cfg)]) == 1
         assert "validation: config grid.spacing gives a pitch of " in caplog.text
         assert "needs 6e+298 samples per axis, more than 4096" in caplog.text
-        assert not list((tmp_path / "out").glob("eval_*"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, methods, message", [
         ("reconstruct", "2fsk", "config methods must be a non-empty list, got '2fsk'"),
@@ -637,9 +637,15 @@ class TestNothingWrittenOnFailure:
         # not the uniform-spacing rule, nor the rule of a voxel section never given
         ({"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [NAN, 0.0]}}, "grid axes must be finite"),
         ({"grid": {"width": 1, "height": 1, "spacing": NAN}}, "grid axes must be finite"),
+        # rules across sections: eval's resampling pitch, the correlator's exact phase range
+        ({"grid": {"width": 8, "height": 8, "spacing": 1e-300}},
+         "config grid.spacing gives a pitch of 1.0000000000000002e-300 m, at which the ground truth cannot be"),
+        ({"prior": {"mode": "scalar", "value": 1e300}}, "config prior.value 1e+300 m puts the grid's farthest"),
+        ({"prior": {"mode": "scalar", "value": 1000.0}}, "config prior.value 1000.0 m puts the grid's farthest"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
             "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "negative-scalar-prior",
-            "nan-grid-center", "nan-pitch-one-pixel"])
+            "nan-grid-center", "nan-pitch-one-pixel", "pitch-too-fine-to-resample", "prior-past-the-exact-range",
+            "prior-at-1-km"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1
@@ -1000,9 +1006,8 @@ def _scipy_modules_after(cfg: Path | None = None, commands=()) -> list:
 
 
 class TestImports:
-    """A process that never triangulates or sweeps starts and runs on numpy
-    alone: scipy loads only for the Qhull step of a camera prior. Scoring
-    (``eval``) needs no scipy."""
+    """Every stage starts and runs on numpy alone, the camera prior's
+    triangulation included; scipy is a test dependency only."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after() == []
@@ -1020,10 +1025,37 @@ class TestImports:
         assert (tmp_path / "out" / f"eval_{method}.json").exists()
 
     def test_stages_after_a_camera_prior_load_no_scipy(self, tmp_path):
-        # the camera prior's Qhull step loads scipy: the rest of the mm2fsk
-        # loop runs in a fresh interpreter
+        # the camera prior triangulates on numpy alone, in a fresh
+        # interpreter as in the rest of the mm2fsk loop
         cfg = write_config(tmp_path / "cfg.json", grid={"width": 8, "height": 8, "spacing": 0.002},
                            prior={"mode": "camera", "noise_mm": 1.0})
-        assert "scipy.spatial" in _scipy_modules_after(cfg, ("prior",))
+        assert _scipy_modules_after(cfg, ("prior",)) == []
         assert _scipy_modules_after(cfg, ("simulate", "reconstruct", "eval", "report")) == []
         assert (tmp_path / "out" / "eval_mm2fsk.json").exists()
+
+
+def _run_loop(root: Path, block_scipy: bool) -> dict:
+    """The README's camera loop and a camera sweep entry, run in a fresh
+    interpreter under ``root``; ``import scipy`` fails there when
+    ``block_scipy``. The sha256 of every file written, snapshots aside."""
+    readme = json.loads(readme_block("experiment.json"))
+    configs = {"loop": (readme, ("simulate", "prior", "reconstruct", "eval", "report")),
+               "sweep": ({**readme, "sweep": {"seeds": [1], "runs": [
+                   {"method": "mm2fsk", "pair": "10.0", "prior": {"mode": "camera", "noise_mm": 1.0}}]}}, ("sweep",))}
+    root.mkdir()
+    script = "import sys\n" + ("sys.modules['scipy'] = None\n" if block_scipy else "") + "from mmfsk.cli import main\n"
+    for name, (cfg, commands) in configs.items():
+        (root / f"{name}.json").write_text(json.dumps({**cfg, "output_dir": name}), encoding="utf-8")
+        script += "".join(f"assert main([{c!r}, '-c', {name + '.json'!r}]) == 0, {c!r}\n" for c in commands)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
+                   timeout=300, check=True)
+    return artifacts(tree_digest(root))
+
+
+def test_camera_loop_and_sweep_run_without_scipy(tmp_path):
+    # the package's one former scipy use was the camera prior's Qhull step
+    blocked = _run_loop(tmp_path / "blocked", block_scipy=True)
+    assert {"loop/prior_grid.json", "loop/eval_mm2fsk.json", "sweep/sweep_report.json"} <= set(blocked)
+    assert blocked == _run_loop(tmp_path / "plain", block_scipy=False)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mmfsk import (
     triangulate,
 )
 from mmfsk import depth_prior
+from mmfsk.cli import _default_calibration
 from mmfsk.errors import (
     DegenerateGeometryError,
     InsufficientDataError,
@@ -59,13 +61,15 @@ def _edge(ax, ay, bx, by, px, py):
     return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
 
+MIN_TRIANGLE_AREA = 1e-12  # squared pixels: Qhull's flat slivers on collinear hull points
+
+
 def qhull_triangulate(points, pixels):
     """Plain Qhull over every pixel, degenerate slivers dropped: the
-    reference mesh, and exactly what ``triangulate`` must build on input
-    off the pixel lattice."""
+    reference mesh."""
     simplices = Delaunay(pixels).simplices
     a, b, c = (pixels[simplices[:, i]] for i in range(3))
-    keep = np.abs(_edge(*a.T, *b.T, *c.T)) > depth_prior._MIN_TRIANGLE_AREA
+    keep = np.abs(_edge(*a.T, *b.T, *c.T)) > MIN_TRIANGLE_AREA
     return TriangleMesh(points, simplices[keep], pixels)
 
 
@@ -84,6 +88,42 @@ def max_cover(pixels, triangles, probes):
     for p, q in ((a, b), (b, c), (c, a)):
         inside &= sign * _edge(p[..., 0], p[..., 1], q[..., 0], q[..., 1], px, py) > 0.0
     return int(inside.sum(axis=0).max())
+
+
+def exact_hull(pix):
+    """The distinct pixels as exact fractions, and their convex hull's
+    corners counter-clockwise (Andrew's monotone chain)."""
+    points = sorted({(Fraction(x), Fraction(y)) for x, y in pix})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return points, chain(points) + chain(points[::-1]), turn
+
+
+def assert_delaunay_oracles(pix, tri):
+    """Delaunay (no point inside any circumcircle) and covering the convex
+    hull once, with the triangle count of every triangulation of the
+    distinct pixels: 2n - 2 - h for n of them, h on the hull's boundary.
+    The hull is exact: Qhull rounds it on input spread over 2^40 px."""
+    assert circumcircle_violations(pix, tri) == 0
+    points, hull, turn = exact_hull(pix)
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    area = sum(a[0] * b[1] - b[0] * a[1] for a, b in edges) / 2
+    on_hull = sum(any(turn(a, b, p) == 0 and min(a, b) <= p <= max(a, b) for a, b in edges) for p in points)
+    assert tri.shape[0] == 2 * len(points) - 2 - on_hull
+    assert np.abs(triangle_area2(pix, tri)).sum() / 2.0 == pytest.approx(float(area), rel=1e-12)
+    corners = np.array(hull, dtype=np.float64)
+    probes = np.random.default_rng(0).dirichlet(np.ones(len(corners)), 2000) @ corners  # inside the hull
+    assert max_cover(pix, tri, probes) == 1
 
 
 def lattice_pixels(mask, offset=(0, 0)):
@@ -116,57 +156,72 @@ LATTICE_MASKS = {
 }
 
 
-# sha256 of _lattice_cells' (cells, remainder, covered) on each LATTICE_MASKS
-# entry and on a 240 x 240 camera-like mask, recorded from the sort-and-search
-# implementation that the index image replaced. ``covered`` is read at every
-# integer triple sum in the pixels' box: a superset of every Qhull simplex's
-# centroid that does not depend on Qhull's version. The inputs are integers,
-# so the digests hold on any machine.
+def domino_hole():
+    mask = np.ones((7, 8), dtype=bool)
+    mask[3, 3:5] = False  # the ring around two missing pixels holds a cocircular 1 x 2 rectangle
+    return mask
+
+
+def trapezoid_notch():
+    mask = np.ones((5, 8), dtype=bool)
+    mask[0, 3:5] = False  # (2, 0), (5, 0), (4, 1), (3, 1): an isosceles trapezoid on the border
+    return mask
+
+
+def circle_of_radius_5(interior=True):
+    v, u = np.mgrid[-5:6, -5:6]
+    r2 = u**2 + v**2
+    return r2 <= 25 if interior else r2 == 25  # the 12 lattice points on x^2 + y^2 = 25
+
+
+TIE_MASKS = {
+    "domino-hole": (domino_hole(), (0, 0)),
+    "trapezoid-notch": (trapezoid_notch(), (0, 0)),
+    "circle-of-radius-5": (circle_of_radius_5(), (-5, -5)),
+    "ring-of-radius-5": (circle_of_radius_5(interior=False), (-5, -5)),  # one cocircular face: a fan
+}
+
+
+# sha256 of _lattice_cells' (cells, remainder) on each LATTICE_MASKS entry and
+# on a 240 x 240 camera-like mask, recorded from the sort-and-search
+# implementation that the index image replaced. The inputs are integers, so
+# the digests hold on any machine.
 LATTICE_DIGESTS = {
     "dropout-5%": (
         "5fcb73db5922a46f6cffb61da9f2bfbda552332c11d310e16f1ca8eac97c2abf",
         "13b795b6e854cf7432e219535ae02ebe11c2d164821b1c7e294d6d8f7880f2d8",
-        "0005bdefad2589b1d6e9841ed7b5f0c7c89eb74fb45e1851b00d164fbf9938b8",
     ),
     "dropout-30%": (
         "3de75e1499c761272351c13f633ae957951799c66bebae1dc1143879fa3f21bf",
         "7e9e073a5a1e9e298c90bdc5831a8217a3d6e8c6980deac2f62b2dbd93b85ef9",
-        "ca4d56aeb7cf609d08723003864875300af2c953e4638689a0d84dc1c64b8447",
     ),
     "dropout-60%": (
         "b51cd7ad77c5d47d3d0908339dcbc4da297d0815803f78f177eb6305ae4776f5",
         "690c61f8b61995cb75356a79f2aa417022b1e3f1296d0a9b4271b4d8aff27623",
-        "ab8c715e65f0dcabda4b228d90525a5b2d204f12ed5eaece61ca05ec9bfd3944",
     ),
     "disk-with-slot": (
         "ea14a82f48c4e14ea73a85c558d499ecbbc8623c200ad0bd07c9274499c79e0f",
         "be7800791284c357d27c4a47899be81adc5a4138b97c1e4dad8411ea94dc1fa7",
-        "76a179df2d44f0f49aa637913a8c72f674ced0de8cefe8c35f814a5d600ee851",
     ),
     "full-rectangle": (
         "727ce824f6ae82e7cc9bf2ebca6f3cc1bcd123418edda59f90147c57db30349f",
         "8da083d814adfef1bc1d7c8c371d71e8b023b5716bf26a339459d26cb8887508",
-        "e149c85aff09f97749110cbb7ed8bc7217dc63887988e42ee11a5f7d30dbd42e",
     ),
     "2xN": (
         "fe3f695ceba6359ba91810861cc09826e01281dcf667a53196f6a15af7794aa6",
         "332810fe8e8b97f1876829fbe078b05d4ecdacaa0c35ca00c0857ac1f3d82f64",
-        "75c88c7b7407f90246aa3e7900faeb8dc0951e90a25659f135f33d1e1290a34a",
     ),
     "Nx2-with-gaps": (
         "7f35326bebb1a6c3a9533e166b4bf6878d2802eb825b8df05da367aaa9e778b2",
         "769feed6b846a2e7f082745c1d83af0073ae48344cc0a50b623843ceedd3c764",
-        "28e3c0646eedcd8cc3549b476b40de50fcc80dcc9badddd3852fe617459d4a67",
     ),
     "negative-offset": (
         "6de71deced177db0f5d4a8f7f8ec639e06e75401f9340e6b8bb8dc828f17cec2",
         "561e421dd2e6f5f47eed83b6623dad0db25433d4e3e85712b989da1e4e112c54",
-        "3cc143ea87fa4c7cad9bc416f5bb094243a1cec3a0f71600a899d527908f5d0b",
     ),
     "camera-240-dropout-5%": (
         "42aecfc912e1516a0c51072901a6fa2308415974979884244c0b7d7c56f87681",
         "2b83e75f9e9fd95f10bc91dd9e0dcd822582f9e3af7c69992aa0acda0d455be6",
-        "a950647600597be3bc37a3487c539c24d9a5c94e20acb6c77975d52136b39a8c",
     ),
 }
 
@@ -175,12 +230,9 @@ DIGEST_MASKS = {**LATTICE_MASKS, "camera-240-dropout-5%": (dropout_mask(0.05, sh
 
 
 def lattice_digests(pixels):
-    cells, remainder, covered = depth_prior._lattice_cells(pixels)
-    lo, hi = (3 * pixels.min(axis=0)).astype(np.int64), (3 * pixels.max(axis=0)).astype(np.int64)
-    su, sv = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1))
-    sums = np.column_stack([su.ravel(), sv.ravel()])
+    cells, remainder, _ = depth_prior._lattice_cells(pixels)
     return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                 for a in (cells.astype("<i8"), remainder, covered(sums)))
+                 for a in (cells.astype("<i8"), remainder))
 
 
 def reference_rasterize(mesh, grid):
@@ -363,6 +415,12 @@ class TestTriangulate:
         with pytest.raises(DegenerateGeometryError):
             triangulate(pts, pix)
 
+    def test_non_finite_pixels_rejected(self):
+        pix = lattice_pixels(np.ones((3, 3), dtype=bool))
+        pix[4, 0] = np.nan
+        with pytest.raises(ValidationError, match="pixels must be finite"):
+            triangulate(np.zeros((9, 3)), pix)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             triangulate(np.zeros((2, 3)), np.array([[0.0, 0.0], [1.0, 1.0]]))
@@ -402,7 +460,7 @@ class TestTriangulate:
             triangulate(pts, pix)
 
     @pytest.mark.parametrize("kind", ["non-integer", "duplicated", "far-out", "sparse"])
-    def test_off_lattice_input_is_plain_qhull(self, kind):
+    def test_off_lattice_input_meets_the_oracles(self, kind):
         pix = lattice_pixels(dropout_mask(0.1, shape=(15, 18), seed=7))
         if kind == "non-integer":
             pix[5, 0] += 0.5
@@ -423,7 +481,50 @@ class TestTriangulate:
             tracemalloc.stop()
         assert peak < 10e6  # no index image over the box
         assert cells.shape[0] == 0 and remainder.all()
-        assert np.array_equal(mesh.triangles, qhull_triangulate(pts, pix).triangles)
+        assert_delaunay_oracles(pix, mesh.triangles)
+        if kind == "duplicated":  # a repeated pixel's first point takes part, its copies none
+            assert not np.isin([len(pix) - 2, len(pix) - 1], mesh.triangles).any()
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("name", sorted(TIE_MASKS))
+    def test_cocircular_ties_meet_the_oracles(self, name, shuffled):
+        pix = lattice_pixels(*TIE_MASKS[name])
+        if shuffled:  # the tie rule follows point indices, whatever their order
+            pix = pix[np.random.default_rng(5).permutation(len(pix))]
+        mesh = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), pix)
+        assert_delaunay_oracles(pix, mesh.triangles)
+        assert mesh.triangles.shape[0] == qhull_triangulate(mesh.vertices, pix).triangles.shape[0]
+        assert np.array_equal(np.unique(mesh.triangles), np.arange(len(pix)))
+
+    def test_trapezoid_notch_is_a_fan_from_its_smallest_index(self):
+        # (2, 0), (5, 0), (4, 1) and (3, 1) lie on one circle that holds no
+        # other pixel: the two triangles between them share its smallest index
+        pix = lattice_pixels(*TIE_MASKS["trapezoid-notch"])
+        corners = [int(np.flatnonzero((pix == c).all(axis=1))[0]) for c in ([2, 0], [5, 0], [4, 1], [3, 1])]
+        tri = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), pix).triangles
+        notch = tri[np.isin(tri, corners).all(axis=1)]
+        assert notch.shape[0] == 2 and (notch == min(corners)).any(axis=1).all()
+
+    def test_camera_step_frame_matches_qhull(self):
+        # a 240 x 240 frame of a 30 mm step with 1 mm depth noise and 5 %
+        # dropout: its valid pixels leave pockets between their outer border
+        # and their convex hull, where the front searches far
+        intr, ext = _default_calibration(240, 240)
+        params = {"levels": [0.285, 0.315], "split": 0.0, "extent": 0.08, "spacing": 0.0015}
+        dm = render_depth_map("step", params, intr, ext, 240, 240)
+        rng = np.random.default_rng(11)
+        depth = dm.depth + rng.normal(0.0, 0.001, dm.depth.shape)
+        holes = OpticalDepthMap(np.where(rng.random(depth.shape) >= 0.05, depth, np.nan))
+        pts, pix = backproject_depth(holes, intr)
+        mesh = triangulate(pts, pix)
+        want = qhull_triangulate(pts, pix)
+        assert mesh.triangles.shape[0] == want.triangles.shape[0]
+        assert np.abs(triangle_area2(pix, mesh.triangles)).sum() / 2.0 == pytest.approx(
+            ConvexHull(pix).volume, rel=1e-12)
+        grid = CandidateGrid.regular(64, 64, 0.001)
+        got = build_prior(holes, intr, ext, grid)
+        assert got.valid.sum() > 3000
+        assert np.array_equal(got.valid, rasterize_prior(transform_mesh(want, ext), grid).valid)
 
 
 class TestTransformMesh:

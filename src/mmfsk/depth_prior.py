@@ -16,14 +16,14 @@ image over the pixels' bounding box; an advancing Delaunay front in numpy
 with the points along irregular holes and the outer border as its
 candidates. Input off the lattice (non-integer or repeated pixels), or so
 sparse on it that the index image would exceed ``_LATTICE_ENTRIES``
-entries, runs the front from one convex-hull edge over every point. The
-package needs no scipy.
+entries, runs the front from one convex-hull edge over every point,
+bucketed in cells of about their mean spacing. The package needs no scipy.
 
-Rasterization is one array pass over all triangles rather than a loop per
-triangle. Each triangle's integer bounding box expands into (triangle,
-pixel) candidates, evaluated in pieces of whole triangles (``_runs``) so
-the temporaries stay at a few MB on any mesh; ``np.minimum.at`` keeps the
-nearest candidate per pixel. The result does not depend on where pieces split.
+Rasterization runs array passes over ``_TRIANGLE_CHUNK`` triangles at a
+time, not a loop per triangle. Each triangle's integer bounding box
+expands into (triangle, pixel) candidates, evaluated in pieces of whole
+triangles (``_runs``), so no temporary has the mesh's size; ``np.minimum.at``
+keeps the nearest candidate per pixel, wherever chunks and pieces split.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from .errors import (
 from .signal_core import freeze
 
 _ORTHONORMAL_TOL = 1e-9
-_LATTICE_ENTRIES = 1 << 23  # largest index image, 15 bytes an entry across its images; 1920 x 1080 needs 2.1M
+_LATTICE_ENTRIES = 1 << 23  # largest index image, 7 bytes an entry across its images; 1920 x 1080 needs 2.1M
 _PAIR_CHUNK = 1 << 16  # (triangle, pixel), (query, strip), (query, point) or (edge, candidate) pairs a pass: a few MB of temporaries
 _REACH = 2.0  # px: how far the first search for an edge's apex looks
+_TRIANGLE_CHUNK = 1 << 13  # triangles the rasterizer sets up at once: their arrays and candidates, about 1 MB
 
 
 @dataclass(frozen=True)
@@ -159,9 +160,9 @@ def _lattice_cells(pixels: np.ndarray):
     indices, counter-clockwise; a mask of the points that touch ground no
     cell covers; and whether the pixels could be read off the lattice.
 
-    Neighbours are found in one index image over the pixels' bounding box
-    with a margin of one on every side: each entry holds its pixel's point
-    index, or -1 for a hole. A key is an entry's flat position, and the
+    Neighbours are found in one int32 index image over the pixels' bounding
+    box with a margin of one on every side: each entry holds its pixel's
+    point index, or -1 for a hole. A key is an entry's flat position, and the
     unit quad at key k has k as its lower-left corner. Coverage is judged
     per quad quarter: the two diagonals cut each quad (corners c00, c10,
     c11, c01, counter-clockwise) into quarters 0-3, and quarter k lies
@@ -180,10 +181,9 @@ def _lattice_cells(pixels: np.ndarray):
     if width * height > _LATTICE_ENTRIES:
         return no_cells
     width, height = int(width), int(height)
-    lo = int(u0) - 1, int(v0) - 1
-    keys = (v.astype(np.int64) - lo[1]) * width + (u.astype(np.int64) - lo[0])
-    index = np.full(width * height, -1)
-    index[keys] = np.arange(n)
+    keys = ((v - v0 + 1.0) * width + (u - u0 + 1.0)).astype(np.int32)  # exact: integers below 2^23
+    index = np.full(width * height, -1, dtype=np.int32)
+    index[keys] = np.arange(n, dtype=np.int32)
     if (index[keys] != np.arange(n)).any():  # a repeated pixel kept only its last point
         return no_cells
 
@@ -192,8 +192,8 @@ def _lattice_cells(pixels: np.ndarray):
     quad = occupied.copy()
     for shift in (1, width, width + 1):
         quad[:-shift] |= occupied[shift:]
-    quads = np.flatnonzero(quad)  # lower-left keys, ascending
-    corner_keys = quads + np.array([[0], [1], [width + 1], [width]])  # (4, Q)
+    quads = np.flatnonzero(quad).astype(np.int32)  # lower-left keys, ascending
+    corner_keys = quads + np.array([[0], [1], [width + 1], [width]], dtype=np.int32)  # (4, Q)
     corner = index[corner_keys]
     valid = corner >= 0
     count = valid.sum(axis=0)
@@ -203,7 +203,7 @@ def _lattice_cells(pixels: np.ndarray):
 
     centers = keys + 1  # every diamond center has a valid left neighbour
     # (4, N) counter-clockwise; a right neighbour past the last column reads the next row's empty margin
-    ring = index[centers + np.array([[-1], [-width], [1], [width]])]
+    ring = index[centers + np.array([[-1], [-width], [1], [width]], dtype=np.int32)]
     diamond = (index[centers] < 0) & (ring >= 0).all(axis=0)
     # Complete quads and diamonds both have four corners counter-clockwise;
     # each splits on its corner 0 - corner 2 diagonal. (np.compress takes
@@ -240,23 +240,27 @@ class _Front:
     ``dot / cross`` that differ as fractions differ as doubles; beyond
     that they round. Cocircular ties become a fan from the smallest
     point index of the tie set and the edge, the same split from every
-    edge of the cell. On the lattice an edge searches the candidates
-    within ``_REACH`` px on its left (rows of candidates sorted by
-    position), then, if the circle through it and its best one leaves
-    that window, the circle's left part, or the whole box if the window
-    held none. Off the lattice every edge searches every candidate.
+    edge of the cell. An edge searches the candidates within ``_REACH``
+    cells on its left (rows of candidates sorted by cell), then, if the
+    circle through it and its best one leaves that window, the circle's
+    left part, or the whole box if the window held none. A cell is a
+    pixel on the lattice, and about the candidates' mean spacing off it.
     """
 
     def __init__(self, pixels: np.ndarray, cand: np.ndarray, lattice: bool):
         self.x, self.y = (np.ascontiguousarray(c) for c in pixels.T)
-        self.lo, self.hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))
-        self.span = float(np.hypot(*(self.hi - self.lo))) + 1.0  # a reach that covers the whole box
-        self.width, self.cand = 0, cand  # width 0: off the lattice
-        if lattice:
-            self.width = int(self.hi[0] - self.lo[0]) + 1
-            key = ((self.y.take(cand) - self.lo[1]) * self.width + (self.x.take(cand) - self.lo[0])).astype(np.int64)
-            order = np.argsort(key, kind="stable")
-            self.cand, self.keys = cand.take(order), key.take(order)
+        lo, hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))
+        self.span = float(np.hypot(*(hi - lo))) + 1.0  # a reach that covers the whole box
+        # square cells of side cell px: a pixel on the lattice; the mean spacing off it, n or fewer a side
+        size = hi - lo
+        self.cell = 1.0 if lattice else float(max(np.sqrt(size.prod() / cand.size), size.max() / cand.size)) or 1.0
+        self.off = float(not lattice)
+        self.lo, self.hi = np.floor(lo / self.cell), np.floor(hi / self.cell)  # the box's cells
+        self.width = int(self.hi[0] - self.lo[0]) + 1
+        key = ((np.floor(self.y.take(cand) / self.cell) - self.lo[1]) * self.width
+               + (np.floor(self.x.take(cand) / self.cell) - self.lo[0])).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        self.cand, self.keys = cand.take(order), key.take(order)
 
     def triangles(self, front: np.ndarray) -> np.ndarray:
         """Advance ``front`` (E, 2) until it closes; the new triangles."""
@@ -288,17 +292,17 @@ class _Front:
         self.length = np.hypot(self.dx, self.dy)
         best = np.full(a.size, np.inf)  # per edge, the least cot(a-c-b) over c on its left
         found = []  # (edge, c) at the edge's best, for settled edges
-        k, reach, last = np.arange(a.size), np.full(a.size, _REACH), not self.width
+        k, reach, last = np.arange(a.size), np.full(a.size, _REACH * self.cell), False
         while k.size:
             best[k] = np.inf
             hits = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
             for e, pos in self.pairs(k, reach):
                 c = self.cand.take(pos)
                 ux, uy = x.take(c) - self.ax.take(e), y.take(c) - self.ay.take(e)
+                cross = self.dx.take(e) * uy - self.dy.take(e) * ux
+                left = cross > 0.0  # the pairs on the left, before the rest is drawn
+                e, c, ux, uy, cross = (v[left] for v in (e, c, ux, uy, cross))
                 dx, dy = self.dx.take(e), self.dy.take(e)
-                cross = dx * uy - dy * ux
-                left = cross > 0.0
-                e, c, ux, uy, dx, dy, cross = (v[left] for v in (e, c, ux, uy, dx, dy, cross))
                 cot = (ux * (ux - dx) + uy * (uy - dy)) / cross
                 np.minimum.at(best, e, cot)
                 keep = cot <= best.take(e)
@@ -338,23 +342,22 @@ class _Front:
 
     def pairs(self, k: np.ndarray, reach: np.ndarray):
         """(edge, candidate position) pairs in pieces of ``_PAIR_CHUNK``:
-        each edge of ``k`` against the candidates in the box around its
-        left within ``reach`` px; against all of them off the lattice."""
-        if not self.width:
-            for i, pos in _runs(np.zeros_like(k), np.full(k.size, self.cand.size)):
-                yield k.take(i), pos
-            return
-        # the box of a + s (b - a) + t n, n = (b - a) turned left, s in [-mu, 1 + mu],
-        # t in [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|
+        each edge of ``k`` against the candidates in the cells of the box
+        around its left within ``reach`` px."""
+        # the box of a + s (b - a) + t n, n = (b - a) turned left, s in [-mu, 1 + mu], t in
+        # [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|. Off the
+        # lattice t starts at 0, and the box a cell lower: a cell holds the points up to the next cell
         length = self.length.take(k)
-        mu, inner = reach / length, 1.0 / (length * length)
+        mu, inner = reach / length, (1.0 - self.off) / (length * length)
         box = []
         for p, d, n, lo, hi in ((self.ax, self.dx, -self.dy, self.lo[0], self.hi[0]),
                                 (self.ay, self.dy, self.dx, self.lo[1], self.hi[1])):
             p, d, n = p.take(k), d.take(k), n.take(k)
             s, t = (-mu * d, (1.0 + mu) * d), (inner * n, mu * n)
-            box.append((np.maximum(np.ceil(p + np.minimum(*s) + np.minimum(*t) - 1e-9), lo) - lo).astype(np.int64))
-            box.append((np.minimum(np.floor(p + np.maximum(*s) + np.maximum(*t) + 1e-9), hi) - lo).astype(np.int64))
+            first = (p + np.minimum(*s) + np.minimum(*t)) / self.cell - self.off
+            end = (p + np.maximum(*s) + np.maximum(*t)) / self.cell
+            box.append((np.maximum(np.ceil(first - 1e-9), lo) - lo).astype(np.int64))
+            box.append((np.minimum(np.floor(end + 1e-9), hi) - lo).astype(np.int64))
         x0, x1, y0, y1 = box
         for j, row in _runs(y0, np.where(x1 >= x0, np.maximum(y1 + 1, y0), y0)):  # (edge, row) pairs
             start = np.searchsorted(self.keys, row * self.width + x0.take(j))
@@ -405,7 +408,7 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
     if cells.size:
         n = pixels.shape[0]
         r = remainder.view(np.uint8)  # a sum per column: reducing (M, 3) rows is ~5x slower
-        rim = cells[r.take(cells[:, 0]) + r.take(cells[:, 1]) + r.take(cells[:, 2]) >= 2]
+        rim = cells[r[cells[:, 0]] + r[cells[:, 1]] + r[cells[:, 2]] >= 2].astype(np.int64)  # keys a * n + b pass 2^31
         edges = rim[:, [1, 0, 2, 1, 0, 2]].reshape(-1, 2)  # each cell edge reversed: the cell on its right
         edges = edges[remainder[edges].all(axis=1)]  # an edge with ground open beside it
         front = edges[~_member(edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])]
@@ -416,6 +419,7 @@ def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
     triangles = np.concatenate([cells, _Front(pixels, cand, lattice).triangles(front)])
     if not triangles.size:
         raise DegenerateGeometryError("the pixels are collinear: no triangle has area")
+    triangles.setflags(write=False)  # frozen: the mesh shares it
     return TriangleMesh(points, triangles, pixels)
 
 
@@ -423,6 +427,7 @@ def transform_mesh(mesh: TriangleMesh, extrinsics: Extrinsics) -> TriangleMesh:
     """Apply the rigid camera-to-radar transform to every vertex; topology
     is untouched."""
     moved = mesh.vertices @ extrinsics.rotation.T + extrinsics.translation
+    moved.setflags(write=False)  # frozen, like the topology: the new mesh shares all three
     return TriangleMesh(moved, mesh.triangles, mesh.source_pixels)
 
 
@@ -452,55 +457,55 @@ def rasterize_prior(mesh: TriangleMesh, grid: CandidateGrid) -> CandidateGrid:
     interpolated; overlapping triangles resolve to the smallest depth, and
     exact depth ties keep the earliest triangle.
 
-    All triangles are handled as arrays: every (triangle, pixel) pair of a
-    triangle's integer bounding box is one candidate, and candidates are
-    evaluated in pieces of whole triangles (``_runs``). ``np.minimum.at``
-    lowers each candidate's pixel in a z-buffer, so piece boundaries never
-    change the result.
+    Triangles are handled as arrays, ``_TRIANGLE_CHUNK`` at a time and last
+    first: every (triangle, pixel) pair of a triangle's integer bounding box
+    is a candidate, evaluated in pieces of whole triangles (``_runs``).
+    ``np.minimum.at`` lowers each candidate's pixel in a z-buffer in the same
+    order whatever the chunks and pieces, so they never change the result.
     """
     dx, dy = (step or 1.0 for step in grid.spacing)  # a one-pixel axis has no pitch
     x0, y0 = grid.x[0], grid.y[0]
-
-    # one row per corner (reducing (M, 3) rows is ~50x slower); last-first: np.minimum keeps the later tie
-    tri = np.ascontiguousarray(mesh.triangles[::-1].T)
-    vx = (mesh.vertices[tri, 0] - x0) / dx  # (3, M) continuous pixel coordinates
-    vy = (mesh.vertices[tri, 1] - y0) / dy
-    area2 = _edge(vx[0], vy[0], vx[1], vy[1], vx[2], vy[2])
-    u_lo = np.maximum(np.ceil(vx.min(axis=0) - 1e-12), 0.0)
-    u_hi = np.minimum(np.floor(vx.max(axis=0) + 1e-12), grid.width - 1)
-    v_lo = np.maximum(np.ceil(vy.min(axis=0) - 1e-12), 0.0)
-    v_hi = np.minimum(np.floor(vy.max(axis=0) + 1e-12), grid.height - 1)
-    keep = (area2 != 0.0) & (u_lo <= u_hi) & (v_lo <= v_hi)  # NaN vertices drop here
-    vx, vy, vz, area2 = vx[:, keep], vy[:, keep], mesh.vertices[tri[:, keep], 2], area2[keep]
-    del tri  # a copy of the mesh's indices: free it before the candidate passes
-    flip = area2 < 0.0  # normalize winding so edge functions are >= 0 inside
-    for a in (vx, vy, vz):
-        a[1:, flip] = a[2:0:-1, flip]
-    area2 = np.abs(area2)
-    u_lo, v_lo = u_lo[keep].astype(np.int64), v_lo[keep].astype(np.int64)
-    box_w = u_hi[keep].astype(np.int64) - u_lo + 1
-    count = box_w * (v_hi[keep].astype(np.int64) - v_lo + 1)
-
-    edges = []
-    for i, j in ((1, 2), (2, 0), (0, 1)):
-        ddx, ddy = vx[j] - vx[i], vy[j] - vy[i]
-        boundary_in = (ddy > 0.0) | ((ddy == 0.0) & (ddx < 0.0))
-        edges.append((vx[i], vy[i], ddx, ddy, boundary_in))
-
     zbuf = np.full(grid.height * grid.width, np.inf)
-    for t, k in _runs(np.zeros_like(count), count):  # each candidate's triangle and place in its box
-        row, col = np.divmod(k, box_w[t])
-        pu, pv = u_lo[t] + col, v_lo[t] + row
+    # the last chunk first, each one reversed: np.minimum keeps the later tie, so the earliest triangle wins
+    for stop in range(mesh.triangles.shape[0], 0, -_TRIANGLE_CHUNK):
+        # one row per corner (reducing (M, 3) rows is ~50x slower)
+        tri = np.ascontiguousarray(mesh.triangles[max(stop - _TRIANGLE_CHUNK, 0):stop][::-1].T)
+        vx = (mesh.vertices[tri, 0] - x0) / dx  # (3, M) continuous pixel coordinates
+        vy = (mesh.vertices[tri, 1] - y0) / dy
+        area2 = _edge(vx[0], vy[0], vx[1], vy[1], vx[2], vy[2])
+        u_lo = np.maximum(np.ceil(vx.min(axis=0) - 1e-12), 0.0)
+        u_hi = np.minimum(np.floor(vx.max(axis=0) + 1e-12), grid.width - 1)
+        v_lo = np.maximum(np.ceil(vy.min(axis=0) - 1e-12), 0.0)
+        v_hi = np.minimum(np.floor(vy.max(axis=0) + 1e-12), grid.height - 1)
+        keep = (area2 != 0.0) & (u_lo <= u_hi) & (v_lo <= v_hi)  # NaN vertices drop here
+        vx, vy, vz, area2 = vx[:, keep], vy[:, keep], mesh.vertices[tri[:, keep], 2], area2[keep]
+        flip = area2 < 0.0  # normalize winding so edge functions are >= 0 inside
+        for a in (vx, vy, vz):
+            a[1:, flip] = a[2:0:-1, flip]
+        area2 = np.abs(area2)
+        u_lo, v_lo = u_lo[keep].astype(np.int64), v_lo[keep].astype(np.int64)
+        box_w = u_hi[keep].astype(np.int64) - u_lo + 1
+        count = box_w * (v_hi[keep].astype(np.int64) - v_lo + 1)
 
-        cover = np.ones(k.size, dtype=bool)
-        bary = []
-        for ax, ay, ddx, ddy, boundary_in in edges:
-            e = ddx[t] * (pv - ay[t]) - ddy[t] * (pu - ax[t])
-            cover &= (e > 0.0) | ((e == 0.0) & boundary_in[t])
-            bary.append(e / area2[t])
-        z = bary[0] * vz[0, t] + bary[1] * vz[1, t] + bary[2] * vz[2, t]
-        cover &= z < np.inf  # NaN would spread through np.minimum; inf is the empty buffer
-        np.minimum.at(zbuf, (pv * grid.width + pu)[cover], z[cover])
+        edges = []
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            ddx, ddy = vx[j] - vx[i], vy[j] - vy[i]
+            boundary_in = (ddy > 0.0) | ((ddy == 0.0) & (ddx < 0.0))
+            edges.append((vx[i], vy[i], ddx, ddy, boundary_in))
+
+        for t, k in _runs(np.zeros_like(count), count):  # each candidate's triangle and place in its box
+            row, col = np.divmod(k, box_w[t])
+            pu, pv = u_lo[t] + col, v_lo[t] + row
+
+            cover = np.ones(k.size, dtype=bool)
+            bary = []
+            for ax, ay, ddx, ddy, boundary_in in edges:
+                e = ddx[t] * (pv - ay[t]) - ddy[t] * (pu - ax[t])
+                cover &= (e > 0.0) | ((e == 0.0) & boundary_in[t])
+                bary.append(e / area2[t])
+            z = bary[0] * vz[0, t] + bary[1] * vz[1, t] + bary[2] * vz[2, t]
+            cover &= z < np.inf  # NaN would spread through np.minimum; inf is the empty buffer
+            np.minimum.at(zbuf, (pv * grid.width + pu)[cover], z[cover])
 
     zbuf[np.isinf(zbuf)] = np.nan  # pixels no triangle covered
     return grid.with_prior(zbuf.reshape(grid.height, grid.width))
@@ -516,6 +521,8 @@ def build_prior(
     Hole-filling triangles across depth gaps are kept: they are a feature,
     not noise."""
     points, pixels = backproject_depth(depth_map, intrinsics)
-    mesh = triangulate(points, pixels)
-    mesh = transform_mesh(mesh, extrinsics)
+    for cloud in (points, pixels):
+        cloud.setflags(write=False)  # frozen: the mesh takes the cloud without a copy
+    mesh = transform_mesh(triangulate(points, pixels), extrinsics)
+    del points  # the camera-frame vertices: from here on only the moved ones are needed
     return rasterize_prior(mesh, grid)

@@ -32,10 +32,12 @@ FREQUENCY_PAIRS = {
 
 
 def freeze(obj, **fields) -> None:
-    """Set validated fields on a frozen dataclass; arrays are stored as
-    read-only copies, so the caller's own arrays stay writable."""
+    """Set validated fields on a frozen dataclass. Arrays are stored
+    read-only: one already frozen (read-only and owning its data) is
+    shared, any other is copied, so the caller's own arrays stay writable
+    and writing to them cannot reach a field."""
     for name, value in fields.items():
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and (value.flags.writeable or not value.flags.owndata):
             value = value.copy(order="K")
             value.setflags(write=False)
         object.__setattr__(obj, name, value)

@@ -41,6 +41,8 @@ _TARGET_CHUNK = 512
 _MAX_LATERAL_SAMPLES = 4096  # per axis of a surface scene: 4096**2 targets are 400 MB of (N, 3) float64
 _BISECTIONS = 60  # most halvings of a render; a 47 mm bracket reaches its last ulp in about 50
 RENDER_DEPTHS = (0.01, 3.0)  # the camera depths (m) a render scans: surfaces outside come back NaN
+_SCAN_RAYS = 1 << 13  # rays of one band of the render's scan (whole rows, at least one): 64 KB an array
+_BISECT_RAYS = 1 << 14  # bracketed rays one bisection pass halves: 128 KB an array
 
 
 @dataclass(frozen=True)
@@ -229,20 +231,14 @@ def render_depth_map(
     depth, so every later gap is NaN. A ray that leaves without crossing
     comes back NaN. Bisection then runs on the bracketed rays alone, for
     at most ``_BISECTIONS`` halvings.
+
+    Both work in cache-sized pieces, and every ray's result is the same in
+    any piece: the scan in bands of whole rows, about ``_SCAN_RAYS`` rays
+    each, which stops once the band has no ray left, and bisection in runs
+    of ``_BISECT_RAYS`` bracketed rays, with the directions of those alone.
     """
-    u = np.arange(width, dtype=np.float64)
-    v = np.arange(height, dtype=np.float64)
-    gu, gv = np.meshgrid(u, v)
-    dirs = np.stack(
-        [
-            (gu - intrinsics.c_u) / intrinsics.f_u,
-            (gv - intrinsics.c_v) / intrinsics.f_v,
-            np.ones_like(gu),
-        ],
-        axis=-1,
-    )  # camera-frame ray per unit camera depth
-    # radar-frame direction per unit camera depth, one contiguous array per axis
-    dirs_r = np.ascontiguousarray((dirs @ extrinsics.rotation.T).reshape(-1, 3).T)
+    u, v = ((np.arange(n, dtype=np.float64) - c) / f for n, c, f in
+            ((width, intrinsics.c_u, intrinsics.f_u), (height, intrinsics.c_v, intrinsics.f_v)))
     t_x, t_y, t_z = (float(t) for t in extrinsics.translation)
     cx, cy, half = _footprint(params)
 
@@ -252,34 +248,47 @@ def render_depth_map(
 
     steps = np.linspace(*RENDER_DEPTHS, 64)
     hi = np.full(width * height, np.nan)
-    ray = np.arange(width * height)  # rays still scanned, with their directions
-    d = dirs_r
-    g_prev = np.full(ray.size, np.nan)
-    for s in steps:
-        g_cur, x, y = gap(s, d)
-        crossing = (g_prev < 0.0) & (g_cur >= 0.0)
-        hi[ray[crossing]] = s
-        # beyond the footprint on the side the ray moves to (exact: the sign is +-1 or 0)
-        gone = crossing | ((x - cx) * np.sign(d[0]) > half) | ((y - cy) * np.sign(d[1]) > half)
-        if gone.any():
-            keep = ~gone
-            ray, d, g_cur = ray[keep], d[:, keep], g_cur[keep]
-        g_prev = g_cur
+    hits = [np.zeros((3, 0))]  # the bracketed rays' directions, band by band
+    rows = max(1, _SCAN_RAYS // max(width, 1))
+    for top in range(0, height, rows):
+        cam = np.empty((min(rows, height - top), width, 3))  # camera-frame ray per unit camera depth
+        cam[..., 0], cam[..., 1], cam[..., 2] = u, v[top:top + rows, None], 1.0
+        # radar-frame direction per unit camera depth, one contiguous array per axis
+        band = np.ascontiguousarray((cam @ extrinsics.rotation.T).reshape(-1, 3).T)
+        first = top * width
+        ray, d = np.arange(first, first + band.shape[1]), band  # rays still scanned, with their directions
+        g_prev = np.full(ray.size, np.nan)
+        for s in steps:
+            g_cur, x, y = gap(s, d)
+            crossing = (g_prev < 0.0) & (g_cur >= 0.0)
+            hi[ray[crossing]] = s
+            # beyond the footprint on the side the ray moves to (exact: the sign is +-1 or 0)
+            gone = crossing | ((x - cx) * np.sign(d[0]) > half) | ((y - cy) * np.sign(d[1]) > half)
+            if gone.any():
+                keep = ~gone
+                ray, d, g_cur = ray[keep], d[:, keep], g_cur[keep]
+                if not ray.size:
+                    break
+            g_prev = g_cur
+        hits.append(band[:, np.isfinite(hi[first:first + band.shape[1]])])
     valid = np.isfinite(hi)
-    hi = hi[valid]
-    lo = hi - (steps[1] - steps[0])
-    dirs_v = dirs_r[:, valid]
-    for _ in range(_BISECTIONS):
+    far, dirs = hi[valid], np.concatenate(hits, axis=1)  # the bracketed rays alone
+    del hits  # the bands' pieces of dirs
+    for piece in (slice(i, i + _BISECT_RAYS) for i in range(0, far.size, _BISECT_RAYS)):
+        hi, d = far[piece], dirs[:, piece]
+        lo = hi - (steps[1] - steps[0])
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = ~(gap(mid, d)[0] >= 0.0)  # NaN mid-samples keep searching outward
+            new_lo = np.where(below, mid, lo)
+            new_hi = np.where(below, hi, mid)
+            # The step is a function of (lo, hi) alone: once no bracket of
+            # the piece moves, every later iteration would repeat this one.
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         mid = 0.5 * (lo + hi)
-        below = ~(gap(mid, dirs_v)[0] >= 0.0)  # NaN mid-samples keep searching outward
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        # The step is a function of (lo, hi) alone: once no bracket moves,
-        # every later iteration would repeat this one.
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    mid = 0.5 * (lo + hi)
+        far[piece] = np.where(np.isfinite(gap(mid, d)[0]), mid, np.nan)  # the piece's depths
     depth = np.full(width * height, np.nan)
-    depth[valid] = np.where(np.isfinite(gap(mid, dirs_v)[0]), mid, np.nan)
+    depth[valid] = far
     return OpticalDepthMap(depth.reshape(height, width))

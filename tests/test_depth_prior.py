@@ -485,6 +485,28 @@ class TestTriangulate:
         if kind == "duplicated":  # a repeated pixel's first point takes part, its copies none
             assert not np.isin([len(pix) - 2, len(pix) - 1], mesh.triangles).any()
 
+    def test_random_float_pixels_meet_the_oracles(self, monkeypatch):
+        # off the lattice the front buckets its candidates in cells of about
+        # their mean spacing: each edge meets a few of them, not all 4,000
+        pix = np.random.default_rng(3).uniform(0.0, 200.0, (4000, 2))
+        pairs, search = [0], depth_prior._Front.pairs
+
+        def counted(front, k, reach):
+            for e, pos in search(front, k, reach):
+                pairs[0] += e.size
+                yield e, pos
+
+        monkeypatch.setattr(depth_prior._Front, "pairs", counted)
+        tri = triangulate(np.zeros((len(pix), 3)), pix).triangles
+        assert pairs[0] < 200 * len(pix)  # 107 a point; every candidate for every edge was 9,944
+        assert circumcircle_violations(pix, tri) == 0
+        assert (triangle_area2(pix, tri) > 0.0).all()  # counter-clockwise, none flat
+        points, hull, turn = exact_hull(pix)
+        area = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(hull, hull[1:] + hull[:1])) / 2
+        assert tri.shape[0] == 2 * len(points) - 2 - len(hull)  # random: no third point on a hull edge
+        assert triangle_area2(pix, tri).sum() / 2.0 == pytest.approx(float(area), rel=1e-12)
+        assert tri.shape[0] == qhull_triangulate(np.zeros((len(pix), 3)), pix).triangles.shape[0]
+
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("name", sorted(TIE_MASKS))
     def test_cocircular_ties_meet_the_oracles(self, name, shuffled):
@@ -539,6 +561,12 @@ class TestTransformMesh:
         out = transform_mesh(mesh, Extrinsics.identity())
         assert np.array_equal(out.vertices, mesh.vertices)
         assert np.array_equal(out.triangles, mesh.triangles)
+
+    def test_topology_is_shared_not_copied(self):
+        mesh = self._mesh()
+        out = transform_mesh(mesh, Extrinsics(rotation_about([0, 1, 0], 0.1), np.array([0.0, 0.0, 0.1])))
+        assert out.triangles is mesh.triangles and out.source_pixels is mesh.source_pixels
+        assert not out.vertices.flags.writeable
 
     def test_pure_translation(self):
         mesh = self._mesh()
@@ -686,6 +714,29 @@ class TestRasterizePrior:
             monkeypatch.setattr(depth_prior, "_PAIR_CHUNK", chunk)
             split = assert_matches_reference(mesh, grid)
             assert split.prior_depth.tobytes() == whole.prior_depth.tobytes()
+
+    def test_triangle_chunks_do_not_change_bytes(self, monkeypatch):
+        # snapped: edges through pixel centres and exact depth ties, signed zeros included
+        rng = np.random.default_rng(8)
+        grid = CandidateGrid.regular(12, 9, 0.25)
+        mesh = random_mesh(rng, grid, 0.25, 80, snapped=True)
+        monkeypatch.setattr(depth_prior, "_TRIANGLE_CHUNK", 80)
+        whole = assert_matches_reference(mesh, grid)
+        for chunk in (1, 5):  # 80 chunks, and 16
+            monkeypatch.setattr(depth_prior, "_TRIANGLE_CHUNK", chunk)
+            assert assert_matches_reference(mesh, grid).prior_depth.tobytes() == whole.prior_depth.tobytes()
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_exact_tie_keeps_the_earliest_triangle_across_chunks(self, monkeypatch, first, chunk):
+        # one triangle twice, at depth -0.0 and at 0.0: equal depths, different bytes
+        corners = np.array([[-0.05, -0.05], [0.05, -0.05], [0.0, 0.06]])
+        verts = np.column_stack([np.vstack([corners, corners]), np.repeat([first, -first], 3)])
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.zeros((6, 2)))
+        monkeypatch.setattr(depth_prior, "_TRIANGLE_CHUNK", chunk)
+        out = assert_matches_reference(mesh, self._grid())
+        assert out.valid.sum() > 100
+        assert (np.signbit(out.prior_depth[out.valid]) == np.signbit(first)).all()
 
     def test_degenerate_and_off_grid_triangles_are_skipped(self):
         verts = np.array(

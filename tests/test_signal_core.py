@@ -235,3 +235,21 @@ class TestFrozenInputs:
         prior[0, 0] = np.nan
         assert grid.prior_depth[0, 0] == 0.3 and grid.valid[0, 0]
         assert not grid.prior_depth.flags.writeable and not grid.valid.flags.writeable
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_writes_cannot_reach_a_frozen_field(self, read_only_view):
+        own = np.full((2, 3), 0.3)
+        given = own
+        if read_only_view:  # read-only itself, but over the caller's writable array
+            given = own.view()
+            given.setflags(write=False)
+        scene = Scene(given, np.ones(2, complex), np.zeros(2))
+        own[0, 0] = 9.0
+        assert scene.positions[0, 0] == 0.3 and not scene.positions.flags.writeable
+        assert not np.shares_memory(scene.positions, own)
+
+    def test_frozen_arrays_are_shared(self):
+        # read-only and owning its data: nobody holds a writable way in
+        scene = Scene(np.full((2, 3), 0.3), np.ones(2, complex), np.zeros(2))
+        again = Scene(scene.positions, scene.reflectivities, scene.phase_offsets)
+        assert again.positions is scene.positions and again.phase_offsets is scene.phase_offsets

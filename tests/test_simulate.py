@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,19 @@ from mmfsk import (
     SPEED_OF_LIGHT,
     AntennaArray,
     CameraIntrinsics,
+    CandidateGrid,
     Extrinsics,
     FrequencySet,
     NoiseSpec,
     Scene,
     make_scene,
     mimo_cross_array,
+    build_prior,
     render_depth_map,
     simulate_baseband,
     surface_depth,
 )
+from mmfsk.cli import _degrade_depth_map
 from mmfsk.errors import ConfigurationError
 from mmfsk.simulate import _TARGET_CHUNK, _lateral_samples
 from test_correlate import distance_tables
@@ -334,7 +339,49 @@ class TestRenderDepthMap:
         assert np.array_equal(dm.valid, valid)
         assert dm.depth.tobytes() == depth.tobytes()
 
+    @pytest.mark.parametrize("kind, params", [
+        ("plane", {"depth": 0.5, "extent": 0.15, "tilt_x": 0.1, "center": (0.0, -0.1)}),
+        ("sphere-cap", {"radius": 0.05, "center_z": 0.4, "extent": 0.12, "center": (0.0, -0.05)}),
+        ("step", {"levels": [0.38, 0.42], "split": 0.0, "extent": 0.12, "center": (0.0, -0.05)}),
+    ])
+    def test_pieces_do_not_change_bytes(self, monkeypatch, kind, params):
+        intr, width, height = SMALL_CAMERA
+        monkeypatch.setattr("mmfsk.simulate._SCAN_RAYS", width * height)
+        monkeypatch.setattr("mmfsk.simulate._BISECT_RAYS", width * height)
+        whole = render_depth_map(kind, params, intr, TURNED_POSE, width, height)
+        assert whole.valid.any() and not whole.valid.all()
+        # scan bands of 1 row (40 bands) and of 7 (6, the last one shorter);
+        # bisection runs of 7 bracketed rays and of 100
+        for rows, run in ((1, 7), (7, 100)):
+            monkeypatch.setattr("mmfsk.simulate._SCAN_RAYS", rows * width)
+            monkeypatch.setattr("mmfsk.simulate._BISECT_RAYS", run)
+            assert render_depth_map(kind, params, intr, TURNED_POSE, width, height).depth.tobytes() == \
+                whole.depth.tobytes()
+
     def test_rays_missing_surface_are_invalid(self):
         intr = CameraIntrinsics(f_u=40.0, f_v=40.0, c_u=31.5, c_v=31.5)  # wide FOV
         dm = render_depth_map("plane", {"depth": 0.3, "extent": 0.02}, intr, Extrinsics.identity(), 64, 64)
         assert dm.valid.any() and not dm.valid.all()
+
+
+@pytest.mark.parametrize("split", [-0.003, 0.003])
+def test_camera_prior_working_set(split):
+    # A benchmark camera frame: render, 1 mm noise and 5 % dropout as the
+    # CLI adds them, then the prior. Neither step may hold a temporary the
+    # size of the image or the mesh (9.5 and 9.9 MiB before they were cut
+    # into bands and chunks); numpy's allocations are the same on every run.
+    intr, width, height = BENCH_CAMERA
+    params = {"levels": [0.282, 0.312], "split": split, "extent": 0.08, "spacing": 0.0015}
+    tracemalloc.start()
+    try:
+        dm = render_depth_map("step", params, intr, DESK_POSE, width, height)
+        render_peak = tracemalloc.get_traced_memory()[1]
+        dm = _degrade_depth_map(dm, 1.0, 0.05, 7)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build_prior(dm, intr, DESK_POSE, CandidateGrid.regular(64, 64, 0.001))
+        prior_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert render_peak < 4.5 * 2**20
+    assert prior_peak < 7.5 * 2**20

@@ -204,8 +204,7 @@ CONFIG = {
     # scene.params.<kind>: the keys SCENE_PARAMS says the kind reads, each a
     # finite number unless named here; a surface kind needs the keys of its shape
     **{f"scene.params.{kind}": {
-        key: ({"center": _list(FINITE, 2), "levels": _list(FINITE, 2), "bounds": _list(_list(FINITE, 2), 3),
-               "n": COUNT, "seed": NATURAL}.get(key, FINITE),
+        key: ({"center": _list(FINITE, 2), "levels": _list(FINITE, 2)}.get(key, FINITE),
               REQUIRED if key in {"plane": ("depth",), "sphere-cap": ("radius", "center_z"),
                                   "step": ("levels",)}.get(kind, ()) else OPTIONAL)
         for key in keys} for kind, keys in SCENE_PARAMS.items()},
@@ -245,11 +244,12 @@ def _resolve(cfg: dict) -> dict:
     """The run's library objects, built once before any stage reads or
     writes a file, so every rule they own fails first: the array, the
     carriers, the candidate grid, the scalar prior (``None`` unless
-    ``prior.mode`` is scalar), the voxel volume and the noise. Two rules
-    span sections: ``eval`` must be able to resample a surface scene at the
-    grid's pitch, and a scalar prior must keep every phase the correlator
-    forms, |b*d| at the highest carrier to the grid's farthest candidate,
-    within its exact range."""
+    ``prior.mode`` is scalar), the voxel volume and the noise. Three rules
+    span sections: each method needs the carriers ``CARRIERS`` gives it,
+    ``eval`` must be able to resample the scene at the pitch of each
+    method's image (the grid's, or bp's voxel columns), and a scalar prior
+    must keep every phase the correlator forms, |b*d| at the highest
+    carrier to the grid's farthest candidate, within its exact range."""
     a, f, g, v, n = cfg["array"], cfg["frequencies"], cfg["grid"], cfg["voxel"], cfg["noise"]
     if v is None:  # the grid's footprint, 20 cm of depth around the scene
         v = {"extents": [g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20],
@@ -259,6 +259,9 @@ def _resolve(cfg: dict) -> dict:
     freqs = (FrequencySet.from_pair_name(f["pair"]) if "pair" in f
              else FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
              else FrequencySet(tuple(x * 1e9 for x in f["values_ghz"])))
+    for method in cfg["methods"]:
+        if method in CARRIERS and len(freqs) != CARRIERS[method]:
+            raise ConfigurationError(f"config methods: {method} needs {CARRIERS[method]} carriers, got {len(freqs)}")
     grid = CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
     prior = None
     if cfg["prior"]["mode"] == "scalar":
@@ -273,14 +276,19 @@ def _resolve(cfg: dict) -> dict:
                 f"config prior.value {value!r} m puts the grid's farthest candidate {far:.4g} m from an antenna: "
                 f"a phase of {phase:.3g} rad at {max(freqs.frequencies) / 1e9:g} GHz, beyond the correlator's "
                 f"exact range of {EXACT_PHASE:.3g} rad")
+    voxel = VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
+    params = cfg["scene"]["params"]
     if set(cfg["methods"]) - {"bp"}:  # eval scores these on the grid
-        resample_pitch(cfg["scene"]["kind"], cfg["scene"]["params"], grid, "config grid.spacing")
+        resample_pitch(params, grid.x, grid.y, "config grid.spacing")
+    if "bp" in cfg["methods"]:  # and bp on the voxel columns, which the grid sets in the default volume
+        key = "config grid.spacing" if cfg["voxel"] is None else "config voxel"
+        resample_pitch(params, voxel.axis(0), voxel.axis(1), key)
     return {
         "array": array,
         "freqs": freqs,
         "grid": grid,
         "prior": prior,
-        "voxel": VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"])),
+        "voxel": voxel,
         "noise": (NoiseSpec(snr_db=n["snr_db"], seed=n.get("seed", cfg["seed"]))
                   if n and n.get("snr_db") is not None else NoiseSpec()),
     }
@@ -330,15 +338,12 @@ def cmd_simulate(cfg: dict, run: dict) -> int:
     scene_cfg = cfg["scene"]
     scene = make_scene(scene_cfg["kind"], scene_cfg["params"])
     baseband = simulate_baseband(scene, run["array"], run["freqs"], run["noise"])
-    gt_depth = None
-    if scene_cfg["kind"] != "random-cloud":
-        gx, gy = np.meshgrid(run["grid"].x, run["grid"].y)
-        gt_depth = surface_depth(scene_cfg["kind"], scene_cfg["params"], gx, gy)
+    gx, gy = np.meshgrid(run["grid"].x, run["grid"].y)
+    gt_depth = surface_depth(scene_cfg["kind"], scene_cfg["params"], gx, gy)
     outdir = _outdir(cfg)
     mio.write_baseband(outdir / "baseband.fskt", baseband)
     mio.write_ply(outdir / "gt_targets.ply", scene.positions, np.abs(scene.reflectivities))
-    if gt_depth is not None:
-        mio.write_pfm(outdir / "gt_depth.pfm", gt_depth)
+    mio.write_pfm(outdir / "gt_depth.pfm", gt_depth)
     _snapshot(cfg, outdir, "simulate")
     log.info("simulate: %d targets, tensor %s -> %s", scene.n_targets, baseband.shape, outdir)
     return 0
@@ -435,9 +440,8 @@ def cmd_eval(cfg: dict, run: dict) -> int:
         x, y = (run["voxel"].axis(0), run["voxel"].axis(1)) if method == "bp" else (run["grid"].x, run["grid"].y)
         image = mio.read_radar_image(outdir, method, x, y)
         label = f"{method}@{_freq_label(cfg['frequencies'])}"
-        pitch_key = "config grid.spacing" if method != "bp" or cfg["voxel"] is None else "config voxel"
         reports.append(evaluate_image(image, scene_cfg["kind"], scene_cfg["params"], erode=cfg["eval"]["erode"],
-                                      label=label, pitch_name=pitch_key))
+                                      label=label))
     for method, report in zip(cfg["methods"], reports):
         mio.dump_json(outdir / f"eval_{method}.json", dataclasses.asdict(report))
     (outdir / "eval_table.txt").write_text(report_table(reports) + "\n", encoding="utf-8")
@@ -459,10 +463,10 @@ def _freq_label(spec: dict) -> str:
 def cmd_sweep(cfg: dict, run: dict) -> int:
     """Run simulate->prior->reconstruct->eval per configuration and seed,
     aggregate seed medians, and judge the error-vs-bandwidth trend. Every
-    entry is resolved, and its method checked against its carriers, before
-    any run, so each rule fails before the first write. Each run is resolved
-    just before its stages and only its eval record is kept: memory does not
-    grow with the seed count beyond those records."""
+    entry is resolved before any run, so each rule fails before the first
+    write, naming the entry. Each run is resolved just before its stages
+    and only its eval record is kept: memory does not grow with the seed
+    count beyond those records."""
     sweep = cfg["sweep"]
     if sweep is None:
         raise ConfigurationError("sweep needs a 'sweep' section with 'pairs' or 'runs'")
@@ -479,10 +483,11 @@ def cmd_sweep(cfg: dict, run: dict) -> int:
         method = entry["method"]
         freq_spec = {"triple": entry["triple"]} if "triple" in entry else {"pair": entry["pair"]}
         sub = {**cfg, "methods": [method], "frequencies": freq_spec, "prior": entry.get("prior") or cfg["prior"]}
-        label, freqs = f"{method}@{_freq_label(freq_spec)}", _resolve(sub)["freqs"]
-        if method in CARRIERS and len(freqs) != CARRIERS[method]:
-            raise ConfigurationError(f"sweep entry {label}: {method} needs {CARRIERS[method]} carriers, "
-                                     f"got {len(freqs)}")
+        label = f"{method}@{_freq_label(freq_spec)}"
+        try:
+            freqs = _resolve(sub)["freqs"]
+        except ValueError as exc:
+            raise ConfigurationError(f"sweep entry {label}: {exc}") from exc
         subs.append((sub, label, freqs.delta()))
 
     records = []

@@ -9,8 +9,8 @@ map rasterized on the radar grid for the projective error.
 Scoring runs on numpy alone. Nearest neighbours come from an exact search
 over strips of the destination cloud that hold equal point counts
 (``_Strips``, ``_nearest_sq``); ``np.minimum.at`` keeps each query's
-nearest, rounded as ``scipy.spatial.cKDTree`` rounds it. Binned depth is
-an ``np.minimum.at`` z-buffer, and erosion is array shifts.
+nearest, rounded as ``scipy.spatial.cKDTree`` rounds it, and erosion is
+array shifts.
 """
 
 from __future__ import annotations
@@ -231,86 +231,48 @@ def projective_error(
 
 def resample_gt_cloud(kind: str, params: dict, spacing: float) -> np.ndarray:
     """Ground-truth surface samples at the requested lateral spacing."""
-    resampled = dict(params)
-    if kind != "random-cloud":
-        resampled["spacing"] = float(spacing)
-    return make_scene(kind, resampled).positions.copy()
+    return make_scene(kind, {**params, "spacing": float(spacing)}).positions.copy()
 
 
 def resample_gt_depth(kind: str, params: dict, grid: CandidateGrid) -> np.ndarray:
     """Ground-truth depth rasterized on the radar pixel grid (NaN outside
     the surface footprint)."""
-    if kind == "random-cloud":
-        return _bin_cloud_depth(make_scene(kind, params).positions, grid)
     gx, gy = np.meshgrid(grid.x, grid.y)
     return surface_depth(kind, params, gx, gy)
 
 
-def _pitch(grid: CandidateGrid) -> float:
-    """Lateral pitch of a grid: its coarser axis, or 1 mm on a 1x1 grid."""
-    return max(grid.spacing) or 0.001
-
-
-def resample_pitch(kind: str, params: dict, grid: CandidateGrid, pitch_name: str) -> float:
-    """The pitch at which ``evaluate_image`` resamples the ground truth on
-    ``grid``. One at which a surface scene needs more than
+def resample_pitch(params: dict, x: np.ndarray, y: np.ndarray, pitch_name: str) -> float:
+    """The pitch at which ``evaluate_image`` resamples the ground truth of
+    an image on axes ``x`` and ``y``: the coarser axis step, or 1 mm on a
+    1x1 image. One at which the scene needs more than
     ``simulate._MAX_LATERAL_SAMPLES`` samples a side raises
     ``ConfigurationError`` naming ``pitch_name``, before any sample is made."""
-    pitch = _pitch(grid)
-    if kind != "random-cloud":
-        try:
-            _lateral_samples(float(params.get("extent", 0.1)), pitch)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{pitch_name} gives a pitch of {pitch!r} m, at which the ground truth "
-                                     f"cannot be resampled: {exc}") from exc
+    pitch = max(float(a[1] - a[0]) if a.size > 1 else 0.0 for a in (x, y)) or 0.001
+    try:
+        _lateral_samples(float(params.get("extent", 0.1)), pitch)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{pitch_name} gives a pitch of {pitch!r} m, at which the ground truth "
+                                 f"cannot be resampled: {exc}") from exc
     return pitch
 
 
-def _bin_cloud_depth(points: np.ndarray, grid: CandidateGrid) -> np.ndarray:
-    """Nearest-pixel binning for surfaceless clouds; the front-most point
-    per pixel wins, the earliest point on exact ties. A one-pixel axis is
-    binned with the grid's pitch."""
-    dx, dy = grid.spacing
-    pitch = _pitch(grid)
-    u = np.round((points[:, 0] - grid.x[0]) / (dx or pitch)).astype(int)
-    v = np.round((points[:, 1] - grid.y[0]) / (dy or pitch)).astype(int)
-    ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
-    depth = np.full(grid.height * grid.width, np.inf)
-    # last-first: np.minimum keeps the later of equal depths, so the earliest point wins
-    np.minimum.at(depth, (v[ok] * grid.width + u[ok])[::-1], points[ok, 2][::-1])
-    depth[np.isinf(depth)] = np.nan  # pixels no point fell in
-    return depth.reshape(grid.height, grid.width)
-
-
-def evaluate_image(
-    image: RadarImage,
-    kind: str,
-    params: dict,
-    erode: int = 1,
-    *,
-    label: str,
-    pitch_name: str = "the image pitch",
-) -> EvalReport:
+def evaluate_image(image: RadarImage, kind: str, params: dict, erode: int = 1, *, label: str) -> EvalReport:
     """Score one reconstruction against its scene's ground truth.
 
     The image's own axes are the grid: the ground-truth cloud is resampled
     near its pixel pitch so both clouds have comparable density, and the
     projective error uses the analytic ground-truth depth on its pixels. A
-    ``random-cloud`` scene has no surface: its ground-truth depth is binned
-    points, isolated pixels that any erosion would remove, so ``erode`` is
-    ignored there and the eroded values equal the masked ones. A pitch the
-    scene cannot be resampled at (more than 4096 samples a side, say)
-    raises ``ConfigurationError`` naming ``pitch_name``, the setting the
-    pitch comes from.
+    pitch the scene cannot be resampled at (more than 4096 samples a side,
+    say) raises ``ConfigurationError``.
     """
     recon_cloud, _ = image.points()
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
     grid = CandidateGrid(image.x, image.y, image.depth)
-    gt_cloud = resample_gt_cloud(kind, params, resample_pitch(kind, params, grid, pitch_name))
+    gt_cloud = resample_gt_cloud(kind, params, resample_pitch(params, grid.x, grid.y, "the image pitch"))
     gt_depth = resample_gt_depth(kind, params, grid)
     joint = np.isfinite(gt_depth) & image.valid
-    eroded = erode_mask(joint, 0 if kind == "random-cloud" else erode)
+    eroded = erode_mask(joint, erode)
     return EvalReport(
         c_gt_to_r=chamfer_one_way(gt_cloud, recon_cloud),
         c_r_to_gt=chamfer_one_way(recon_cloud, gt_cloud),

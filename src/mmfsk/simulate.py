@@ -31,7 +31,6 @@ SCENE_PARAMS = {
     "plane": (*_SURFACE, "depth", "tilt_x", "tilt_y"),
     "sphere-cap": (*_SURFACE, "radius", "center_z"),
     "step": (*_SURFACE, "levels", "split"),
-    "random-cloud": ("n", "bounds", "seed", "amplitude", "phase_offset"),
 }
 
 # Targets are accumulated in fixed-size chunks with a fixed-order einsum so
@@ -86,7 +85,7 @@ def surface_depth(kind: str, params: dict, x, y):
 
     Supported kinds: ``plane`` (optionally tilted), ``sphere-cap`` (near side
     of a sphere facing the aperture), ``step`` (two depth levels split along
-    x). ``random-cloud`` has no surface and is rejected.
+    x).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -113,8 +112,6 @@ def surface_depth(kind: str, params: dict, x, y):
         lo, hi = (float(v) for v in params["levels"])
         split = float(params.get("split", cx))
         z = np.where(x < split, lo, hi)
-    elif kind == "random-cloud":
-        raise ConfigurationError("random-cloud scenes have no analytic surface")
     else:
         raise ConfigurationError(f"unknown scene kind {kind!r}")
 
@@ -123,39 +120,26 @@ def surface_depth(kind: str, params: dict, x, y):
 
 
 def make_scene(kind: str, params: dict) -> Scene:
-    """Deterministic point-target set for a named scene kind.
-
-    Surface kinds are sampled on a regular lateral grid at
-    ``params["spacing"]``; ``random-cloud`` draws ``params["n"]`` targets
-    uniformly inside ``params["bounds"]`` using the given seed. Common
-    optional params: ``amplitude`` (default 1.0) and ``phase_offset``
-    radians (default 0.0).
+    """Deterministic point-target set for a named scene kind, sampled on a
+    regular lateral grid at ``params["spacing"]``. Common optional params:
+    ``amplitude`` (default 1.0) and ``phase_offset`` radians (default 0.0).
     """
     if kind not in SCENE_PARAMS:
         raise ConfigurationError(f"unknown scene kind {kind!r} (known: {', '.join(SCENE_PARAMS)})")
 
     amp = complex(params.get("amplitude", 1.0))
     phi = float(params.get("phase_offset", 0.0))
-
-    if kind == "random-cloud":
-        n = int(params.get("n", 64))
-        bounds = np.asarray(params.get("bounds", [[-0.05, 0.05], [-0.05, 0.05], [0.25, 0.35]]), dtype=np.float64)
-        if bounds.shape != (3, 2) or np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ConfigurationError("bounds must be three (min, max) intervals")
-        rng = np.random.Generator(np.random.Philox(int(params.get("seed", 0))))
-        pos = bounds[:, 0] + rng.random((n, 3)) * (bounds[:, 1] - bounds[:, 0])
-    else:
-        spacing = float(params.get("spacing", 0.002))
-        extent = float(params.get("extent", 0.1))
-        cx, cy = params.get("center", (0.0, 0.0))
-        xs = _lateral_samples(extent, spacing, cx)
-        ys = _lateral_samples(extent, spacing, cy)
-        gx, gy = np.meshgrid(xs, ys)
-        gz = surface_depth(kind, params, gx, gy)
-        keep = np.isfinite(gz)
-        pos = np.column_stack([gx[keep], gy[keep], gz[keep]])
-        if pos.shape[0] == 0:
-            raise ConfigurationError("scene footprint contains no samples")
+    spacing = float(params.get("spacing", 0.002))
+    extent = float(params.get("extent", 0.1))
+    cx, cy = params.get("center", (0.0, 0.0))
+    xs = _lateral_samples(extent, spacing, cx)
+    ys = _lateral_samples(extent, spacing, cy)
+    gx, gy = np.meshgrid(xs, ys)
+    gz = surface_depth(kind, params, gx, gy)
+    keep = np.isfinite(gz)
+    pos = np.column_stack([gx[keep], gy[keep], gz[keep]])
+    if pos.shape[0] == 0:
+        raise ConfigurationError("scene footprint contains no samples")
 
     n = pos.shape[0]
     return Scene(pos, np.full(n, amp, dtype=np.complex128), np.full(n, phi))

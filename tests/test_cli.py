@@ -43,7 +43,7 @@ class TestSimulate:
 
     def test_header_matches_configured_shape(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", array={"n_tx": 16, "n_rx": 16, "aperture": 0.2},
-                           frequencies={"values_ghz": list(np.linspace(72, 82, 8))})
+                           frequencies={"values_ghz": list(np.linspace(72, 82, 8))}, methods=["bp"])
         assert main(["simulate", "-c", str(cfg)]) == 0
         raw = (tmp_path / "out" / "baseband.fskt").read_bytes()
         assert list(np.frombuffer(raw[8:20], dtype="<u4")) == [16, 16, 8]
@@ -66,7 +66,8 @@ class TestSimulate:
         ({"eval": 3}, "eval"),
         ({"scene": {"kind": "plane", "params": {"depth": 0.3, "spacng": 0.002}}}, "spacng"),
         ({"scene": {"kind": "step", "params": {"levels": [0.28, 0.32], "tilt_x": 0.1}}}, "tilt_x"),
-        ({"scene": {"kind": "random-cloud", "params": {"n": 8, "spacing": 0.002}}}, "spacing"),
+        # a scene needs a surface, its ground truth: no kind draws a point cloud
+        ({"scene": {"kind": "random-cloud", "params": {"n": 8}}}, "config scene.kind must be one of"),
         ({"scene": {"kind": "torus", "params": {"depth": 0.3}}}, "torus"),
     ])
     def test_misspelled_section_key_exits_1(self, tmp_path, caplog, overrides, key):
@@ -338,19 +339,6 @@ class TestReconstructAndEval:
             image = recon(baseband, mio.load_candidate_grid(out / "prior_grid.json"), array, freqs)
         want = magnitude_filter(image).depth.astype(np.float32)
         assert np.array_equal(mio.read_pfm(out / f"{method}_depth.pfm"), want, equal_nan=True)
-
-    def test_sparse_random_cloud_evaluates(self, tmp_path):
-        # 64 points on a 32x32 grid bin to isolated pixels, which the
-        # default erosion would remove entirely.
-        self.run_pipeline(
-            tmp_path,
-            scene={"kind": "random-cloud", "params": {"n": 64, "seed": 3}},
-            grid={"width": 32, "height": 32, "spacing": 0.001},
-            prior={"mode": "scalar", "value": 0.40},
-        )
-        rec = mio.load_json(tmp_path / "out" / "eval_mm2fsk.json")
-        assert rec["n_pixels_eroded"] == rec["n_pixels_masked"] > 0
-        assert rec["p_eroded"] == rec["p_masked"]
 
     def test_huge_erosion_count_exits_1_at_once(self, tmp_path, caplog):
         # Erosion stops at its fixed point, the empty mask, so 10**9 steps
@@ -637,15 +625,26 @@ class TestNothingWrittenOnFailure:
         # not the uniform-spacing rule, nor the rule of a voxel section never given
         ({"grid": {"width": 8, "height": 8, "spacing": 0.002, "center": [NAN, 0.0]}}, "grid axes must be finite"),
         ({"grid": {"width": 1, "height": 1, "spacing": NAN}}, "grid axes must be finite"),
-        # rules across sections: eval's resampling pitch, the correlator's exact phase range
+        # rules across sections: each method's carriers, eval's resampling pitch of each method's image,
+        # the correlator's exact phase range
+        ({"methods": ["3fsk"]}, "config methods: 3fsk needs 3 carriers, got 2"),
+        ({"methods": ["bp", "mm2fsk"], "frequencies": {"triple": ["0.5", "10.0"]}},
+         "config methods: mm2fsk needs 2 carriers, got 3"),
         ({"grid": {"width": 8, "height": 8, "spacing": 1e-300}},
          "config grid.spacing gives a pitch of 1.0000000000000002e-300 m, at which the ground truth cannot be"),
+        # bp's image has the voxel columns: 80 um across 8 of them puts the 6 cm scene at 5,251 samples a side
+        ({"methods": ["bp"], "voxel": {"extents": [8e-5, 8e-5, 0.02], "resolution": [8, 8, 5],
+                                       "center": [0.0, 0.0, 0.3]}},
+         "config voxel gives a pitch of 1.1428571428571429e-05 m, at which the ground truth cannot be"),
+        ({"methods": ["bp"], "grid": {"width": 8, "height": 8, "spacing": 1e-5}},  # the default volume spans the grid
+         "config grid.spacing gives a pitch of 1.1428571428571429e-05 m, at which the ground truth cannot be"),
         ({"prior": {"mode": "scalar", "value": 1e300}}, "config prior.value 1e+300 m puts the grid's farthest"),
         ({"prior": {"mode": "scalar", "value": 1000.0}}, "config prior.value 1000.0 m puts the grid's farthest"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
             "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "negative-scalar-prior",
-            "nan-grid-center", "nan-pitch-one-pixel", "pitch-too-fine-to-resample", "prior-past-the-exact-range",
-            "prior-at-1-km"])
+            "nan-grid-center", "nan-pitch-one-pixel", "3fsk-on-a-pair", "mm2fsk-on-a-triple",
+            "pitch-too-fine-to-resample", "bp-voxel-pitch-too-fine", "bp-default-volume-pitch-too-fine",
+            "prior-past-the-exact-range", "prior-at-1-km"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1
@@ -675,15 +674,15 @@ class TestNothingWrittenOnFailure:
         cfg = small_config(tmp_path / "cfg.json", sweep={"seeds": 1, "runs": [
             {"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "triple": ["0.5", "0.5"]}]})
         assert main(["sweep", "-c", str(cfg)]) == 1
-        assert "validation: pair combination does not yield three carriers" in caplog.text
+        assert "validation: sweep entry 3fsk@t0.5-0.5: pair combination does not yield three carriers" in caplog.text
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
         ({"runs": [{"method": "2fsk", "pair": "10.0"}, {"method": "3fsk", "pair": "10.0"}]},
-         "sweep entry 3fsk@d10.0: 3fsk needs 3 carriers, got 2"),
-        ({"method": "3fsk", "pairs": ["10.0"]}, "sweep entry 3fsk@d10.0: 3fsk needs 3 carriers, got 2"),
+         "sweep entry 3fsk@d10.0: config methods: 3fsk needs 3 carriers, got 2"),
+        ({"method": "3fsk", "pairs": ["10.0"]}, "sweep entry 3fsk@d10.0: config methods: 3fsk needs 3 carriers, got 2"),
         ({"runs": [{"method": "mm2fsk", "triple": ["0.5", "10.0"]}]},
-         "sweep entry mm2fsk@t0.5-10.0: mm2fsk needs 2 carriers, got 3"),
+         "sweep entry mm2fsk@t0.5-10.0: config methods: mm2fsk needs 2 carriers, got 3"),
     ], ids=["3fsk-run-on-a-pair", "3fsk-shorthand", "mm2fsk-on-a-triple"])
     def test_sweep_method_without_its_carriers_exits_1_before_any_file(self, tmp_path, caplog, sweep, message):
         cfg = small_config(tmp_path / "cfg.json", sweep=sweep)
@@ -888,11 +887,6 @@ class TestExitCodes:
         ("simulate", {"scene": {"kind": "plane", "params": {"depth": None}}}, "scene.params.depth"),
         ("simulate", {"scene": {"kind": "plane", "params": {"depth": 0.3, "center": [0.0]}}}, "scene.params.center"),
         ("simulate", {"scene": {"kind": "step", "params": {"levels": [0.3, None]}}}, "scene.params.levels[1]"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 6.5}}}, "scene.params.n"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": 0}}}, "scene.params.n"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"n": -1}}}, "scene.params.n"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, 1], [0]]}}},
-         "scene.params.bounds[2]"),
         # json reads NaN and Infinity; no scene value may be either
         ("simulate", {"scene": {"kind": "plane", "params": {"depth": 0.3, "extent": float("inf")}}},
          "scene.params.extent"),
@@ -902,15 +896,12 @@ class TestExitCodes:
         ("simulate", {"scene": {"kind": "sphere-cap", "params": {"radius": 0.05, "center_z": 0.35,
                                                                  "center": [0.0, -float("inf")]}}},
          "scene.params.center[1]"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"bounds": [[0, 1], [0, NAN], [0, 1]]}}},
-         "scene.params.bounds[1][1]"),
         # null means no noise; the string "none" is no alias for it
         ("simulate", {"noise": {"snr_db": "none"}}, "noise.snr_db"),
         # seeds feed numpy's Philox, which takes no negative seed; a
         # negative erosion would skip erosion silently
         ("simulate", {"seed": -1}, "seed"),
         ("simulate", {"noise": {"snr_db": 25, "seed": -1}}, "noise.seed"),
-        ("simulate", {"scene": {"kind": "random-cloud", "params": {"seed": -1}}}, "scene.params.seed"),
         ("eval", {"eval": {"erode": -2}}, "eval.erode"),
         # a count sizes an array: one beyond a C ssize_t (here beyond the
         # float64 range too) would overflow where it is used
@@ -961,8 +952,7 @@ SELECTOR_VALUES = {"profile": "desk", "n_tx": 8, "n_rx": 8, "aperture": 0.2, "pa
                    "runs": [{"method": "3fsk", "pair": "10.0", "prior": {"value": 0.3}}]}
 SCENE_VALUES = {"center": [0.0, 0.0], "extent": 0.06, "spacing": 0.002, "amplitude": 1.0, "phase_offset": 0.0,
                 "depth": 0.30, "tilt_x": 0.1, "tilt_y": 0.0, "radius": 0.1, "center_z": 0.4,
-                "levels": [0.28, 0.32], "split": 0.0, "n": 8, "seed": 1,
-                "bounds": [[-0.01, 0.01], [-0.01, 0.01], [0.28, 0.32]]}
+                "levels": [0.28, 0.32], "split": 0.0}
 
 
 def _config_with_wrong_type(table: str, key: str):

@@ -17,7 +17,7 @@ from mmfsk import (
     resample_gt_depth,
 )
 from mmfsk.errors import InsufficientDataError, StructuralError
-from mmfsk.metrics import EvalReport, _bin_cloud_depth, _nearest_sq, erode_mask, report_table, spearman_rho
+from mmfsk.metrics import EvalReport, _nearest_sq, erode_mask, report_table, spearman_rho
 from mmfsk.reconstruct import RadarImage
 
 
@@ -70,22 +70,6 @@ def chamfer_cases():
 
 
 CHAMFER_CASES = chamfer_cases()
-
-
-def reference_bin_cloud_depth(points, grid):
-    """Sorted-loop binning: nearest pixel, front-most point, earliest on ties.
-    A one-pixel axis takes the other axis's pitch, a 1x1 grid 1 mm."""
-    dx, dy = grid.spacing
-    pitch = max(dx, dy) or 0.001
-    depth = np.full((grid.height, grid.width), np.nan)
-    u = np.round((points[:, 0] - grid.x[0]) / (dx or pitch)).astype(int)
-    v = np.round((points[:, 1] - grid.y[0]) / (dy or pitch)).astype(int)
-    ok = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
-    for ui, vi, zi in sorted(zip(u[ok], v[ok], points[ok, 2])):
-        cur = depth[vi, ui]
-        if not np.isfinite(cur) or zi < cur:
-            depth[vi, ui] = zi
-    return depth
 
 
 class TestChamfer:
@@ -258,38 +242,6 @@ class TestResampleGroundTruth:
         grid = CandidateGrid.regular(16, 16, 0.002)
         depth = resample_gt_depth("plane", {"depth": 0.31, "extent": 0.1}, grid)
         assert np.nanmax(np.abs(depth - 0.31)) == 0.0
-
-    def test_random_cloud_binning(self):
-        grid = CandidateGrid.regular(8, 8, 0.01)
-        params = {"n": 40, "bounds": [[-0.03, 0.03], [-0.03, 0.03], [0.2, 0.3]], "seed": 1}
-        depth = resample_gt_depth("random-cloud", params, grid)
-        assert np.isfinite(depth).any()
-        assert np.nanmin(depth) >= 0.2 and np.nanmax(depth) <= 0.3
-
-    @pytest.mark.parametrize("shape", [(8, 8), (1, 9), (9, 1)])
-    def test_binning_matches_sorted_loop(self, shape):
-        rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        grid = CandidateGrid.regular(*shape, 0.01)
-        pts = np.column_stack([rng.uniform(-0.06, 0.06, (300, 2)), rng.choice([-0.0, 0.0, 0.2, 0.25], 300)])
-        pts = np.vstack([pts, pts[:50]])  # exact duplicates as well as depth ties
-        got = _bin_cloud_depth(pts, grid)
-        want = reference_bin_cloud_depth(pts, grid)
-        assert np.signbit(want).any()  # signed-zero ties, which only the earliest-point rule decides
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
-    def test_one_pixel_axis_bins_at_grid_pitch(self, shape):
-        # A point 3 cm off the single column (or row) lies three or more
-        # pixels away (1 cm pitch; 1 mm on the 1x1 grid), so it must not
-        # land in the grid.
-        grid = CandidateGrid.regular(*shape, 0.01)
-        off = [0.03, 0.0] if shape[0] == 1 else [0.0, 0.03]
-        pts = np.array([[0.0, 0.0, 0.3], off + [0.2]])
-        depth = _bin_cloud_depth(pts, grid)
-        centre = (grid.height // 2, grid.width // 2)
-        assert depth[centre] == 0.3
-        assert np.isfinite(depth).sum() == 1
-        assert depth.tobytes() == reference_bin_cloud_depth(pts, grid).tobytes()
 
 
 class TestEvaluateImage:

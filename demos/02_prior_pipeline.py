@@ -47,10 +47,10 @@ print(f"after dropout: {holey.valid.sum()} pixels remain")
 # =============================================================================
 # Walk the pipeline one stage at a time.
 
-points, pixels = backproject_depth(holey, intrinsics)
+points = backproject_depth(holey, intrinsics)  # one point per valid pixel, row by row
 print(f"back-projected cloud: {points.shape[0]} points")
 
-mesh = triangulate(points, pixels)
+mesh = triangulate(points, holey.valid)  # the mask says which pixel each point came from
 print(f"triangulated: {mesh.triangles.shape[0]} triangles over the pixel hull")
 
 mesh_radar = transform_mesh(mesh, extrinsics)

@@ -240,6 +240,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return _section("")("", cfg)
 
 
+def _check_exact_range(axes, array, freqs, what: str) -> None:
+    """Fail unless every phase the correlator forms toward the box spanned
+    by ``axes`` (x, y, z), |b*d| at the highest carrier for d from any
+    antenna, is within its exact range. The farthest point of a box is one
+    of its corners; ``what`` names the config key and the point."""
+    corners = np.stack(np.meshgrid(*(axis[[0, -1]] for axis in axes)), axis=-1).reshape(-1, 3)
+    diff = corners[:, None] - np.concatenate([array.tx_positions, array.rx_positions])
+    far = np.hypot(np.hypot(diff[..., 0], diff[..., 1]), diff[..., 2]).max()  # hypot: no overflow
+    phase = np.abs(carrier_wavenumbers(freqs)[0]).max() * far
+    if not phase < EXACT_PHASE:
+        raise ConfigurationError(
+            f"{what} {far:.4g} m from an antenna: a phase of {phase:.3g} rad at "
+            f"{max(freqs.frequencies) / 1e9:g} GHz, beyond the correlator's exact range of {EXACT_PHASE:.3g} rad")
+
+
 def _resolve(cfg: dict) -> dict:
     """The run's library objects, built once before any stage reads or
     writes a file, so every rule they own fails first: the array, the
@@ -248,8 +263,8 @@ def _resolve(cfg: dict) -> dict:
     span sections: each method needs the carriers ``CARRIERS`` gives it,
     ``eval`` must be able to resample the scene at the pitch of each
     method's image (the grid's, or bp's voxel columns), and a scalar prior
-    must keep every phase the correlator forms, |b*d| at the highest
-    carrier to the grid's farthest candidate, within its exact range."""
+    and bp's volume must keep every phase the correlator forms within its
+    exact range (``_check_exact_range``)."""
     a, f, g, v, n = cfg["array"], cfg["frequencies"], cfg["grid"], cfg["voxel"], cfg["noise"]
     if v is None:  # the grid's footprint, 20 cm of depth around the scene
         v = {"extents": [g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20],
@@ -267,15 +282,8 @@ def _resolve(cfg: dict) -> dict:
     if cfg["prior"]["mode"] == "scalar":
         value = cfg["prior"]["value"]
         prior = grid.with_scalar_prior(value)
-        corners = np.array([[x, y, value] for x in grid.x[[0, -1]] for y in grid.y[[0, -1]]])
-        diff = corners[:, None] - np.concatenate([array.tx_positions, array.rx_positions])
-        far = np.hypot(np.hypot(diff[..., 0], diff[..., 1]), diff[..., 2]).max()  # hypot: no overflow
-        phase = np.abs(carrier_wavenumbers(freqs)[0]).max() * far
-        if not phase < EXACT_PHASE:
-            raise ConfigurationError(
-                f"config prior.value {value!r} m puts the grid's farthest candidate {far:.4g} m from an antenna: "
-                f"a phase of {phase:.3g} rad at {max(freqs.frequencies) / 1e9:g} GHz, beyond the correlator's "
-                f"exact range of {EXACT_PHASE:.3g} rad")
+        _check_exact_range((grid.x, grid.y, np.array([value])), array, freqs,
+                           f"config prior.value {value!r} m puts the grid's farthest candidate")
     voxel = VoxelGridSpec(tuple(v["extents"]), tuple(v["resolution"]), tuple(v["center"]))
     params = cfg["scene"]["params"]
     if set(cfg["methods"]) - {"bp"}:  # eval scores these on the grid
@@ -283,6 +291,7 @@ def _resolve(cfg: dict) -> dict:
     if "bp" in cfg["methods"]:  # and bp on the voxel columns, which the grid sets in the default volume
         key = "config grid.spacing" if cfg["voxel"] is None else "config voxel"
         resample_pitch(params, voxel.axis(0), voxel.axis(1), key)
+        _check_exact_range([voxel.axis(i) for i in range(3)], array, freqs, f"{key} puts the volume's farthest voxel")
     return {
         "array": array,
         "freqs": freqs,

@@ -7,17 +7,16 @@ the mesh into the radar frame, and rasterizes it orthographically onto the
 candidate grid with barycentric depth interpolation. Where triangles
 overlap after the transform, the front-most surface (smallest depth) wins.
 
-A depth camera's pixels sit on an integer lattice, and most Delaunay
-faces of a lattice are known without computing anything: every complete
-unit quad, every quad with three valid corners, and the diamond around a
-lone missing pixel. ``triangulate`` finds them by gathers from one index
-image over the pixels' bounding box; an advancing Delaunay front in numpy
-(``_Front``) fills the rest of the hull from the cells' boundary edges,
-with the points along irregular holes and the outer border as its
-candidates. Input off the lattice (non-integer or repeated pixels), or so
-sparse on it that the index image would exceed ``_LATTICE_ENTRIES``
-entries, runs the front from one convex-hull edge over every point,
-bucketed in cells of about their mean spacing. The package needs no scipy.
+``triangulate`` takes the depth image's validity mask: its valid pixels,
+in row-major order, are the points. Most Delaunay faces of a pixel lattice
+are known without computing anything: every complete unit quad, every quad
+with three valid corners, and the diamond around a lone missing pixel.
+``triangulate`` finds them by gathers from one index image over the valid
+pixels' bounding box; an advancing Delaunay front in numpy (``_Front``)
+fills the rest of the hull from the cells' boundary edges, with the points
+along irregular holes and the outer border as its candidates. An image
+with no cells (about 90 % dropout, or a single row) starts the front from
+one convex-hull edge. The package needs no scipy.
 
 Rasterization runs array passes over ``_TRIANGLE_CHUNK`` triangles at a
 time, not a loop per triangle. Each triangle's integer bounding box
@@ -42,7 +41,6 @@ from .errors import (
 from .signal_core import freeze
 
 _ORTHONORMAL_TOL = 1e-9
-_LATTICE_ENTRIES = 1 << 23  # largest index image, 7 bytes an entry across its images; 1920 x 1080 needs 2.1M
 _PAIR_CHUNK = 1 << 16  # (triangle, pixel), (query, strip), (query, point) or (edge, candidate) pairs a pass: a few MB of temporaries
 _REACH = 2.0  # px: how far the first search for an edge's apex looks
 _TRIANGLE_CHUNK = 1 << 13  # triangles the rasterizer sets up at once: their arrays and candidates, about 1 MB
@@ -109,33 +107,32 @@ class OpticalDepthMap:
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Triangulated point cloud; ``source_pixels`` remembers each vertex's
-    (u, v) origin so topology built in the pixel domain survives the 3-D
-    transform."""
+    """Triangulated point cloud: vertices and the index triples of its
+    triangles, whose topology was built in the pixel domain."""
 
-    vertices: np.ndarray       # (N, 3)
-    triangles: np.ndarray      # (M, 3) int
-    source_pixels: np.ndarray  # (N, 2)
+    vertices: np.ndarray   # (N, 3)
+    triangles: np.ndarray  # (M, 3) int
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
-        t = np.asarray(self.triangles, dtype=np.int64)
-        s = np.asarray(self.source_pixels, dtype=np.float64)
+        t = np.asarray(self.triangles)
         if v.ndim != 2 or v.shape[1] != 3:
             raise StructuralError("vertices must be (N, 3)")
         if t.ndim != 2 or t.shape[1] != 3:
             raise StructuralError("triangles must be (M, 3) index triples")
-        if s.shape != (v.shape[0], 2):
-            raise StructuralError("source_pixels must be (N, 2)")
+        if t.dtype.kind not in "iu" and not np.array_equal(t, np.round(t)):  # a cast would truncate
+            raise StructuralError("triangle indices must be integers")
+        t = t.astype(np.int64, copy=False)
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise StructuralError("triangle indices out of range")
-        freeze(self, vertices=v, triangles=t, source_pixels=s)
+        freeze(self, vertices=v, triangles=t)
 
 
-def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics):
+def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Lift every valid (u, v, d) pixel to a 3-D camera-frame point.
 
-    Returns the point cloud and the matching (u, v) source pixels; invalid
+    Returns the (N, 3) point cloud, one point per valid pixel in row-major
+    order (the order ``triangulate`` reads ``depth_map.valid`` in); invalid
     pixels are simply skipped.
     """
     vs, us = np.nonzero(depth_map.valid)
@@ -149,45 +146,36 @@ def backproject_depth(depth_map: OpticalDepthMap, intrinsics: CameraIntrinsics):
             d,
         ]
     )
-    pixels = np.column_stack([us, vs]).astype(np.float64)
-    return points, pixels
+    return points
 
 
-def _lattice_cells(pixels: np.ndarray):
-    """Delaunay cells read off the integer pixel lattice.
+def _lattice_cells(valid: np.ndarray):
+    """Delaunay cells read off the pixel lattice of the (H, W) mask ``valid``,
+    whose True pixels, in row-major order, are the points.
 
-    Returns ``(cells, remainder, lattice)``: the cell triangles as point
+    Returns ``(cells, remainder, pixels)``: the cell triangles as point
     indices, counter-clockwise; a mask of the points that touch ground no
-    cell covers; and whether the pixels could be read off the lattice.
+    cell covers; and the points' (u, v) image coordinates as two float rows.
 
-    Neighbours are found in one int32 index image over the pixels' bounding
-    box with a margin of one on every side: each entry holds its pixel's
-    point index, or -1 for a hole. A key is an entry's flat position, and the
-    unit quad at key k has k as its lower-left corner. Coverage is judged
-    per quad quarter: the two diagonals cut each quad (corners c00, c10,
-    c11, c01, counter-clockwise) into quarters 0-3, and quarter k lies
-    between corners k and k + 1. Every cell is a union of whole quarters.
-    Non-integer or repeated pixels give no cells and a remainder of every
-    point, as does a box of more than ``_LATTICE_ENTRIES`` entries (points
-    sparse on their lattice).
+    Neighbours are found in one int32 index image over the valid pixels'
+    bounding box with a margin of one on every side: each entry holds its
+    pixel's point index, or -1 for a hole. A key is an entry's flat
+    position, and the unit quad at key k has k as its lower-left corner.
+    Coverage is judged per quad quarter: the two diagonals cut each quad
+    (corners c00, c10, c11, c01, counter-clockwise) into quarters 0-3, and
+    quarter k lies between corners k and k + 1. Every cell is a union of
+    whole quarters.
     """
-    n = pixels.shape[0]
-    no_cells = np.zeros((0, 3), dtype=np.int64), np.ones(n, dtype=bool), False
-    if not (np.isfinite(pixels).all() and (pixels == np.round(pixels)).all()):
-        return no_cells
-    u, v = pixels.T  # one column each: reducing (N, 2) rows over axis 0 is ~25x slower
-    u0, v0 = u.min(), v.min()
-    width, height = u.max() - u0 + 3, v.max() - v0 + 3  # the box and its margins
-    if width * height > _LATTICE_ENTRIES:
-        return no_cells
-    width, height = int(width), int(height)
-    keys = ((v - v0 + 1.0) * width + (u - u0 + 1.0)).astype(np.int32)  # exact: integers below 2^23
+    rows, cols = (np.flatnonzero(valid.any(axis=axis)) for axis in (1, 0))
+    occupied = np.pad(valid[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1], 1)  # the box and its margins
+    height, width = occupied.shape
+    occupied = occupied.ravel()
+    keys = np.flatnonzero(occupied).astype(np.int32)  # row-major: the points' order
     index = np.full(width * height, -1, dtype=np.int32)
-    index[keys] = np.arange(n, dtype=np.int32)
-    if (index[keys] != np.arange(n)).any():  # a repeated pixel kept only its last point
-        return no_cells
+    index[keys] = np.arange(keys.size, dtype=np.int32)
+    v, u = np.divmod(keys, width)
+    pixels = np.array([u + (cols[0] - 1), v + (rows[0] - 1)], dtype=np.float64)
 
-    occupied = index >= 0
     # quads with a point at any corner; a shift past a row's end reads the next row's empty margin
     quad = occupied.copy()
     for shift in (1, width, width + 1):
@@ -195,11 +183,11 @@ def _lattice_cells(pixels: np.ndarray):
     quads = np.flatnonzero(quad).astype(np.int32)  # lower-left keys, ascending
     corner_keys = quads + np.array([[0], [1], [width + 1], [width]], dtype=np.int32)  # (4, Q)
     corner = index[corner_keys]
-    valid = corner >= 0
-    count = valid.sum(axis=0)
+    present = corner >= 0
+    count = present.sum(axis=0)
 
     has3 = count == 3
-    three = corner[:, has3].T[valid[:, has3].T].reshape(-1, 3)  # the valid corners, in order
+    three = corner[:, has3].T[present[:, has3].T].reshape(-1, 3)  # the valid corners, in order
 
     centers = keys + 1  # every diamond center has a valid left neighbour
     # (4, N) counter-clockwise; a right neighbour past the last column reads the next row's empty margin
@@ -215,11 +203,11 @@ def _lattice_cells(pixels: np.ndarray):
     at_diamond[centers[diamond]] = True
     at_diamond = at_diamond[corner_keys]
     pair = np.roll(np.arange(4), -1)  # quarter k lies between corners k and pair[k]
-    filled = ((count >= 3) & valid & valid[pair]) | at_diamond | at_diamond[pair]  # (4, Q) quarters
+    filled = ((count >= 3) & present & present[pair]) | at_diamond | at_diamond[pair]  # (4, Q) quarters
     open_beside = ~filled | ~np.roll(filled, 1, axis=0)  # quarters k - 1 and k touch corner k
-    remainder = np.zeros(n, dtype=bool)
-    remainder[corner[valid & open_beside]] = True
-    return cells, remainder, True
+    remainder = np.zeros(keys.size, dtype=bool)
+    remainder[corner[present & open_beside]] = True
+    return cells, remainder, pixels
 
 
 def _member(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,24 +229,17 @@ class _Front:
     that they round. Cocircular ties become a fan from the smallest
     point index of the tie set and the edge, the same split from every
     edge of the cell. An edge searches the candidates within ``_REACH``
-    cells on its left (rows of candidates sorted by cell), then, if the
+    px on its left (rows of candidates sorted by pixel), then, if the
     circle through it and its best one leaves that window, the circle's
-    left part, or the whole box if the window held none. A cell is a
-    pixel on the lattice, and about the candidates' mean spacing off it.
+    left part, or the whole box if the window held none.
     """
 
-    def __init__(self, pixels: np.ndarray, cand: np.ndarray, lattice: bool):
-        self.x, self.y = (np.ascontiguousarray(c) for c in pixels.T)
-        lo, hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))
-        self.span = float(np.hypot(*(hi - lo))) + 1.0  # a reach that covers the whole box
-        # square cells of side cell px: a pixel on the lattice; the mean spacing off it, n or fewer a side
-        size = hi - lo
-        self.cell = 1.0 if lattice else float(max(np.sqrt(size.prod() / cand.size), size.max() / cand.size)) or 1.0
-        self.off = float(not lattice)
-        self.lo, self.hi = np.floor(lo / self.cell), np.floor(hi / self.cell)  # the box's cells
+    def __init__(self, pixels: np.ndarray, cand: np.ndarray):
+        self.x, self.y = pixels
+        self.lo, self.hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))  # the pixels' box
+        self.span = float(np.hypot(*(self.hi - self.lo))) + 1.0  # a reach that covers the whole box
         self.width = int(self.hi[0] - self.lo[0]) + 1
-        key = ((np.floor(self.y.take(cand) / self.cell) - self.lo[1]) * self.width
-               + (np.floor(self.x.take(cand) / self.cell) - self.lo[0])).astype(np.int64)
+        key = ((self.y.take(cand) - self.lo[1]) * self.width + (self.x.take(cand) - self.lo[0])).astype(np.int64)
         order = np.argsort(key, kind="stable")
         self.cand, self.keys = cand.take(order), key.take(order)
 
@@ -271,10 +252,12 @@ class _Front:
             tri = np.column_stack([a, b, c])[c >= 0]
             if not tri.size:
                 break
-            # front edges of one triangle each find it: keep one row per triangle
+            # front edges of one triangle each find it: keep its first row, ordered by the key
             r = tri.argmin(axis=1)
             at = np.arange(tri.shape[0])
-            tri = tri[np.unique(tri[at, r] * n + tri[at, (r + 1) % 3], return_index=True)[1]]
+            key = tri[at, r] * n + tri[at, (r + 1) % 3]
+            order = np.argsort(key, kind="stable")
+            tri = tri.take(order[np.diff(key.take(order), prepend=-1) != 0], axis=0)
             out.append(tri)
             total += tri.shape[0]
             if total > 2 * n:  # more than any triangulation of n points has
@@ -292,7 +275,7 @@ class _Front:
         self.length = np.hypot(self.dx, self.dy)
         best = np.full(a.size, np.inf)  # per edge, the least cot(a-c-b) over c on its left
         found = []  # (edge, c) at the edge's best, for settled edges
-        k, reach, last = np.arange(a.size), np.full(a.size, _REACH * self.cell), False
+        k, reach, last = np.arange(a.size), np.full(a.size, _REACH), False
         while k.size:
             best[k] = np.inf
             hits = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
@@ -345,17 +328,16 @@ class _Front:
         each edge of ``k`` against the candidates in the cells of the box
         around its left within ``reach`` px."""
         # the box of a + s (b - a) + t n, n = (b - a) turned left, s in [-mu, 1 + mu], t in
-        # [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|. Off the
-        # lattice t starts at 0, and the box a cell lower: a cell holds the points up to the next cell
+        # [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|
         length = self.length.take(k)
-        mu, inner = reach / length, (1.0 - self.off) / (length * length)
+        mu, inner = reach / length, 1.0 / (length * length)
         box = []
         for p, d, n, lo, hi in ((self.ax, self.dx, -self.dy, self.lo[0], self.hi[0]),
                                 (self.ay, self.dy, self.dx, self.lo[1], self.hi[1])):
             p, d, n = p.take(k), d.take(k), n.take(k)
             s, t = (-mu * d, (1.0 + mu) * d), (inner * n, mu * n)
-            first = (p + np.minimum(*s) + np.minimum(*t)) / self.cell - self.off
-            end = (p + np.maximum(*s) + np.maximum(*t)) / self.cell
+            first = p + np.minimum(*s) + np.minimum(*t)
+            end = p + np.maximum(*s) + np.maximum(*t)
             box.append((np.maximum(np.ceil(first - 1e-9), lo) - lo).astype(np.int64))
             box.append((np.minimum(np.floor(end + 1e-9), hi) - lo).astype(np.int64))
         x0, x1, y0, y1 = box
@@ -369,7 +351,7 @@ class _Front:
 def _hull_edge(pixels: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """A hull edge p -> q with every candidate on its left or its line, or
     none for candidates on one vertical line."""
-    x, y = pixels[cand].T
+    x, y = pixels[:, cand]
     p = np.lexsort((y, x))[0]  # the lowest of the leftmost: a hull vertex
     dx, dy = x - x[p], y - y[p]
     right = np.flatnonzero(dx > 0.0)
@@ -379,56 +361,55 @@ def _hull_edge(pixels: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return cand[[[p, q]]]
 
 
-def triangulate(points: np.ndarray, pixels: np.ndarray) -> TriangleMesh:
+def triangulate(points: np.ndarray, valid: np.ndarray) -> TriangleMesh:
     """Delaunay-triangulate the cloud in its 2-D pixel domain.
 
-    The triangulation spans the convex hull of the source pixels, which is
-    what fills depth holes. Most triangles come straight from the pixel
-    lattice: two per complete unit quad, one per quad with three valid
-    corners (the half away from the missing one), and two per diamond
-    around a missing pixel whose four axis neighbours are valid. Each of
-    these is a whole face of the Delaunay subdivision, since its
+    ``valid`` is the depth image's (H, W) bool mask: its True pixels, in
+    row-major order, are the pixels of the (N, 3) ``points``, as
+    ``backproject_depth`` lists them. The triangulation spans the convex
+    hull of those pixels, which is what fills depth holes. Most triangles
+    come straight from the pixel lattice: two per complete unit quad, one
+    per quad with three valid corners (the half away from the missing
+    one), and two per diamond around a missing pixel whose four axis
+    neighbours are valid. Each is a whole Delaunay face, since its
     circumcircle passes through its corners and holds no other lattice
-    point but a missing one. So every other Delaunay face has its vertices
-    among the points that touch ground no cell covers, and ``_Front``
-    fills that ground from the cells' boundary edges. Without cells (input
-    off the lattice, or too sparse on it) the front starts from one hull
-    edge over every distinct pixel, the first of a repeated one. Collinear
-    input cannot be triangulated.
+    point but a missing one. So every other face has its vertices among
+    the points that touch ground no cell covers, and ``_Front`` fills that
+    ground from the cells' boundary edges, or from one hull edge in an
+    image with no cells. Collinear pixels cannot be triangulated.
     """
     points = np.asarray(points, dtype=np.float64)
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] != points.shape[0]:
-        raise StructuralError("pixels must be (N, 2) matching the point cloud")
-    if pixels.shape[0] < 3:
+    valid = np.asarray(valid)
+    if valid.ndim != 2 or valid.dtype != bool:
+        raise StructuralError("valid must be an (H, W) bool mask")
+    n = np.count_nonzero(valid)
+    if n != points.shape[0]:
+        raise StructuralError(f"valid holds {n} pixels for {points.shape[0]} points")
+    if n < 3:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
-    if not np.isfinite(pixels).all():
-        raise ValidationError("pixels must be finite")
-    cells, remainder, lattice = _lattice_cells(pixels)
+    cells, remainder, pixels = _lattice_cells(valid)
+    cand = np.flatnonzero(remainder)
     if cells.size:
-        n = pixels.shape[0]
         r = remainder.view(np.uint8)  # a sum per column: reducing (M, 3) rows is ~5x slower
         rim = cells[r[cells[:, 0]] + r[cells[:, 1]] + r[cells[:, 2]] >= 2].astype(np.int64)  # keys a * n + b pass 2^31
         edges = rim[:, [1, 0, 2, 1, 0, 2]].reshape(-1, 2)  # each cell edge reversed: the cell on its right
         edges = edges[remainder[edges].all(axis=1)]  # an edge with ground open beside it
         front = edges[~_member(edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])]
-        cand = np.flatnonzero(remainder)
     else:
-        cand = np.arange(pixels.shape[0]) if lattice else np.unique(pixels, axis=0, return_index=True)[1]
         front = _hull_edge(pixels, cand)
-    triangles = np.concatenate([cells, _Front(pixels, cand, lattice).triangles(front)])
+    triangles = np.concatenate([cells, _Front(pixels, cand).triangles(front)])
     if not triangles.size:
         raise DegenerateGeometryError("the pixels are collinear: no triangle has area")
     triangles.setflags(write=False)  # frozen: the mesh shares it
-    return TriangleMesh(points, triangles, pixels)
+    return TriangleMesh(points, triangles)
 
 
 def transform_mesh(mesh: TriangleMesh, extrinsics: Extrinsics) -> TriangleMesh:
     """Apply the rigid camera-to-radar transform to every vertex; topology
     is untouched."""
     moved = mesh.vertices @ extrinsics.rotation.T + extrinsics.translation
-    moved.setflags(write=False)  # frozen, like the topology: the new mesh shares all three
-    return TriangleMesh(moved, mesh.triangles, mesh.source_pixels)
+    moved.setflags(write=False)  # frozen, like the topology: the new mesh shares both
+    return TriangleMesh(moved, mesh.triangles)
 
 
 def _edge(ax, ay, bx, by, px, py):
@@ -520,9 +501,8 @@ def build_prior(
     """Full prior pipeline: back-project, triangulate, transform, rasterize.
     Hole-filling triangles across depth gaps are kept: they are a feature,
     not noise."""
-    points, pixels = backproject_depth(depth_map, intrinsics)
-    for cloud in (points, pixels):
-        cloud.setflags(write=False)  # frozen: the mesh takes the cloud without a copy
-    mesh = transform_mesh(triangulate(points, pixels), extrinsics)
+    points = backproject_depth(depth_map, intrinsics)
+    points.setflags(write=False)  # frozen: the mesh takes the cloud without a copy
+    mesh = transform_mesh(triangulate(points, depth_map.valid), extrinsics)
     del points  # the camera-frame vertices: from here on only the moved ones are needed
     return rasterize_prior(mesh, grid)

@@ -36,7 +36,7 @@ from mmfsk.simulate import NoiseSpec
 from corpus import artifacts, tree_digest
 from scenarios import recovery_run
 from test_correlate import random_instance, reference_correlation
-from test_depth_prior import circumcircle_violations
+from test_depth_prior import circumcircle_violations, lattice_pixels, scattered_mask
 from test_metrics import brute_force_chamfer
 
 DESK_ARRAY = mimo_cross_array(16, 16, 0.20)
@@ -179,16 +179,18 @@ def test_geometry_oracles():
     violations = 0
     for _ in range(50):
         n = int(rng.integers(10, 501))
-        pix = rng.uniform(0, 100, (n, 2))
+        mask = scattered_mask(n, 100, rng)
+        pix = lattice_pixels(mask)
         pts = np.column_stack([pix * 0.001, rng.uniform(0.2, 0.4, n)])
-        mesh = triangulate(pts, pix)
-        violations += circumcircle_violations(mesh.source_pixels, mesh.triangles)
+        mesh = triangulate(pts, mask)
+        violations += circumcircle_violations(pix, mesh.triangles)
 
-    pix = rng.uniform(0, 48, (150, 2))
+    mask = scattered_mask(150, 48, rng)
+    pix = lattice_pixels(mask)
     x = (pix[:, 0] - 24) * 0.003
     y = (pix[:, 1] - 24) * 0.003
     z = 0.3 + 0.17 * x - 0.04 * y
-    mesh = triangulate(np.column_stack([x, y, z]), pix)
+    mesh = triangulate(np.column_stack([x, y, z]), mask)
     grid = rasterize_prior(mesh, CandidateGrid.regular(32, 32, 0.002))
     want = 0.3 + 0.17 * np.meshgrid(grid.x, grid.y)[0] - 0.04 * np.meshgrid(grid.x, grid.y)[1]
     raster_err = float(np.abs(grid.prior_depth - want)[grid.valid].max())

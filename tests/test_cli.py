@@ -640,11 +640,17 @@ class TestNothingWrittenOnFailure:
          "config grid.spacing gives a pitch of 1.1428571428571429e-05 m, at which the ground truth cannot be"),
         ({"prior": {"mode": "scalar", "value": 1e300}}, "config prior.value 1e+300 m puts the grid's farthest"),
         ({"prior": {"mode": "scalar", "value": 1000.0}}, "config prior.value 1000.0 m puts the grid's farthest"),
+        # bp's volume at 1 km: |b*d| = 1.72e6 rad at 82 GHz
+        ({"methods": ["bp"], "frequencies": {"values_ghz": [72, 77, 82]}, "voxel": {**SMALL_VOXEL, "center": [0, 0, 1000]}},
+         "config voxel puts the volume's farthest voxel 1000 m from an antenna"),
+        ({"methods": ["bp"], "frequencies": {"values_ghz": [72, 77, 82]}, "prior": {"mode": "camera"},
+          "grid": {"width": 8, "height": 8, "spacing": 100.0}},  # the default volume spans the grid
+         "config grid.spacing puts the volume's farthest voxel 565.8 m from an antenna"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
             "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "negative-scalar-prior",
             "nan-grid-center", "nan-pitch-one-pixel", "3fsk-on-a-pair", "mm2fsk-on-a-triple",
             "pitch-too-fine-to-resample", "bp-voxel-pitch-too-fine", "bp-default-volume-pitch-too-fine",
-            "prior-past-the-exact-range", "prior-at-1-km"])
+            "prior-past-the-exact-range", "prior-at-1-km", "bp-volume-at-1-km", "bp-default-volume-past-the-exact-range"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1

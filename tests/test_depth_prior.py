@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +69,7 @@ def qhull_triangulate(points, pixels):
     simplices = Delaunay(pixels).simplices
     a, b, c = (pixels[simplices[:, i]] for i in range(3))
     keep = np.abs(_edge(*a.T, *b.T, *c.T)) > MIN_TRIANGLE_AREA
-    return TriangleMesh(points, simplices[keep], pixels)
+    return TriangleMesh(points, simplices[keep])
 
 
 def triangle_area2(pixels, triangles):
@@ -126,13 +125,22 @@ def assert_delaunay_oracles(pix, tri):
     assert max_cover(pix, tri, probes) == 1
 
 
-def lattice_pixels(mask, offset=(0, 0)):
+def lattice_pixels(mask):
+    """The (u, v) pixels of the mask's True entries, in the row-major order
+    that ``triangulate`` numbers its points in."""
     v, u = np.nonzero(mask)
-    return np.column_stack([u + offset[0], v + offset[1]]).astype(np.float64)
+    return np.column_stack([u, v]).astype(np.float64)
 
 
 def dropout_mask(fraction, shape=(36, 44), seed=0):
     return np.random.default_rng(seed).random(shape) >= fraction
+
+
+def scattered_mask(n, size, rng):
+    """n distinct pixels of a size x size image, drawn by ``rng``."""
+    mask = np.zeros(size * size, dtype=bool)
+    mask[rng.choice(size * size, n, replace=False)] = True
+    return mask.reshape(size, size)
 
 
 def disk_with_slot(n=41):
@@ -145,14 +153,15 @@ def disk_with_slot(n=41):
 
 
 LATTICE_MASKS = {
-    "dropout-5%": (dropout_mask(0.05, seed=1), (0, 0)),
-    "dropout-30%": (dropout_mask(0.30, seed=2), (0, 0)),
-    "dropout-60%": (dropout_mask(0.60, seed=3), (0, 0)),
-    "disk-with-slot": (disk_with_slot(), (0, 0)),
-    "full-rectangle": (np.ones((17, 23), dtype=bool), (0, 0)),
-    "2xN": (np.ones((2, 31), dtype=bool), (0, 0)),
-    "Nx2-with-gaps": (dropout_mask(0.2, shape=(29, 2), seed=4), (0, 0)),
-    "negative-offset": (dropout_mask(0.30, seed=5), (-80, -23)),
+    "dropout-5%": dropout_mask(0.05, seed=1),
+    "dropout-30%": dropout_mask(0.30, seed=2),
+    "dropout-60%": dropout_mask(0.60, seed=3),
+    "disk-with-slot": disk_with_slot(),
+    "full-rectangle": np.ones((17, 23), dtype=bool),
+    "2xN": np.ones((2, 31), dtype=bool),
+    "Nx2-with-gaps": dropout_mask(0.2, shape=(29, 2), seed=4),
+    # the image's origin 80 px left of and 23 px above the pixels' box: only the box is indexed
+    "negative-offset": np.pad(dropout_mask(0.30, seed=5), ((23, 4), (80, 9))),
 }
 
 
@@ -175,10 +184,10 @@ def circle_of_radius_5(interior=True):
 
 
 TIE_MASKS = {
-    "domino-hole": (domino_hole(), (0, 0)),
-    "trapezoid-notch": (trapezoid_notch(), (0, 0)),
-    "circle-of-radius-5": (circle_of_radius_5(), (-5, -5)),
-    "ring-of-radius-5": (circle_of_radius_5(interior=False), (-5, -5)),  # one cocircular face: a fan
+    "domino-hole": domino_hole(),
+    "trapezoid-notch": trapezoid_notch(),
+    "circle-of-radius-5": circle_of_radius_5(),
+    "ring-of-radius-5": circle_of_radius_5(interior=False),  # one cocircular face: a fan
 }
 
 
@@ -226,11 +235,11 @@ LATTICE_DIGESTS = {
 }
 
 
-DIGEST_MASKS = {**LATTICE_MASKS, "camera-240-dropout-5%": (dropout_mask(0.05, shape=(240, 240), seed=8), (0, 0))}
+DIGEST_MASKS = {**LATTICE_MASKS, "camera-240-dropout-5%": dropout_mask(0.05, shape=(240, 240), seed=8)}
 
 
-def lattice_digests(pixels):
-    cells, remainder, _ = depth_prior._lattice_cells(pixels)
+def lattice_digests(mask):
+    cells, remainder, _ = depth_prior._lattice_cells(mask)
     return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                  for a in (cells.astype("<i8"), remainder))
 
@@ -298,7 +307,7 @@ def random_mesh(rng, grid, spacing, n_tri, snapped=False):
         xy = np.round(xy / (spacing / 2.0)) * (spacing / 2.0)
         z = rng.choice([-0.0, 0.0, 0.25, 0.5], n_v)
     tris = rng.integers(0, n_v, (n_tri, 3))
-    return TriangleMesh(np.column_stack([xy, z]), tris, np.zeros((n_v, 2)))
+    return TriangleMesh(np.column_stack([xy, z]), tris)
 
 
 def assert_matches_reference(mesh, grid):
@@ -332,13 +341,25 @@ class TestIntrinsicsExtrinsics:
             Extrinsics(flip, np.zeros(3))
 
 
+class TestTriangleMesh:
+    VERTS = np.array([[0.0, 0.0, 0.3], [1.0, 0.0, 0.3], [0.0, 1.0, 0.3]])
+
+    @pytest.mark.parametrize("triangles", [[[0.9, 1.0, 2.0]], [[0.0, 1.0, np.nan]]], ids=["fraction", "nan"])
+    def test_non_integral_indices_rejected(self, triangles):
+        with pytest.raises(StructuralError, match="triangle indices must be integers"):
+            TriangleMesh(self.VERTS, triangles)
+
+    def test_integral_float_indices_are_kept(self):
+        assert TriangleMesh(self.VERTS, [[0.0, 1.0, 2.0]]).triangles.tolist() == [[0, 1, 2]]
+
+
 class TestBackprojectDepth:
     def test_principal_point_maps_to_axis(self):
         intr = CameraIntrinsics(100.0, 100.0, 32.0, 24.0)
         depth = np.full((48, 64), np.nan)
         for u, v in [(32, 24), (10, 5), (60, 40)]:
             depth[v, u] = 0.5
-        pts, pix = backproject_depth(OpticalDepthMap(depth), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(depth), intr), lattice_pixels(np.isfinite(depth))
         on_axis = pts[(pix[:, 0] == 32) & (pix[:, 1] == 24)][0]
         assert on_axis == pytest.approx([0.0, 0.0, 0.5])
 
@@ -347,7 +368,7 @@ class TestBackprojectDepth:
         depth = np.full((48, 164), np.nan)
         for u, v in [(132, 24), (0, 0), (5, 40)]:
             depth[v, u] = 1.0
-        pts, pix = backproject_depth(OpticalDepthMap(depth), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(depth), intr), lattice_pixels(np.isfinite(depth))
         tangent = pts[(pix[:, 0] == 132) & (pix[:, 1] == 24)][0]
         assert tangent == pytest.approx([1.0, 0.0, 1.0])
 
@@ -357,7 +378,7 @@ class TestBackprojectDepth:
         h, w = 48, 56
         depth = rng.uniform(0.2, 1.5, (h, w))
         valid = rng.random((h, w)) < 0.3
-        pts, pix = backproject_depth(OpticalDepthMap(np.where(valid, depth, np.nan)), intr)
+        pts, pix = backproject_depth(OpticalDepthMap(np.where(valid, depth, np.nan)), intr), lattice_pixels(valid)
         u = intr.f_u * pts[:, 0] / pts[:, 2] + intr.c_u
         v = intr.f_v * pts[:, 1] / pts[:, 2] + intr.c_v
         assert np.abs(u - pix[:, 0]).max() < 1e-9
@@ -374,24 +395,23 @@ class TestBackprojectDepth:
 
 class TestTriangulate:
     def test_square_yields_two_triangles(self):
-        pix = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        pts = np.column_stack([pix, np.full(4, 0.3)])
-        mesh = triangulate(pts, pix)
+        mask = np.ones((2, 2), dtype=bool)
+        pts = np.column_stack([lattice_pixels(mask), np.full(4, 0.3)])
+        mesh = triangulate(pts, mask)
         assert mesh.triangles.shape[0] == 2
         assert sorted(np.unique(mesh.triangles)) == [0, 1, 2, 3]
 
     def test_hole_in_grid_is_covered(self):
         # Remove an interior sample; the triangulation still covers its spot.
-        u, v = np.meshgrid(np.arange(5.0), np.arange(5.0))
-        pix = np.column_stack([u.ravel(), v.ravel()])
-        keep = ~((pix[:, 0] == 2) & (pix[:, 1] == 2))
-        pix = pix[keep]
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, 2] = False
+        pix = lattice_pixels(mask)
         pts = np.column_stack([pix, np.full(len(pix), 0.3)])
-        mesh = triangulate(pts, pix)
+        mesh = triangulate(pts, mask)
         probe = np.array([2.0, 2.0])
         covered = False
         for tri in mesh.triangles:
-            a, b, c = mesh.source_pixels[tri]
+            a, b, c = pix[tri]
             m = np.column_stack([b - a, c - a])
             try:
                 lam = np.linalg.solve(m, probe - a)
@@ -404,34 +424,36 @@ class TestTriangulate:
 
     def test_empty_circumcircle_property(self):
         rng = np.random.default_rng(1)
-        pix = rng.uniform(0, 64, (200, 2))
+        mask = scattered_mask(200, 64, rng)
+        pix = lattice_pixels(mask)
         pts = np.column_stack([pix, rng.uniform(0.2, 0.4, 200)])
-        mesh = triangulate(pts, pix)
-        assert circumcircle_violations(mesh.source_pixels, mesh.triangles) == 0
+        mesh = triangulate(pts, mask)
+        assert circumcircle_violations(pix, mesh.triangles) == 0
 
     def test_collinear_input_rejected(self):
-        pix = np.column_stack([np.arange(5.0), np.arange(5.0)])
-        pts = np.column_stack([pix, np.full(5, 0.3)])
+        mask = np.eye(5, dtype=bool)
+        pts = np.column_stack([lattice_pixels(mask), np.full(5, 0.3)])
         with pytest.raises(DegenerateGeometryError):
-            triangulate(pts, pix)
-
-    def test_non_finite_pixels_rejected(self):
-        pix = lattice_pixels(np.ones((3, 3), dtype=bool))
-        pix[4, 0] = np.nan
-        with pytest.raises(ValidationError, match="pixels must be finite"):
-            triangulate(np.zeros((9, 3)), pix)
+            triangulate(pts, mask)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            triangulate(np.zeros((2, 3)), np.array([[0.0, 0.0], [1.0, 1.0]]))
+            triangulate(np.zeros((2, 3)), np.eye(2, dtype=bool))
+
+    @pytest.mark.parametrize("mask", [np.ones(9, dtype=bool), np.ones((1, 3, 3), dtype=bool),
+                                      np.ones((3, 3), dtype=np.uint8), np.ones((3, 3))],
+                             ids=["1-d", "3-d", "uint8", "float"])
+    def test_mask_not_2d_bool_rejected(self, mask):
+        with pytest.raises(StructuralError, match="valid must be an"):
+            triangulate(np.zeros((9, 3)), mask)
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MASKS))
     def test_lattice_mesh_is_delaunay_and_fills_the_hull(self, name):
-        mask, offset = LATTICE_MASKS[name]
-        pix = lattice_pixels(mask, offset)
+        mask = LATTICE_MASKS[name]
+        pix = lattice_pixels(mask)
         pts = np.column_stack([pix, np.linspace(0.2, 0.4, len(pix))])
-        mesh = triangulate(pts, pix)
-        assert depth_prior._lattice_cells(pix)[0].shape[0] > 0  # the lattice did real work
+        mesh = triangulate(pts, mask)
+        assert depth_prior._lattice_cells(mask)[0].shape[0] > 0  # the lattice did real work
         tri = mesh.triangles
         assert circumcircle_violations(pix, tri) == 0
         assert tri.shape[0] == qhull_triangulate(pts, pix).triangles.shape[0]
@@ -440,80 +462,43 @@ class TestTriangulate:
         assert np.array_equal(np.unique(tri), np.arange(len(pix)))
         probes = np.random.default_rng(0).uniform(pix.min(axis=0), pix.max(axis=0), (2000, 2))
         assert max_cover(pix, tri, probes) == 1
-        assert np.array_equal(mesh.vertices, pts) and np.array_equal(mesh.source_pixels, pix)
+        assert np.array_equal(mesh.vertices, pts)
+        assert np.array_equal(depth_prior._lattice_cells(mask)[2].T, pix)  # the front's pixels
 
     @pytest.mark.parametrize("name", list(DIGEST_MASKS))
     def test_lattice_cells_keep_their_bytes(self, name):
-        assert lattice_digests(lattice_pixels(*DIGEST_MASKS[name])) == LATTICE_DIGESTS[name]
+        assert lattice_digests(DIGEST_MASKS[name]) == LATTICE_DIGESTS[name]
 
     def test_most_points_skip_qhull_on_a_camera_like_mask(self):
-        pix = lattice_pixels(dropout_mask(0.05, shape=(120, 120), seed=6))
-        cells, remainder, _ = depth_prior._lattice_cells(pix)
+        mask = dropout_mask(0.05, shape=(120, 120), seed=6)
+        cells, remainder, _ = depth_prior._lattice_cells(mask)
         assert remainder.mean() < 0.25
-        assert cells.shape[0] > 0.9 * 2 * len(pix)
+        assert cells.shape[0] > 0.9 * 2 * mask.sum()
 
     def test_single_row_image_is_collinear(self):
-        pix = lattice_pixels(np.ones((1, 12), dtype=bool))
-        pts = np.column_stack([pix, np.full(len(pix), 0.3)])
-        assert depth_prior._lattice_cells(pix)[0].shape[0] == 0
+        mask = np.ones((1, 12), dtype=bool)
+        pts = np.column_stack([lattice_pixels(mask), np.full(12, 0.3)])
+        assert depth_prior._lattice_cells(mask)[0].shape[0] == 0
         with pytest.raises(DegenerateGeometryError):
-            triangulate(pts, pix)
+            triangulate(pts, mask)
 
-    @pytest.mark.parametrize("kind", ["non-integer", "duplicated", "far-out", "sparse"])
-    def test_off_lattice_input_meets_the_oracles(self, kind):
-        pix = lattice_pixels(dropout_mask(0.1, shape=(15, 18), seed=7))
-        if kind == "non-integer":
-            pix[5, 0] += 0.5
-        elif kind == "duplicated":
-            pix = np.vstack([pix, pix[10:12]])
-        elif kind == "far-out":
-            pix[0] = [2.0**40, 0.0]
-        else:  # two 5 x 5 blocks 10^6 px apart: their box would hold 10^12 entries
-            block = lattice_pixels(np.ones((5, 5), dtype=bool))
-            pix = np.vstack([block, block + 1e6])
-        pts = np.column_stack([pix, np.linspace(0.2, 0.4, len(pix))])
-        tracemalloc.start()
-        try:
-            cells, remainder, _ = depth_prior._lattice_cells(pix)
-            mesh = triangulate(pts, pix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10e6  # no index image over the box
+    def test_image_without_cells_meets_the_oracles(self):
+        # this 92 % dropout draw leaves no complete quad, three-corner quad or diamond:
+        # the front starts from one hull edge and fills the whole hull
+        mask = dropout_mask(0.92, shape=(30, 40), seed=17)
+        pix = lattice_pixels(mask)
+        cells, remainder, _ = depth_prior._lattice_cells(mask)
         assert cells.shape[0] == 0 and remainder.all()
-        assert_delaunay_oracles(pix, mesh.triangles)
-        if kind == "duplicated":  # a repeated pixel's first point takes part, its copies none
-            assert not np.isin([len(pix) - 2, len(pix) - 1], mesh.triangles).any()
-
-    def test_random_float_pixels_meet_the_oracles(self, monkeypatch):
-        # off the lattice the front buckets its candidates in cells of about
-        # their mean spacing: each edge meets a few of them, not all 4,000
-        pix = np.random.default_rng(3).uniform(0.0, 200.0, (4000, 2))
-        pairs, search = [0], depth_prior._Front.pairs
-
-        def counted(front, k, reach):
-            for e, pos in search(front, k, reach):
-                pairs[0] += e.size
-                yield e, pos
-
-        monkeypatch.setattr(depth_prior._Front, "pairs", counted)
-        tri = triangulate(np.zeros((len(pix), 3)), pix).triangles
-        assert pairs[0] < 200 * len(pix)  # 107 a point; every candidate for every edge was 9,944
-        assert circumcircle_violations(pix, tri) == 0
-        assert (triangle_area2(pix, tri) > 0.0).all()  # counter-clockwise, none flat
-        points, hull, turn = exact_hull(pix)
-        area = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(hull, hull[1:] + hull[:1])) / 2
-        assert tri.shape[0] == 2 * len(points) - 2 - len(hull)  # random: no third point on a hull edge
-        assert triangle_area2(pix, tri).sum() / 2.0 == pytest.approx(float(area), rel=1e-12)
+        tri = triangulate(np.column_stack([pix, np.zeros(len(pix))]), mask).triangles
+        assert_delaunay_oracles(pix, tri)
         assert tri.shape[0] == qhull_triangulate(np.zeros((len(pix), 3)), pix).triangles.shape[0]
 
-    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", sorted(TIE_MASKS))
-    def test_cocircular_ties_meet_the_oracles(self, name, shuffled):
-        pix = lattice_pixels(*TIE_MASKS[name])
-        if shuffled:  # the tie rule follows point indices, whatever their order
-            pix = pix[np.random.default_rng(5).permutation(len(pix))]
-        mesh = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), pix)
+    def test_cocircular_ties_meet_the_oracles(self, name, transposed):
+        mask = TIE_MASKS[name].T if transposed else TIE_MASKS[name]  # the same ties, numbered in another order
+        pix = lattice_pixels(mask)
+        mesh = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), mask)
         assert_delaunay_oracles(pix, mesh.triangles)
         assert mesh.triangles.shape[0] == qhull_triangulate(mesh.vertices, pix).triangles.shape[0]
         assert np.array_equal(np.unique(mesh.triangles), np.arange(len(pix)))
@@ -521,9 +506,10 @@ class TestTriangulate:
     def test_trapezoid_notch_is_a_fan_from_its_smallest_index(self):
         # (2, 0), (5, 0), (4, 1) and (3, 1) lie on one circle that holds no
         # other pixel: the two triangles between them share its smallest index
-        pix = lattice_pixels(*TIE_MASKS["trapezoid-notch"])
+        mask = TIE_MASKS["trapezoid-notch"]
+        pix = lattice_pixels(mask)
         corners = [int(np.flatnonzero((pix == c).all(axis=1))[0]) for c in ([2, 0], [5, 0], [4, 1], [3, 1])]
-        tri = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), pix).triangles
+        tri = triangulate(np.column_stack([pix, np.full(len(pix), 0.3)]), mask).triangles
         notch = tri[np.isin(tri, corners).all(axis=1)]
         assert notch.shape[0] == 2 and (notch == min(corners)).any(axis=1).all()
 
@@ -537,8 +523,8 @@ class TestTriangulate:
         rng = np.random.default_rng(11)
         depth = dm.depth + rng.normal(0.0, 0.001, dm.depth.shape)
         holes = OpticalDepthMap(np.where(rng.random(depth.shape) >= 0.05, depth, np.nan))
-        pts, pix = backproject_depth(holes, intr)
-        mesh = triangulate(pts, pix)
+        pts, pix = backproject_depth(holes, intr), lattice_pixels(holes.valid)
+        mesh = triangulate(pts, holes.valid)
         want = qhull_triangulate(pts, pix)
         assert mesh.triangles.shape[0] == want.triangles.shape[0]
         assert np.abs(triangle_area2(pix, mesh.triangles)).sum() / 2.0 == pytest.approx(
@@ -552,9 +538,9 @@ class TestTriangulate:
 class TestTransformMesh:
     def _mesh(self, n=20, seed=3):
         rng = np.random.default_rng(seed)
-        pix = rng.uniform(0, 32, (n, 2))
-        pts = np.column_stack([pix * 0.01, rng.uniform(0.2, 0.5, n)])
-        return triangulate(pts, pix)
+        mask = scattered_mask(n, 32, rng)
+        pts = np.column_stack([lattice_pixels(mask) * 0.01, rng.uniform(0.2, 0.5, n)])
+        return triangulate(pts, mask)
 
     def test_identity_is_bitwise(self):
         mesh = self._mesh()
@@ -565,7 +551,7 @@ class TestTransformMesh:
     def test_topology_is_shared_not_copied(self):
         mesh = self._mesh()
         out = transform_mesh(mesh, Extrinsics(rotation_about([0, 1, 0], 0.1), np.array([0.0, 0.0, 0.1])))
-        assert out.triangles is mesh.triangles and out.source_pixels is mesh.source_pixels
+        assert out.triangles is mesh.triangles
         assert not out.vertices.flags.writeable
 
     def test_pure_translation(self):
@@ -591,7 +577,6 @@ class TestRasterizePrior:
         mesh = TriangleMesh(
             np.array([[-0.05, -0.05, 0.3], [0.05, -0.05, 0.3], [0.0, 0.06, 0.3]]),
             np.array([[0, 1, 2]]),
-            np.zeros((3, 2)),
         )
         grid = rasterize_prior(mesh, self._grid())
         assert grid.valid.sum() > 100
@@ -599,7 +584,7 @@ class TestRasterizePrior:
 
     def test_centroid_is_barycentric_mean(self):
         verts = np.array([[-0.03, -0.03, 0.2], [0.03, -0.03, 0.3], [0.0, 0.05, 0.4]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
         grid = CandidateGrid(
             np.array([verts[:, 0].mean()]), np.array([verts[:, 1].mean()]),
             np.full((1, 1), np.nan),
@@ -609,12 +594,12 @@ class TestRasterizePrior:
         assert out.prior_depth[0, 0] == pytest.approx(0.3, abs=1e-6)
 
     def test_tilted_plane_matches_analytic(self):
-        rng = np.random.default_rng(2)
-        pix = rng.uniform(0, 48, (120, 2))
+        mask = scattered_mask(120, 48, np.random.default_rng(2))
+        pix = lattice_pixels(mask)
         x = (pix[:, 0] - 24) * 0.003
         y = (pix[:, 1] - 24) * 0.003
         z = 0.3 + np.tan(np.deg2rad(10.0)) * x
-        mesh = triangulate(np.column_stack([x, y, z]), pix)
+        mesh = triangulate(np.column_stack([x, y, z]), mask)
         grid = rasterize_prior(mesh, self._grid())
         want = 0.3 + np.tan(np.deg2rad(10.0)) * np.meshgrid(grid.x, grid.y)[0]
         assert grid.valid.sum() > 200
@@ -626,7 +611,7 @@ class TestRasterizePrior:
         verts = np.array(
             [[-0.02, -0.02, 0.3], [0.02, -0.02, 0.3], [0.02, 0.02, 0.3], [-0.02, 0.02, 0.3]]
         )
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]), np.zeros((4, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
         grid = rasterize_prior(mesh, self._grid(n=21, spacing=0.002))
         inside = (np.abs(np.meshgrid(grid.x, grid.y)[0]) <= 0.02 - 1e-12) & (
             np.abs(np.meshgrid(grid.x, grid.y)[1]) <= 0.02 - 1e-12
@@ -640,7 +625,7 @@ class TestRasterizePrior:
                 [-0.05, -0.05, 0.30], [0.05, -0.05, 0.30], [0.0, 0.06, 0.30],  # near sheet
             ]
         )
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.zeros((6, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
         grid = rasterize_prior(mesh, self._grid())
         assert np.abs(grid.prior_depth[grid.valid] - 0.30).max() < 1e-12
 
@@ -669,10 +654,10 @@ class TestRasterizePrior:
     def test_self_overlapping_mesh_after_rigid_transform(self):
         # A Delaunay mesh is disjoint in its pixel domain; a steep rotation
         # folds it over itself so many pixels see several triangles.
-        rng = np.random.default_rng(4)
-        pix = rng.uniform(0, 40, (150, 2))
+        mask = scattered_mask(150, 40, np.random.default_rng(4))
+        pix = lattice_pixels(mask)
         pts = np.column_stack([(pix - 20) * 0.001, 0.3 + 0.02 * np.sin(pix[:, 0] / 3.0)])
-        mesh = triangulate(pts, pix)
+        mesh = triangulate(pts, mask)
         rot = rotation_about([0.2, 1.0, 0.0], 1.3)
         moved = transform_mesh(mesh, Extrinsics(rot, -rot @ pts.mean(axis=0) + [0.0, 0.0, 0.3]))
         grid = self._grid(n=40, spacing=0.0005)
@@ -694,14 +679,14 @@ class TestRasterizePrior:
 
     def test_triangle_larger_than_grid(self):
         verts = np.array([[-1.0, -1.0, 0.3], [1.0, -1.0, 0.35], [0.0, 1.5, 0.4]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
         grid = self._grid(n=20)
         assert assert_matches_reference(mesh, grid).valid.all()
 
     def test_triangle_box_larger_than_a_piece(self, monkeypatch):
         # 400 candidates against pieces of 7: the triangle is a piece of its own
         verts = np.array([[-1.0, -1.0, 0.3], [1.0, -1.0, 0.35], [0.0, 1.5, 0.4]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
         monkeypatch.setattr(depth_prior, "_PAIR_CHUNK", 7)
         assert assert_matches_reference(mesh, self._grid(n=20)).valid.all()
 
@@ -732,7 +717,7 @@ class TestRasterizePrior:
         # one triangle twice, at depth -0.0 and at 0.0: equal depths, different bytes
         corners = np.array([[-0.05, -0.05], [0.05, -0.05], [0.0, 0.06]])
         verts = np.column_stack([np.vstack([corners, corners]), np.repeat([first, -first], 3)])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.zeros((6, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
         monkeypatch.setattr(depth_prior, "_TRIANGLE_CHUNK", chunk)
         out = assert_matches_reference(mesh, self._grid())
         assert out.valid.sum() > 100
@@ -743,10 +728,10 @@ class TestRasterizePrior:
             [[0.0, 0.0, 0.3], [0.01, 0.0, 0.3], [0.02, 0.0, 0.3],   # collinear
              [1.0, 1.0, 0.3], [1.1, 1.0, 0.3], [1.0, 1.1, 0.3]]     # far off the grid
         )
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5], [0, 0, 1]]), np.zeros((6, 2)))
+        mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5], [0, 0, 1]]))
         out = assert_matches_reference(mesh, self._grid())
         assert not out.valid.any()
-        empty = TriangleMesh(verts, np.zeros((0, 3), dtype=int), np.zeros((6, 2)))
+        empty = TriangleMesh(verts, np.zeros((0, 3), dtype=int))
         assert not assert_matches_reference(empty, self._grid()).valid.any()
 
 
@@ -803,12 +788,12 @@ class TestBuildPrior:
         holes = OpticalDepthMap(np.where(keep, dm.depth, np.nan))
         grid = CandidateGrid.regular(64, 64, 0.001)
         got = build_prior(holes, intr, ext, grid)
-        pts, pix = backproject_depth(holes, intr)
+        pts, pix = backproject_depth(holes, intr), lattice_pixels(holes.valid)
         want = rasterize_prior(transform_mesh(qhull_triangulate(pts, pix), ext), grid)
         assert got.valid.sum() > 3000
         assert np.array_equal(got.valid, want.valid)
         assert np.abs(got.prior_depth - want.prior_depth)[got.valid].max() <= 1e-12
 
     def test_mismatched_pixel_count_rejected(self):
-        with pytest.raises(StructuralError):
-            triangulate(np.zeros((4, 3)), np.zeros((3, 2)))
+        with pytest.raises(StructuralError, match="valid holds 3 pixels for 4 points"):
+            triangulate(np.zeros((4, 3)), np.eye(3, dtype=bool))

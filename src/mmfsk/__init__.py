@@ -31,8 +31,6 @@ from .metrics import (
     chamfer_one_way,
     evaluate_image,
     projective_error,
-    resample_gt_cloud,
-    resample_gt_depth,
 )
 from .reconstruct import (
     RadarImage,
@@ -93,8 +91,6 @@ __all__ = [
     "projective_error",
     "rasterize_prior",
     "render_depth_map",
-    "resample_gt_cloud",
-    "resample_gt_depth",
     "residual_phase",
     "simulate_baseband",
     "surface_depth",

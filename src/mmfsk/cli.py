@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import functools
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -187,7 +186,9 @@ CONFIG = {
         "noise_mm": (_number(lambda v: 0.0 <= v < np.inf, "a finite number >= 0"), 0.0),
         "dropout": (_number(lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"), 0.0),
     },
-    "noise": {"snr_db": (_or_null(NUMBER), OPTIONAL), "seed": (NATURAL, OPTIONAL)},  # seed: else the config's
+    "noise": {"snr_db": (_or_null(_number(lambda v: v < np.inf and -v / 10 < np.log10(sys.float_info.max),
+                                          "a finite number at which 10 ** (-snr_db / 10) is finite")), OPTIONAL),
+              "seed": (NATURAL, OPTIONAL)},  # seed: else the config's
     "voxel": {"extents": (_list(NUMBER, 3), REQUIRED), "resolution": (_list(COUNT, 3), REQUIRED),
               "center": (_list(NUMBER, 3), REQUIRED)},
     "eval": {"erode": (NATURAL, 1)},
@@ -255,16 +256,24 @@ def _check_exact_range(axes, array, freqs, what: str) -> None:
             f"{max(freqs.frequencies) / 1e9:g} GHz, beyond the correlator's exact range of {EXACT_PHASE:.3g} rad")
 
 
+def _check_prior_range(prior: CandidateGrid, run: dict, source: str) -> None:
+    """``_check_exact_range`` over the prior's grid and finite depths, naming ``source``."""
+    depth = prior.prior_depth[prior.valid]
+    if depth.size:  # a prior without depths forms no phase
+        _check_exact_range((prior.x, prior.y, np.array([depth.min(), depth.max()])), run["array"], run["freqs"],
+                           f"{source}: a prior depth puts the grid's farthest candidate")
+
+
 def _resolve(cfg: dict) -> dict:
     """The run's library objects, built once before any stage reads or
     writes a file, so every rule they own fails first: the array, the
     carriers, the candidate grid, the scalar prior (``None`` unless
-    ``prior.mode`` is scalar), the voxel volume and the noise. Three rules
-    span sections: each method needs the carriers ``CARRIERS`` gives it,
-    ``eval`` must be able to resample the scene at the pitch of each
-    method's image (the grid's, or bp's voxel columns), and a scalar prior
-    and bp's volume must keep every phase the correlator forms within its
-    exact range (``_check_exact_range``)."""
+    ``prior.mode`` is scalar), the voxel volume and the noise. Each method
+    is listed once, and three rules span sections: each method needs the
+    carriers ``CARRIERS`` gives it, ``eval`` must be able to resample the
+    scene at the pitch of each method's image (the grid's, or bp's voxel
+    columns), and a scalar prior and bp's volume must keep every phase the
+    correlator forms within its exact range (``_check_exact_range``)."""
     a, f, g, v, n = cfg["array"], cfg["frequencies"], cfg["grid"], cfg["voxel"], cfg["noise"]
     if v is None:  # the grid's footprint, 20 cm of depth around the scene
         v = {"extents": [g["width"] * g["spacing"], g["height"] * g["spacing"], 0.20],
@@ -274,7 +283,9 @@ def _resolve(cfg: dict) -> dict:
     freqs = (FrequencySet.from_pair_name(f["pair"]) if "pair" in f
              else FrequencySet.triple_from_pair_names(*f["triple"]) if "triple" in f
              else FrequencySet(tuple(x * 1e9 for x in f["values_ghz"])))
-    for method in cfg["methods"]:
+    for i, method in enumerate(cfg["methods"]):
+        if method in cfg["methods"][:i]:  # it would run twice and fill two rows of eval_table.txt
+            raise ConfigurationError(f"config methods: {method} is listed twice")
         if method in CARRIERS and len(freqs) != CARRIERS[method]:
             raise ConfigurationError(f"config methods: {method} needs {CARRIERS[method]} carriers, got {len(freqs)}")
     grid = CandidateGrid.regular(g["width"], g["height"], g["spacing"], tuple(g["center"]))
@@ -379,6 +390,7 @@ def cmd_prior(cfg: dict, run: dict) -> int:
                 "the camera renders surfaces at camera depths of {}-{} m only)".format(*RENDER_DEPTHS)) from exc
     else:
         prior = _load_prior_grid(spec["path"], grid)
+    _check_prior_range(prior, run, spec["path"] if spec["mode"] == "file" else "config prior")
     outdir = _outdir(cfg)
     if depth_map is not None:
         mio.write_pfm(outdir / "optical_depth.pfm", depth_map.depth)
@@ -422,6 +434,7 @@ def cmd_reconstruct(cfg: dict, run: dict) -> int:
         if not grid_path.exists():
             raise FileNotFoundError(f"prior grid not found: {grid_path} (run 'prior' first)")
         grid = _load_prior_grid(grid_path, run["grid"])
+        _check_prior_range(grid, run, grid_path)
     # built per call, so the module names bench/spans.py wraps are looked up now
     recon = {"2fsk": fsk2_reconstruct, "mm2fsk": mm2fsk_reconstruct, "3fsk": fsk3_reconstruct}
     images = []
@@ -493,6 +506,8 @@ def cmd_sweep(cfg: dict, run: dict) -> int:
         freq_spec = {"triple": entry["triple"]} if "triple" in entry else {"pair": entry["pair"]}
         sub = {**cfg, "methods": [method], "frequencies": freq_spec, "prior": entry.get("prior") or cfg["prior"]}
         label = f"{method}@{_freq_label(freq_spec)}"
+        if label in [other for _, other, _ in subs]:  # its runs would overwrite the earlier entry's
+            raise ConfigurationError(f"sweep entry {label}: an earlier entry has the same method and frequencies")
         try:
             freqs = _resolve(sub)["freqs"]
         except ValueError as exc:
@@ -578,11 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__ or name)
         p.add_argument("-c", "--config", help="experiment config (JSON)")
-        p.add_argument("-o", "--output-dir", help="output directory (overrides config and MMFSK_OUT)")
-        p.add_argument("--seed", type=_int_flag, help="override config seed")
+        p.add_argument("-o", "--output-dir", help="output directory (overrides config)")
         p.add_argument("--workers", type=_int_flag, help="worker pool size (default: CPU count)")
-        p.add_argument("--method", action="append", dest="methods",
-                       help="imaging method (repeatable): 2fsk, mm2fsk, 3fsk, bp")
     return parser
 
 
@@ -600,14 +612,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "workers": args.workers,
-        "methods": args.methods,
-        "output_dir": args.output_dir or os.environ.get("MMFSK_OUT") or None,
-    }
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {"workers": args.workers, "output_dir": args.output_dir or None})
         return COMMANDS[args.command](cfg, _resolve(cfg))
     except ValueError as exc:
         log.error("validation: %s", exc)

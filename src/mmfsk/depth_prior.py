@@ -13,10 +13,10 @@ are known without computing anything: every complete unit quad, every quad
 with three valid corners, and the diamond around a lone missing pixel.
 ``triangulate`` finds them by gathers from one index image over the valid
 pixels' bounding box; an advancing Delaunay front in numpy (``_Front``)
-fills the rest of the hull from the cells' boundary edges, with the points
-along irregular holes and the outer border as its candidates. An image
-with no cells (about 90 % dropout, or a single row) starts the front from
-one convex-hull edge. The package needs no scipy.
+fills the rest of the hull from the cells' boundary edges, searching that
+image for the points whose cells' angles leave a gap. An image with no
+cells (about 90 % dropout, or a single row) starts the front from one
+convex-hull edge. The package needs no scipy.
 
 Rasterization runs array passes over ``_TRIANGLE_CHUNK`` triangles at a
 time, not a loop per triangle. Each triangle's integer bounding box
@@ -153,18 +153,16 @@ def _lattice_cells(valid: np.ndarray):
     """Delaunay cells read off the pixel lattice of the (H, W) mask ``valid``,
     whose True pixels, in row-major order, are the points.
 
-    Returns ``(cells, remainder, pixels)``: the cell triangles as point
+    Returns ``(cells, remainder, keys, width)``: the cell triangles as point
     indices, counter-clockwise; a mask of the points that touch ground no
-    cell covers; and the points' (u, v) image coordinates as two float rows.
-
-    Neighbours are found in one int32 index image over the valid pixels'
-    bounding box with a margin of one on every side: each entry holds its
-    pixel's point index, or -1 for a hole. A key is an entry's flat
-    position, and the unit quad at key k has k as its lower-left corner.
-    Coverage is judged per quad quarter: the two diagonals cut each quad
-    (corners c00, c10, c11, c01, counter-clockwise) into quarters 0-3, and
-    quarter k lies between corners k and k + 1. Every cell is a union of
-    whole quarters.
+    cell covers; and the points' keys in an int32 index image ``width``
+    entries wide, the valid pixels' bounding box with a margin of one on
+    every side, whose entries hold their pixel's point index, or -1 for a
+    hole. A key is an entry's flat position, so a point's (row, column) is
+    ``divmod(key, width)``, and the unit quad at key k has k as its
+    lower-left corner. Every cell is a right isosceles triangle, so a point
+    is surrounded exactly when its cells' angles add up to eight eighths
+    of a turn: one per cell, and one more per right angle.
     """
     rows, cols = (np.flatnonzero(valid.any(axis=axis)) for axis in (1, 0))
     occupied = np.pad(valid[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1], 1)  # the box and its margins
@@ -173,41 +171,32 @@ def _lattice_cells(valid: np.ndarray):
     keys = np.flatnonzero(occupied).astype(np.int32)  # row-major: the points' order
     index = np.full(width * height, -1, dtype=np.int32)
     index[keys] = np.arange(keys.size, dtype=np.int32)
-    v, u = np.divmod(keys, width)
-    pixels = np.array([u + (cols[0] - 1), v + (rows[0] - 1)], dtype=np.float64)
 
     # quads with a point at any corner; a shift past a row's end reads the next row's empty margin
     quad = occupied.copy()
     for shift in (1, width, width + 1):
         quad[:-shift] |= occupied[shift:]
     quads = np.flatnonzero(quad).astype(np.int32)  # lower-left keys, ascending
-    corner_keys = quads + np.array([[0], [1], [width + 1], [width]], dtype=np.int32)  # (4, Q)
-    corner = index[corner_keys]
+    corner = index[quads + np.array([[0], [1], [width + 1], [width]], dtype=np.int32)]  # (4, Q) counter-clockwise
     present = corner >= 0
     count = present.sum(axis=0)
 
-    has3 = count == 3
-    three = corner[:, has3].T[present[:, has3].T].reshape(-1, 3)  # the valid corners, in order
+    corner3, present3 = corner[:, count == 3], present[:, count == 3]
+    three = corner3.T[present3.T].reshape(-1, 3)  # the valid corners, in order
+    right3 = np.take_along_axis(corner3, (present3.argmin(axis=0)[None] + 2) % 4, axis=0)  # opposite the missing
 
     centers = keys + 1  # every diamond center has a valid left neighbour
     # (4, N) counter-clockwise; a right neighbour past the last column reads the next row's empty margin
     ring = index[centers + np.array([[-1], [-width], [1], [width]], dtype=np.int32)]
     diamond = (index[centers] < 0) & (ring >= 0).all(axis=0)
-    # Complete quads and diamonds both have four corners counter-clockwise;
-    # each splits on its corner 0 - corner 2 diagonal. (np.compress takes
-    # the columns ~3x faster than a boolean index.)
+    # Complete quads and diamonds both have four corners counter-clockwise; each splits on its corner 0 - 2
+    # diagonal, with right angles at 1 and 3. (np.compress takes the columns ~3x faster than a boolean index.)
     four = np.concatenate([np.compress(count == 4, corner, axis=1), ring[:, diamond]], axis=1)
     cells = np.concatenate([four[[0, 1, 2]].T, four[[0, 2, 3]].T, three])
 
-    at_diamond = np.zeros(width * height, dtype=bool)
-    at_diamond[centers[diamond]] = True
-    at_diamond = at_diamond[corner_keys]
-    pair = np.roll(np.arange(4), -1)  # quarter k lies between corners k and pair[k]
-    filled = ((count >= 3) & present & present[pair]) | at_diamond | at_diamond[pair]  # (4, Q) quarters
-    open_beside = ~filled | ~np.roll(filled, 1, axis=0)  # quarters k - 1 and k touch corner k
-    remainder = np.zeros(keys.size, dtype=bool)
-    remainder[corner[present & open_beside]] = True
-    return cells, remainder, pixels
+    eighths = (np.bincount(cells.ravel(), minlength=keys.size)
+               + np.bincount(np.concatenate([four[1], four[3], right3.ravel()]), minlength=keys.size))
+    return cells, eighths != 8, keys, width
 
 
 def _member(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -229,19 +218,20 @@ class _Front:
     that they round. Cocircular ties become a fan from the smallest
     point index of the tie set and the edge, the same split from every
     edge of the cell. An edge searches the candidates within ``_REACH``
-    px on its left (rows of candidates sorted by pixel), then, if the
-    circle through it and its best one leaves that window, the circle's
-    left part, or the whole box if the window held none.
+    px on its left, then, if the circle through it and its best one
+    leaves that window, the circle's left part, or the whole box if the
+    window held none: in ``_lattice_cells``' index image, where the
+    candidates at keys below k, ``before[k]``, give each row's run.
     """
 
-    def __init__(self, pixels: np.ndarray, cand: np.ndarray):
-        self.x, self.y = pixels
-        self.lo, self.hi = (np.array([f(self.x), f(self.y)]) for f in (np.min, np.max))  # the pixels' box
-        self.span = float(np.hypot(*(self.hi - self.lo))) + 1.0  # a reach that covers the whole box
-        self.width = int(self.hi[0] - self.lo[0]) + 1
-        key = ((self.y.take(cand) - self.lo[1]) * self.width + (self.x.take(cand) - self.lo[0])).astype(np.int64)
-        order = np.argsort(key, kind="stable")
-        self.cand, self.keys = cand.take(order), key.take(order)
+    def __init__(self, keys: np.ndarray, width: int, cand: np.ndarray):
+        self.y, self.x = np.array(np.divmod(keys, width), dtype=np.float64)
+        self.width, self.cand = width, cand
+        self.hi = np.array([width - 2, keys[-1] // width])  # the points' box runs from (1, 1) to here
+        self.span = float(np.hypot(*(self.hi - 1))) + 1.0  # a reach that covers the whole box
+        self.before = np.zeros(keys[-1] + width, dtype=np.int32)  # the candidates at keys below k
+        self.before[keys.take(cand) + 1] = 1
+        np.cumsum(self.before, out=self.before)
 
     def triangles(self, front: np.ndarray) -> np.ndarray:
         """Advance ``front`` (E, 2) until it closes; the new triangles."""
@@ -325,40 +315,38 @@ class _Front:
 
     def pairs(self, k: np.ndarray, reach: np.ndarray):
         """(edge, candidate position) pairs in pieces of ``_PAIR_CHUNK``:
-        each edge of ``k`` against the candidates in the cells of the box
+        each edge of ``k`` against the candidates in the pixels of the box
         around its left within ``reach`` px."""
         # the box of a + s (b - a) + t n, n = (b - a) turned left, s in [-mu, 1 + mu], t in
         # [1 / |ab|^2, mu]: no lattice point on the left lies nearer ab than 1 / |ab|
         length = self.length.take(k)
         mu, inner = reach / length, 1.0 / (length * length)
         box = []
-        for p, d, n, lo, hi in ((self.ax, self.dx, -self.dy, self.lo[0], self.hi[0]),
-                                (self.ay, self.dy, self.dx, self.lo[1], self.hi[1])):
+        for p, d, n, hi in ((self.ax, self.dx, -self.dy, self.hi[0]), (self.ay, self.dy, self.dx, self.hi[1])):
             p, d, n = p.take(k), d.take(k), n.take(k)
             s, t = (-mu * d, (1.0 + mu) * d), (inner * n, mu * n)
             first = p + np.minimum(*s) + np.minimum(*t)
             end = p + np.maximum(*s) + np.maximum(*t)
-            box.append((np.maximum(np.ceil(first - 1e-9), lo) - lo).astype(np.int64))
-            box.append((np.minimum(np.floor(end + 1e-9), hi) - lo).astype(np.int64))
+            box.append(np.maximum(np.ceil(first - 1e-9), 1).astype(np.int64))
+            box.append(np.minimum(np.floor(end + 1e-9), hi).astype(np.int64))
         x0, x1, y0, y1 = box
         for j, row in _runs(y0, np.where(x1 >= x0, np.maximum(y1 + 1, y0), y0)):  # (edge, row) pairs
-            start = np.searchsorted(self.keys, row * self.width + x0.take(j))
-            stop = np.maximum(np.searchsorted(self.keys, row * self.width + x1.take(j), "right"), start)
-            for i, pos in _runs(start, stop):
+            at = row * self.width
+            for i, pos in _runs(self.before.take(at + x0.take(j)), self.before.take(at + x1.take(j) + 1)):
                 yield k.take(j.take(i)), pos
 
 
-def _hull_edge(pixels: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """A hull edge p -> q with every candidate on its left or its line, or
-    none for candidates on one vertical line."""
-    x, y = pixels[:, cand]
+def _hull_edge(fill: _Front) -> np.ndarray:
+    """A hull edge p -> q with every candidate of ``fill`` on its left or
+    its line, or none for candidates on one vertical line."""
+    x, y = fill.x.take(fill.cand), fill.y.take(fill.cand)
     p = np.lexsort((y, x))[0]  # the lowest of the leftmost: a hull vertex
     dx, dy = x - x[p], y - y[p]
     right = np.flatnonzero(dx > 0.0)
     if not right.size:
         return np.zeros((0, 2), dtype=np.int64)
     q = right[np.lexsort((dx[right], dy[right] / dx[right]))[0]]  # the least slope, the nearest on it
-    return cand[[[p, q]]]
+    return fill.cand[[[p, q]]]
 
 
 def triangulate(points: np.ndarray, valid: np.ndarray) -> TriangleMesh:
@@ -387,8 +375,8 @@ def triangulate(points: np.ndarray, valid: np.ndarray) -> TriangleMesh:
         raise StructuralError(f"valid holds {n} pixels for {points.shape[0]} points")
     if n < 3:
         raise DegenerateGeometryError("triangulation needs at least 3 points")
-    cells, remainder, pixels = _lattice_cells(valid)
-    cand = np.flatnonzero(remainder)
+    cells, remainder, keys, width = _lattice_cells(valid)
+    fill = _Front(keys, width, np.flatnonzero(remainder))
     if cells.size:
         r = remainder.view(np.uint8)  # a sum per column: reducing (M, 3) rows is ~5x slower
         rim = cells[r[cells[:, 0]] + r[cells[:, 1]] + r[cells[:, 2]] >= 2].astype(np.int64)  # keys a * n + b pass 2^31
@@ -396,8 +384,8 @@ def triangulate(points: np.ndarray, valid: np.ndarray) -> TriangleMesh:
         edges = edges[remainder[edges].all(axis=1)]  # an edge with ground open beside it
         front = edges[~_member(edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])]
     else:
-        front = _hull_edge(pixels, cand)
-    triangles = np.concatenate([cells, _Front(pixels, cand).triangles(front)])
+        front = _hull_edge(fill)
+    triangles = np.concatenate([cells, fill.triangles(front)])
     if not triangles.size:
         raise DegenerateGeometryError("the pixels are collinear: no triangle has area")
     triangles.setflags(write=False)  # frozen: the mesh shares it

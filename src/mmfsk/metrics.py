@@ -229,18 +229,6 @@ def projective_error(
     return float(np.abs(depth_r - depth_gt)[mask].mean())
 
 
-def resample_gt_cloud(kind: str, params: dict, spacing: float) -> np.ndarray:
-    """Ground-truth surface samples at the requested lateral spacing."""
-    return make_scene(kind, {**params, "spacing": float(spacing)}).positions.copy()
-
-
-def resample_gt_depth(kind: str, params: dict, grid: CandidateGrid) -> np.ndarray:
-    """Ground-truth depth rasterized on the radar pixel grid (NaN outside
-    the surface footprint)."""
-    gx, gy = np.meshgrid(grid.x, grid.y)
-    return surface_depth(kind, params, gx, gy)
-
-
 def resample_pitch(params: dict, x: np.ndarray, y: np.ndarray, pitch_name: str) -> float:
     """The pitch at which ``evaluate_image`` resamples the ground truth of
     an image on axes ``x`` and ``y``: the coarser axis step, or 1 mm on a
@@ -269,8 +257,9 @@ def evaluate_image(image: RadarImage, kind: str, params: dict, erode: int = 1, *
     if recon_cloud.shape[0] == 0:
         raise InsufficientDataError("reconstruction has no valid pixels")
     grid = CandidateGrid(image.x, image.y, image.depth)
-    gt_cloud = resample_gt_cloud(kind, params, resample_pitch(params, grid.x, grid.y, "the image pitch"))
-    gt_depth = resample_gt_depth(kind, params, grid)
+    pitch = resample_pitch(params, grid.x, grid.y, "the image pitch")
+    gt_cloud = make_scene(kind, {**params, "spacing": pitch}).positions
+    gt_depth = surface_depth(kind, params, *np.meshgrid(grid.x, grid.y))  # NaN outside the surface footprint
     joint = np.isfinite(gt_depth) & image.valid
     eroded = erode_mask(joint, erode)
     return EvalReport(

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmfsk import (FrequencySet, VoxelGridSpec, backproject, fsk2_reconstruct, fsk3_reconstruct, magnitude_filter,
-                   mimo_cross_array)
+from mmfsk import (CandidateGrid, FrequencySet, VoxelGridSpec, backproject, fsk2_reconstruct, fsk3_reconstruct,
+                   magnitude_filter, mimo_cross_array)
 from mmfsk import io as mio
 from mmfsk.cli import CONFIG, SELECTORS, build_parser, load_config, main
 from mmfsk.simulate import SCENE_PARAMS
@@ -439,8 +439,8 @@ class TestReconstructAndEval:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
-        ("simulate", "--seed", "x", "config seed must be an integer >= 0"),
-        ("simulate", "--seed", "1.5", "config seed must be an integer >= 0"),
+        ("simulate", "--workers", "x", "config workers must be an integer >= 1"),
+        ("simulate", "--workers", "1.5", "config workers must be an integer >= 1"),
         ("reconstruct", "--workers", "two", "config workers must be an integer >= 1"),
     ])
     def test_bad_flag_value_exits_1_naming_the_key(self, tmp_path, caplog, command, flag, value, message):
@@ -450,38 +450,23 @@ class TestReconstructAndEval:
         assert f"validation: {message}, got '{value}'" in caplog.text
         assert not (tmp_path / "out").exists()
 
-    def test_negative_seed_flag_exits_1(self, tmp_path, caplog):
-        # not numpy's Philox error, which names no key
-        cfg = write_config(tmp_path / "cfg.json")
-        assert main(["prior", "-c", str(cfg), "--seed", "-1"]) == 1
-        assert "validation: config seed must be an integer >= 0, got -1" in caplog.text
-        assert not (tmp_path / "out").exists()
-
     def test_flag_integers_reach_the_snapshot_as_integers(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
-        assert main(["simulate", "-c", str(cfg), "--seed", "11", "--workers", "2"]) == 0
-        snapshot = mio.load_json(tmp_path / "out" / "simulate_config.json")
-        assert (snapshot["seed"], snapshot["workers"]) == (11, 2)
+        assert main(["simulate", "-c", str(cfg), "--workers", "2"]) == 0
+        workers = mio.load_json(tmp_path / "out" / "simulate_config.json")["workers"]
+        assert type(workers) is int and workers == 2
 
     def test_null_worker_count_means_cpu_count(self, tmp_path):
         self.run_pipeline(tmp_path, workers=None)
         assert (tmp_path / "out" / "mm2fsk_depth.pfm").exists()
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MMFSK_OUT", str(tmp_path / "envout"))
-        cfg = write_config(tmp_path / "cfg.json")
-        assert main(["simulate", "-c", str(cfg)]) == 0
-        assert (tmp_path / "envout" / "baseband.fskt").exists()
-
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_snapshot_records_output_dir(self, tmp_path, monkeypatch, via):
-        cfg = write_config(tmp_path / "cfg.json")
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_snapshot_records_output_dir(self, tmp_path, via):
+        # -o if given, else the config's output_dir
         moved = tmp_path / "moved"
-        if via == "env":
-            monkeypatch.setenv("MMFSK_OUT", str(moved))
+        cfg = write_config(tmp_path / "cfg.json", **({"output_dir": str(moved)} if via == "config" else {}))
         for cmd in ("simulate", "prior", "reconstruct", "eval"):
             assert main([cmd, "-c", str(cfg)] + (["-o", str(moved)] if via == "flag" else [])) == 0
-        monkeypatch.delenv("MMFSK_OUT", raising=False)
         for cmd in ("simulate", "prior", "reconstruct", "eval"):
             snapshot = moved / f"{cmd}_config.json"
             assert mio.load_json(snapshot)["output_dir"] == str(moved)
@@ -646,11 +631,14 @@ class TestNothingWrittenOnFailure:
         ({"methods": ["bp"], "frequencies": {"values_ghz": [72, 77, 82]}, "prior": {"mode": "camera"},
           "grid": {"width": 8, "height": 8, "spacing": 100.0}},  # the default volume spans the grid
          "config grid.spacing puts the volume's farthest voxel 565.8 m from an antenna"),
+        # each method once: 2fsk twice would correlate twice and fill two rows of eval_table.txt
+        ({"methods": ["2fsk", "bp", "2fsk"]}, "config methods: 2fsk is listed twice"),
     ], ids=["negative-pitch", "negative-aperture", "decreasing-carriers", "triple-without-three-carriers",
             "nan-voxel-extent", "nan-voxel-center", "nan-scalar-prior", "negative-scalar-prior",
             "nan-grid-center", "nan-pitch-one-pixel", "3fsk-on-a-pair", "mm2fsk-on-a-triple",
             "pitch-too-fine-to-resample", "bp-voxel-pitch-too-fine", "bp-default-volume-pitch-too-fine",
-            "prior-past-the-exact-range", "prior-at-1-km", "bp-volume-at-1-km", "bp-default-volume-past-the-exact-range"])
+            "prior-past-the-exact-range", "prior-at-1-km", "bp-volume-at-1-km",
+            "bp-default-volume-past-the-exact-range", "repeated-method"])
     def test_library_rule_exits_1_before_any_file(self, tmp_path, caplog, command, overrides, message):
         cfg = small_config(tmp_path / "cfg.json", **overrides)
         assert main([command, "-c", str(cfg)]) == 1
@@ -694,6 +682,40 @@ class TestNothingWrittenOnFailure:
         cfg = small_config(tmp_path / "cfg.json", sweep=sweep)
         assert main(["sweep", "-c", str(cfg)]) == 1
         assert f"validation: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "prior", "reconstruct", "eval", "report", "sweep"])
+    @pytest.mark.parametrize("snr_db", [-4000, NAN], ids=["noise-power-overflows", "nan"])
+    def test_snr_db_without_a_finite_noise_power_exits_1(self, tmp_path, caplog, command, snr_db):
+        # not an OverflowError from 10 ** (-snr_db / 10) in simulate, nor
+        # "baseband entries must be finite", which names no key
+        cfg = small_config(tmp_path / "cfg.json", noise={"snr_db": snr_db}, sweep={"pairs": ["10.0"]})
+        assert main([command, "-c", str(cfg)]) == 1
+        assert ("validation: config noise.snr_db must be a finite number at which 10 ** (-snr_db / 10) is finite, "
+                f"got {snr_db!r}") in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    # 10 ** 308.25 is below the largest float and 10 ** 308.26 above it
+    @pytest.mark.parametrize("snr_db, ok", [(-3082.5, True), (-3082.6, False), (float("inf"), False),
+                                            (-sys.float_info.max, False), (sys.float_info.max, True)])
+    def test_snr_db_bound_is_where_the_noise_power_overflows(self, tmp_path, snr_db, ok):
+        cfg = small_config(tmp_path / "cfg.json", noise={"snr_db": snr_db})
+        if ok:
+            assert load_config(str(cfg), {})["noise"]["snr_db"] == snr_db
+        else:
+            with pytest.raises(ValueError, match="config noise.snr_db must be a finite number"):
+                load_config(str(cfg), {})
+
+    @pytest.mark.parametrize("sweep", [
+        {"runs": [{"method": "2fsk", "pair": "10.0", "prior": {"mode": "scalar", "value": 0.30}},
+                  {"method": "2fsk", "pair": "10.0", "prior": {"mode": "scalar", "value": 0.31}}]},
+        {"method": "2fsk", "pairs": ["8.0", "10.0", "10.0"]},
+    ], ids=["two-priors", "shorthand"])
+    def test_repeated_sweep_label_exits_1_before_any_file(self, tmp_path, caplog, sweep):
+        # the second run of a label would overwrite the first's 2fsk_d10.0/seed_<n> directory
+        cfg = small_config(tmp_path / "cfg.json", sweep={**sweep, "seeds": 1})
+        assert main(["sweep", "-c", str(cfg)]) == 1
+        assert "validation: sweep entry 2fsk@d10.0: an earlier entry has the same method and frequencies" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_sweep_resolves_each_entry_once_before_the_first_run(self, tmp_path, monkeypatch):
@@ -775,6 +797,27 @@ class TestNothingWrittenOnFailure:
                 == (tmp_path / "centred" / "prior_grid.json").read_bytes())
 
 
+    def test_file_prior_past_the_exact_range_exits_1(self, tmp_path, caplog):
+        # 1000 m is past the correlator's exact range: the image would put every pixel about 1 km off
+        far = tmp_path / "far.json"
+        mio.save_candidate_grid(far, CandidateGrid.regular(8, 8, 0.002, (0.0, 0.0)).with_scalar_prior(1000.0))
+        cfg = small_config(tmp_path / "cfg.json", prior={"mode": "file", "path": str(far)})
+        assert main(["prior", "-c", str(cfg)]) == 1
+        assert f"validation: {far}: a prior depth puts the grid's farthest candidate 1000 m from" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_prior_grid_past_the_exact_range_stops_reconstruct(self, tmp_path, caplog):
+        cfg = small_config(tmp_path / "cfg.json")
+        for stage in ("simulate", "prior"):
+            assert main([stage, "-c", str(cfg)]) == 0, stage
+        grid_path = tmp_path / "out" / "prior_grid.json"
+        near = mio.load_candidate_grid(grid_path)
+        mio.save_candidate_grid(grid_path, CandidateGrid(near.x, near.y, np.where(np.eye(8), 1000.0, 0.3)))
+        before = written(tmp_path / "out")
+        assert main(["reconstruct", "-c", str(cfg)]) == 1
+        assert f"validation: {grid_path}: a prior depth puts the grid's farthest candidate" in caplog.text
+        assert written(tmp_path / "out") == before
+
     def test_prior_grid_off_the_config_grid_stops_reconstruct(self, tmp_path, caplog):
         # reconstruct would take the file's axes and eval score the image
         # on the config's
@@ -846,10 +889,11 @@ class TestExitCodes:
     def test_one_parser_serves_every_call_without_carrying_flags_over(self):
         parser = build_parser()
         assert build_parser() is parser
-        assert parser.parse_args(["reconstruct", "--method", "bp", "--method", "2fsk"]).methods == ["bp", "2fsk"]
-        args = parser.parse_args(["eval", "--seed", "3"])
-        assert (args.command, args.methods, args.seed, args.workers) == ("eval", None, 3, None)
-        assert parser.parse_args(["reconstruct", "--method", "3fsk"]).methods == ["3fsk"]
+        args = parser.parse_args(["reconstruct", "-o", "moved", "--workers", "2"])
+        assert (args.output_dir, args.workers) == ("moved", 2)
+        args = parser.parse_args(["eval", "--workers", "3"])
+        assert (args.command, args.output_dir, args.workers) == ("eval", None, 3)
+        assert parser.parse_args(["reconstruct", "-o", "other"]).workers is None
 
     @pytest.mark.parametrize("command, overrides, key", [
         ("reconstruct", {"filter_db": None}, "filter_db"),

@@ -235,13 +235,49 @@ LATTICE_DIGESTS = {
 }
 
 
+# sha256 of triangulate's triangles, as little-endian int64, on each
+# DIGEST_MASKS entry, recorded before the front searched the lattice's own
+# index image: they pin the front's choices among cocircular ties too.
+TRIANGLE_DIGESTS = {
+    "dropout-5%": "f40ede4a3bcfa5e1c192f73d7183ebdd4256f2d071882ba8c7e71be60c615957",
+    "dropout-30%": "3298841757da494e3a3b21bcc42211a2caeaccc7386d616c2ede7d999bddfbdb",
+    "dropout-60%": "2d3f5137d7cdce50b951e8fa4e22fbc233de7e19f5f79d2bca3e730386556c5c",
+    "disk-with-slot": "acee577237266609bae42309abe028badf0109713c7c76c0d2109ef6b385d34f",
+    "full-rectangle": "727ce824f6ae82e7cc9bf2ebca6f3cc1bcd123418edda59f90147c57db30349f",
+    "2xN": "fe3f695ceba6359ba91810861cc09826e01281dcf667a53196f6a15af7794aa6",
+    "Nx2-with-gaps": "7604c5d30734d0a5f578d65ac8fb7b795cbd44d722dcc846037ce086dbf10b78",
+    "negative-offset": "6a06ea10036d7408c373dd5e60e8edba1f62e5fb0fb643774644354ddfdd7d2a",
+    "camera-240-dropout-5%": "b7d3f5ac81d46732054ece87570521e5b757c8247a90dcc3cc428718622178be",
+}
+
+
 DIGEST_MASKS = {**LATTICE_MASKS, "camera-240-dropout-5%": dropout_mask(0.05, shape=(240, 240), seed=8)}
 
 
 def lattice_digests(mask):
-    cells, remainder, _ = depth_prior._lattice_cells(mask)
+    cells, remainder, _, _ = depth_prior._lattice_cells(mask)
     return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                  for a in (cells.astype("<i8"), remainder))
+
+
+def probed_remainder(mask):
+    """The remainder by brute force: a point touches ground no cell covers
+    when one of eight probes, 0.25 px from it in the middle of each
+    45-degree sector, lies in no cell. Cell edges run along the axes and
+    the diagonals, so no probe lies on one."""
+    cells = depth_prior._lattice_cells(mask)[0]
+    pix = lattice_pixels(mask)
+    turns = np.pi / 8 + np.arange(8) * np.pi / 4
+    probes = (pix[:, None, :] + 0.25 * np.column_stack([np.cos(turns), np.sin(turns)])).reshape(-1, 2)
+    covered = np.zeros(probes.shape[0], dtype=bool)
+    if cells.size:
+        a, b, c = (pix[cells[:, i]][:, None, :] for i in range(3))
+        sign = np.sign(triangle_area2(pix, cells))[:, None]
+        inside = np.ones((cells.shape[0], probes.shape[0]), dtype=bool)
+        for p, q in ((a, b), (b, c), (c, a)):
+            inside &= sign * _edge(p[..., 0], p[..., 1], q[..., 0], q[..., 1], probes[:, 0], probes[:, 1]) > 0.0
+        covered = inside.any(axis=0)
+    return ~covered.reshape(-1, 8).all(axis=1)
 
 
 def reference_rasterize(mesh, grid):
@@ -463,15 +499,37 @@ class TestTriangulate:
         probes = np.random.default_rng(0).uniform(pix.min(axis=0), pix.max(axis=0), (2000, 2))
         assert max_cover(pix, tri, probes) == 1
         assert np.array_equal(mesh.vertices, pts)
-        assert np.array_equal(depth_prior._lattice_cells(mask)[2].T, pix)  # the front's pixels
+        _, _, keys, width = depth_prior._lattice_cells(mask)
+        rows, cols = np.divmod(keys, width)  # the front's pixels: the box's, one in from its margin
+        assert np.array_equal(np.column_stack([cols, rows]) - 1 + pix.min(axis=0), pix)
 
     @pytest.mark.parametrize("name", list(DIGEST_MASKS))
     def test_lattice_cells_keep_their_bytes(self, name):
         assert lattice_digests(DIGEST_MASKS[name]) == LATTICE_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", list(DIGEST_MASKS))
+    def test_triangles_keep_their_bytes(self, name):
+        mask = DIGEST_MASKS[name]
+        tri = triangulate(np.zeros((np.count_nonzero(mask), 3)), mask).triangles
+        assert tri.dtype == np.int64
+        assert hashlib.sha256(tri.astype("<i8").tobytes()).hexdigest() == TRIANGLE_DIGESTS[name]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_remainder_matches_probes(self, seed):
+        # the angle count against eight probes per point, on random dropout masks, some with a round hole
+        rng = np.random.default_rng(seed)
+        for _ in range(15):
+            height, width = rng.integers(1, 19, 2)
+            mask = rng.random((height, width)) >= rng.uniform(0.02, 0.9)
+            if rng.random() < 0.3:
+                v, u = np.mgrid[:height, :width]
+                mask &= np.hypot(u - rng.uniform(0, width), v - rng.uniform(0, height)) > rng.uniform(1, 5)
+            if mask.any():
+                assert np.array_equal(depth_prior._lattice_cells(mask)[1], probed_remainder(mask))
+
     def test_most_points_skip_qhull_on_a_camera_like_mask(self):
         mask = dropout_mask(0.05, shape=(120, 120), seed=6)
-        cells, remainder, _ = depth_prior._lattice_cells(mask)
+        cells, remainder, _, _ = depth_prior._lattice_cells(mask)
         assert remainder.mean() < 0.25
         assert cells.shape[0] > 0.9 * 2 * mask.sum()
 
@@ -487,7 +545,7 @@ class TestTriangulate:
         # the front starts from one hull edge and fills the whole hull
         mask = dropout_mask(0.92, shape=(30, 40), seed=17)
         pix = lattice_pixels(mask)
-        cells, remainder, _ = depth_prior._lattice_cells(mask)
+        cells, remainder, _, _ = depth_prior._lattice_cells(mask)
         assert cells.shape[0] == 0 and remainder.all()
         tri = triangulate(np.column_stack([pix, np.zeros(len(pix))]), mask).triangles
         assert_delaunay_oracles(pix, tri)

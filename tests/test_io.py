@@ -281,28 +281,40 @@ class TestGridAndCalibration:
                                                       separators=(",", ":")) + "\n", encoding="utf-8")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
-    def test_indented_grid_loads_as_the_compact_one(self, tmp_path):
+    def test_indented_grid_loads_as_the_compact_one(self, tmp_path, caplog):
         # a prior_grid.json written in the earlier indented layout stays
-        # readable, to the bit, by the loader and by a file-prior run
-        grid = special_prior_grid()
-        mio.save_candidate_grid(tmp_path / "compact.json", grid)
-        mio.dump_json(tmp_path / "indented.json", reference_grid_doc(grid))
-        assert b"\n  " in (tmp_path / "indented.json").read_bytes()
-        want = mio.load_candidate_grid(tmp_path / "compact.json")
-        assert same_bits(want.x, grid.x) and same_bits(want.y, grid.y) and np.array_equal(want.valid, grid.valid)
-        for name in ("compact", "indented"):
-            back = mio.load_candidate_grid(tmp_path / f"{name}.json")
-            assert same_bits(back.x, want.x) and same_bits(back.y, want.y), name
-            assert same_bits(back.prior_depth, want.prior_depth), name
-            cfg = tmp_path / f"{name}_cfg.json"
-            cfg.write_text(json.dumps({
-                "seed": 7, "output_dir": str(tmp_path / name),
-                "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.06, "spacing": 0.002}},
-                "array": {"n_tx": 8, "n_rx": 8, "aperture": 0.2}, "frequencies": {"pair": "10.0"},
-                "grid": {"width": grid.width, "height": grid.height, "spacing": 0.001, "center": [0.003, -0.002]},
-                "prior": {"mode": "file", "path": str(tmp_path / f"{name}.json")}}))
-            assert main(["prior", "-c", str(cfg)]) == 0, name
-            assert (tmp_path / name / "prior_grid.json").read_bytes() == (tmp_path / "compact.json").read_bytes()
+        # readable, to the bit, by the loader and by a file-prior run. The
+        # grid's 1e300 m depth is past the correlator's exact range, so its
+        # run exits 1 naming the file; with that depth at 0.3 m it writes
+        special = special_prior_grid()
+        for far in (1e300, 0.3):
+            root = tmp_path / str(far)
+            root.mkdir()
+            grid = special.with_prior(np.where(special.prior_depth == 1e300, far, special.prior_depth))
+            mio.save_candidate_grid(root / "compact.json", grid)
+            mio.dump_json(root / "indented.json", reference_grid_doc(grid))
+            assert b"\n  " in (root / "indented.json").read_bytes()
+            want = mio.load_candidate_grid(root / "compact.json")
+            assert same_bits(want.x, grid.x) and same_bits(want.y, grid.y) and np.array_equal(want.valid, grid.valid)
+            for name in ("compact", "indented"):
+                back = mio.load_candidate_grid(root / f"{name}.json")
+                assert same_bits(back.x, want.x) and same_bits(back.y, want.y), name
+                assert same_bits(back.prior_depth, want.prior_depth), name
+                cfg = root / f"{name}_cfg.json"
+                cfg.write_text(json.dumps({
+                    "seed": 7, "output_dir": str(root / name),
+                    "scene": {"kind": "plane", "params": {"depth": 0.30, "extent": 0.06, "spacing": 0.002}},
+                    "array": {"n_tx": 8, "n_rx": 8, "aperture": 0.2}, "frequencies": {"pair": "10.0"},
+                    "grid": {"width": grid.width, "height": grid.height, "spacing": 0.001, "center": [0.003, -0.002]},
+                    "prior": {"mode": "file", "path": str(root / f"{name}.json")}}))
+                if far == 1e300:
+                    assert main(["prior", "-c", str(cfg)]) == 1, name
+                    assert (f"validation: {root / name}.json: a prior depth puts the grid's farthest candidate "
+                            "1e+300 m from") in caplog.text
+                    assert not (root / name).exists()
+                else:
+                    assert main(["prior", "-c", str(cfg)]) == 0, name
+                    assert (root / name / "prior_grid.json").read_bytes() == (root / "compact.json").read_bytes()
 
     def test_calibration_round_trip(self, tmp_path):
         intr = CameraIntrinsics(200.0, 210.0, 32.0, 24.0)

@@ -12,9 +12,9 @@ from mmfsk import (
     chamfer_one_way,
     depth_prior,
     evaluate_image,
+    make_scene,
     projective_error,
-    resample_gt_cloud,
-    resample_gt_depth,
+    surface_depth,
 )
 from mmfsk.errors import InsufficientDataError, StructuralError
 from mmfsk.metrics import EvalReport, _nearest_sq, erode_mask, report_table, spearman_rho
@@ -221,27 +221,27 @@ class TestErodeMask:
 
 
 class TestResampleGroundTruth:
+    # evaluate_image resamples the ground truth as make_scene's cloud at the
+    # image pitch and surface_depth on the image's pixel centres
     def test_plane_cloud_is_grid_regular(self):
-        pts = resample_gt_cloud("plane", {"depth": 0.3, "extent": 0.01}, 0.001)
+        pts = make_scene("plane", {"depth": 0.3, "extent": 0.01, "spacing": 0.001}).positions
         assert pts.shape[0] == 121
         assert np.unique(np.round(np.diff(np.unique(pts[:, 0])), 12)).size == 1
 
     def test_sphere_cloud_satisfies_equation(self):
-        pts = resample_gt_cloud(
-            "sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.05}, 0.002
-        )
+        pts = make_scene("sphere-cap", {"radius": 0.05, "center_z": 0.35, "extent": 0.05, "spacing": 0.002}).positions
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2 + (pts[:, 2] - 0.35) ** 2
         assert np.abs(r2 - 0.0025).max() < 1e-12
 
     def test_density_doubling_quadruples_count(self):
-        coarse = resample_gt_cloud("plane", {"depth": 0.3, "extent": 0.04}, 0.002)
-        fine = resample_gt_cloud("plane", {"depth": 0.3, "extent": 0.04}, 0.001)
+        coarse = make_scene("plane", {"depth": 0.3, "extent": 0.04, "spacing": 0.002}).positions
+        fine = make_scene("plane", {"depth": 0.3, "extent": 0.04, "spacing": 0.001}).positions
         assert fine.shape[0] == pytest.approx(4 * coarse.shape[0], rel=0.06)
 
     def test_depth_map_variant_matches_surface(self):
         grid = CandidateGrid.regular(16, 16, 0.002)
-        depth = resample_gt_depth("plane", {"depth": 0.31, "extent": 0.1}, grid)
-        assert np.nanmax(np.abs(depth - 0.31)) == 0.0
+        depth = surface_depth("plane", {"depth": 0.31, "extent": 0.1}, *np.meshgrid(grid.x, grid.y))
+        assert depth.shape == (16, 16) and np.nanmax(np.abs(depth - 0.31)) == 0.0
 
 
 class TestEvaluateImage:
